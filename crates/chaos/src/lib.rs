@@ -364,6 +364,9 @@ mod tests {
 
     #[test]
     fn disabled_hits_are_noops() {
+        // Hold the arming gate so no other test's plan is armed meanwhile
+        // (and so these hits never land in one).
+        let _gate = lock_unpoisoned(&GATE);
         assert_eq!(hit("kernel.barrier"), None);
         assert_eq!(hit("kernel.barrier"), None);
     }
@@ -378,6 +381,7 @@ mod tests {
         assert_eq!(guard.injected(), 1);
         assert_eq!(guard.hits("kernel.barrier"), 4);
         drop(guard);
+        let _gate = lock_unpoisoned(&GATE);
         assert_eq!(hit("kernel.barrier"), None, "disarmed on drop");
     }
 

@@ -54,6 +54,11 @@
 //! `--compare A B [--tolerance X]` A/B-compares two reports cell by cell
 //! on `speedup_vs_unfused` and fails (exit 3) when the candidate
 //! regresses past the tolerance.
+//!
+//! Reports also record the host they ran on, `"host": {"cores": N}` from
+//! `available_parallelism`, so thread-scaling rows can be read against
+//! the cores that were there. The field is optional within v4: the
+//! validator checks it only when present.
 
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -195,6 +200,8 @@ struct SuiteRow {
 /// The whole report.
 struct BenchReport {
     threads: Vec<usize>,
+    /// The host's available parallelism when the report was taken.
+    host_cores: usize,
     quick: bool,
     deadline_ms: Option<u64>,
     complete: bool,
@@ -506,6 +513,7 @@ fn collect(
     let reps = if quick { 5 } else { 15 };
     let mut report = BenchReport {
         threads: threads.to_vec(),
+        host_cores: std::thread::available_parallelism().map_or(1, |n| n.get()),
         quick,
         deadline_ms,
         complete: true,
@@ -538,6 +546,7 @@ fn render_json(r: &BenchReport) -> String {
     let _ = writeln!(out, "  \"name\": \"BENCH_fusion\",");
     let threads: Vec<String> = r.threads.iter().map(usize::to_string).collect();
     let _ = writeln!(out, "  \"threads\": [{}],", threads.join(", "));
+    let _ = writeln!(out, "  \"host\": {{ \"cores\": {} }},", r.host_cores);
     let _ = writeln!(out, "  \"quick\": {},", r.quick);
     match r.deadline_ms {
         Some(ms) => {
@@ -625,8 +634,9 @@ fn render_human(r: &BenchReport) -> String {
     let threads: Vec<String> = r.threads.iter().map(usize::to_string).collect();
     let _ = writeln!(
         out,
-        "BENCH_fusion schema v{SCHEMA_VERSION} (threads {{{}}}, bounds {shape}{}{})",
+        "BENCH_fusion schema v{SCHEMA_VERSION} (threads {{{}}}, host cores {}, bounds {shape}{}{})",
         threads.join(","),
+        r.host_cores,
         if r.quick { ", quick" } else { "" },
         if r.complete { "" } else { ", INCOMPLETE" },
     );
@@ -909,6 +919,13 @@ fn validate(text: &str) -> Result<(usize, bool), String> {
     if thread_list.windows(2).any(|w| w[0] >= w[1]) {
         return Err("threads must be strictly increasing".into());
     }
+    // Optional within v4: reports written before it existed stay valid.
+    if let Some(host) = doc.get("host") {
+        host.get("cores")
+            .and_then(Json::num)
+            .filter(|v| *v >= 1.0 && v.fract() == 0.0)
+            .ok_or("host.cores must be a positive integer")?;
+    }
     field("quick")?
         .bool_val()
         .ok_or("quick must be a boolean")?;
@@ -1188,6 +1205,7 @@ mod tests {
         };
         BenchReport {
             threads: vec![1, 2],
+            host_cores: 2,
             quick: true,
             deadline_ms: None,
             complete: true,
@@ -1304,8 +1322,20 @@ mod tests {
                 Some(("\"barriers\": { \"unfused\"", "\"b\": { \"unfused\"")),
                 "missing barriers",
             ),
+            (
+                "host cores not a positive integer",
+                Some(|r| r.host_cores = 0),
+                None,
+                "host.cores must be a positive integer",
+            ),
         ];
         assert!(validate(&render_json(&sample_report())).is_ok());
+        // The host block is optional: v4 reports written before it
+        // existed (the committed baseline among them) stay valid.
+        let without_host =
+            render_json(&sample_report()).replace("  \"host\": { \"cores\": 2 },\n", "");
+        assert!(!without_host.contains("\"host\""));
+        assert!(validate(&without_host).is_ok());
         for (what, structural, textual, expect) in cases {
             let mut r = sample_report();
             if let Some(f) = structural {

@@ -55,15 +55,22 @@ impl Snapshot for KernelMemory {
     }
 }
 
-/// Minimum row length before a certified row is split into column tiles
-/// for threading; below this the barrier and spawn overhead dominates.
+/// Width of the column tiles a certified row splits into for threading;
+/// rows shorter than two tiles run serially, because a tile of fewer
+/// columns does too little work to pay for waking a pool worker and for
+/// the barrier that ends the step. Fixed rather than derived from a
+/// measured dispatch cost, so the serial-or-threaded choice and the
+/// `kernel.tiles` counter depend only on shape and worker count.
 const TILE_COLS: i64 = 256;
 
 /// Minimum estimated cell count in a tile wave before its tiles are
-/// dispatched to worker threads; below this the spawn overhead dominates
-/// and the wave runs serially (`wavefront.serial_fronts`). Part of the
-/// deterministic cost model: the decision depends only on the tile plan,
-/// the wave index, and the thread count — never on timing.
+/// dispatched to the worker pool; thinner waves run serially
+/// (`wavefront.serial_fronts`), because waking workers and synchronizing
+/// the step costs more than the wave's work. Part of the deterministic
+/// cost model: the decision depends only on the tile plan, the wave
+/// index, and the thread count — never on timing or a measured dispatch
+/// cost, which keeps profiles reproducible (`tests/trace_determinism.rs`).
+/// Changing the value moves the pinned `wavefront.serial_fronts` counts.
 const SERIAL_WAVE_CELLS: i64 = 2048;
 
 /// How a compiled kernel traverses the fused iteration space. Produced by
@@ -743,7 +750,7 @@ impl CompiledKernel {
                 if self.rows_tiled(threads) {
                     span.add(
                         "kernel.tiles",
-                        stats.barriers * self.column_tiles().len() as u64,
+                        stats.barriers * self.column_tile_count() as u64,
                     );
                 }
             }
@@ -908,17 +915,11 @@ impl CompiledKernel {
         threads > 1 && self.inner.len() >= 2 * TILE_COLS
     }
 
-    /// The column tiles a certified threaded row splits into:
+    /// How many column tiles a certified threaded row splits into:
     /// [`TILE_COLS`]-wide chunks of the fused inner range, last one
     /// ragged. Shared between execution and the `kernel.tiles` counter.
-    fn column_tiles(&self) -> Vec<(i64, i64)> {
-        if self.inner.is_empty() {
-            return Vec::new();
-        }
-        (self.inner.lo..=self.inner.hi)
-            .step_by(TILE_COLS as usize)
-            .map(|lo| (lo, (lo + TILE_COLS - 1).min(self.inner.hi)))
-            .collect()
+    fn column_tile_count(&self) -> usize {
+        (self.inner.len() as usize).div_ceil(TILE_COLS as usize)
     }
 
     /// One certified row, loop-major (see [`Self::row_body`]). `unchecked`
@@ -948,29 +949,7 @@ impl CompiledKernel {
             .sum();
         let cells = SharedCells::<CHECKED>::new(data);
         if self.rows_tiled(threads) {
-            self.column_tiles()
-                .into_par_iter()
-                .for_each(|(tile_lo, tile_hi)| {
-                    let mut regs = [0i64; MAX_REGS];
-                    for cl in &self.loops {
-                        if !active(cl) {
-                            continue;
-                        }
-                        let lo = tile_lo.max(cl.cols.lo);
-                        let hi = tile_hi.min(cl.cols.hi);
-                        if lo > hi {
-                            continue;
-                        }
-                        let base = self.layout.cursor(fi + cl.offset.x, lo + cl.offset.y) as isize;
-                        for s in &cl.stmts {
-                            for cur in base..base + (hi - lo + 1) as isize {
-                                let v =
-                                    eval_compiled(&s.instrs, &mut regs, |d| cells.read(cur + d));
-                                cells.write(cur + s.store_delta, v);
-                            }
-                        }
-                    }
-                });
+            self.row_tiles_threaded(&cells, fi);
         } else {
             let mut regs = [0i64; MAX_REGS];
             for cl in &self.loops {
@@ -990,6 +969,32 @@ impl CompiledKernel {
             }
         }
         instances
+    }
+
+    /// The threaded branch of [`Self::row_body`]: one pool step over the
+    /// row's column tiles, dispatched by tile index. Kept out of line so
+    /// the serial loop beside it compiles as it would alone.
+    #[inline(never)]
+    fn row_tiles_threaded<const CHECKED: bool>(&self, cells: &SharedCells<CHECKED>, fi: i64) {
+        (0..self.column_tile_count()).into_par_iter().for_each(|t| {
+            let tile_lo = self.inner.lo + t as i64 * TILE_COLS;
+            let tile_hi = (tile_lo + TILE_COLS - 1).min(self.inner.hi);
+            let mut regs = [0i64; MAX_REGS];
+            for cl in &self.loops {
+                let lo = tile_lo.max(cl.cols.lo);
+                let hi = tile_hi.min(cl.cols.hi);
+                if !cl.rows.contains(fi) || lo > hi {
+                    continue;
+                }
+                let base = self.layout.cursor(fi + cl.offset.x, lo + cl.offset.y) as isize;
+                for s in &cl.stmts {
+                    for cur in base..base + (hi - lo + 1) as isize {
+                        let v = eval_compiled(&s.instrs, &mut regs, |d| cells.read(cur + d));
+                        cells.write(cur + s.store_delta, v);
+                    }
+                }
+            }
+        });
     }
 
     /// One uncertified row: the canonical cell-major serialization, cell
@@ -1087,30 +1092,7 @@ impl CompiledKernel {
     ) -> u64 {
         let cells = SharedCells::<CHECKED>::new(data);
         if certified && threads > 1 && group.len() >= 2 {
-            let instances: u64 = group
-                .iter()
-                .map(|&(fi, fj)| {
-                    self.loops
-                        .iter()
-                        .filter(|cl| cl.rows.contains(fi) && cl.cols.contains(fj))
-                        .map(|cl| cl.stmts.len() as u64)
-                        .sum::<u64>()
-                })
-                .sum();
-            group.to_vec().into_par_iter().for_each(|(fi, fj)| {
-                let mut regs = [0i64; MAX_REGS];
-                for cl in &self.loops {
-                    if !cl.rows.contains(fi) || !cl.cols.contains(fj) {
-                        continue;
-                    }
-                    let cur = self.layout.cursor(fi + cl.offset.x, fj + cl.offset.y) as isize;
-                    for s in &cl.stmts {
-                        let v = eval_compiled(&s.instrs, &mut regs, |d| cells.read(cur + d));
-                        cells.write(cur + s.store_delta, v);
-                    }
-                }
-            });
-            instances
+            self.wavefront_threaded(&cells, group)
         } else {
             let mut regs = [0i64; MAX_REGS];
             let mut instances = 0u64;
@@ -1119,6 +1101,32 @@ impl CompiledKernel {
             }
             instances
         }
+    }
+
+    /// The threaded branch of [`Self::wavefront_body`]: one pool step over
+    /// the group's cells, dispatched by index into `group`. Instances are
+    /// pre-counted so the hot loop carries no shared accumulator.
+    #[inline(never)]
+    fn wavefront_threaded<const CHECKED: bool>(
+        &self,
+        cells: &SharedCells<CHECKED>,
+        group: &[(i64, i64)],
+    ) -> u64 {
+        let instances: u64 = group
+            .iter()
+            .map(|&(fi, fj)| {
+                self.loops
+                    .iter()
+                    .filter(|cl| cl.rows.contains(fi) && cl.cols.contains(fj))
+                    .map(|cl| cl.stmts.len() as u64)
+                    .sum::<u64>()
+            })
+            .sum();
+        (0..group.len()).into_par_iter().for_each(|k| {
+            let (fi, fj) = group[k];
+            self.exec_cell(cells, &mut [0i64; MAX_REGS], fi, fj);
+        });
+        instances
     }
 
     /// One tile wave: every tile on anti-diagonal `w` of the tile grid.
@@ -1149,8 +1157,8 @@ impl CompiledKernel {
         threads: usize,
     ) -> u64 {
         let cells = SharedCells::<CHECKED>::new(data);
-        let (lo, hi) = tp.wave_bands(w);
         if tp.wave_serial(w, threads) {
+            let (lo, hi) = tp.wave_bands(w);
             let mut regs = [0i64; MAX_REGS];
             let mut instances = 0u64;
             for tb in lo..=hi {
@@ -1158,22 +1166,30 @@ impl CompiledKernel {
             }
             instances
         } else {
-            // Same-wave tiles touch disjoint conflict-free cell sets (the
-            // elision certificate's monotonicity argument), so they run in
-            // place concurrently. Instances are pre-counted so the hot
-            // loop carries no shared accumulator.
-            let instances: u64 = (lo..=hi)
-                .map(|tb| self.tile_instances(tp, tb, w - tb))
-                .sum();
-            (lo..=hi)
-                .collect::<Vec<_>>()
-                .into_par_iter()
-                .for_each(|tb| {
-                    let mut regs = [0i64; MAX_REGS];
-                    self.exec_tile(&cells, &mut regs, tp, tb, w - tb);
-                });
-            instances
+            self.tile_wave_threaded(&cells, tp, w)
         }
+    }
+
+    /// The threaded branch of [`Self::tile_wave_body`]: one pool step over
+    /// wave `w`'s front bands. Same-wave tiles touch disjoint
+    /// conflict-free cell sets (the elision certificate's monotonicity
+    /// argument), so they run in place concurrently. Instances are
+    /// pre-counted so the hot loop carries no shared accumulator.
+    #[inline(never)]
+    fn tile_wave_threaded<const CHECKED: bool>(
+        &self,
+        cells: &SharedCells<CHECKED>,
+        tp: &TilePlan,
+        w: i64,
+    ) -> u64 {
+        let (lo, hi) = tp.wave_bands(w);
+        let instances: u64 = (lo..=hi)
+            .map(|tb| self.tile_instances(tp, tb, w - tb))
+            .sum();
+        (lo..=hi).into_par_iter().for_each(|tb| {
+            self.exec_tile(cells, &mut [0i64; MAX_REGS], tp, tb, w - tb);
+        });
+        instances
     }
 
     /// The fused-column window of tile row `fi` within front band

@@ -5,6 +5,7 @@
 //! sweeps, `loadgen --shards`) and real child processes (`mdfuse route`,
 //! implemented in the CLI where `current_exe` is available).
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use mdf_service::transport::Endpoint;
@@ -28,15 +29,20 @@ pub trait Backend: Send + Sync + 'static {
 pub struct InProcessBackend {
     template: ServiceConfig,
     servers: Mutex<Vec<Option<Server>>>,
+    /// Distinguishes this backend's sockets from those of every other
+    /// backend in the process, so concurrent fleets never share a path.
+    nonce: u64,
 }
 
 impl InProcessBackend {
     /// A backend whose shards clone `template` (endpoint overridden per
     /// shard/generation).
     pub fn new(shards: u32, template: ServiceConfig) -> InProcessBackend {
+        static NEXT_NONCE: AtomicU64 = AtomicU64::new(0);
         InProcessBackend {
             template,
             servers: Mutex::new((0..shards).map(|_| None).collect()),
+            nonce: NEXT_NONCE.fetch_add(1, Ordering::Relaxed),
         }
     }
 }
@@ -44,8 +50,9 @@ impl InProcessBackend {
 impl Backend for InProcessBackend {
     fn start(&self, shard: u32, generation: u64) -> std::io::Result<Endpoint> {
         let path = std::env::temp_dir().join(format!(
-            "mdfused-shard-{}-{shard}-g{generation}.sock",
-            std::process::id()
+            "mdfused-shard-{}-{}-{shard}-g{generation}.sock",
+            std::process::id(),
+            self.nonce
         ));
         let mut config = self.template.clone();
         config.endpoint = Endpoint::Unix(path);

@@ -184,38 +184,51 @@ fn shard_kill_reroutes_and_respawns() {
     assert_eq!(first.fingerprint, want);
     let home = first.shard;
 
-    // Kill the owning shard out from under the router and resubmit
-    // immediately — before the health loop's next ping can notice.
-    backend.stop(home);
-    let resp = submit_via(&endpoint, &source, Engine::Kernel);
-    let Response::Done(rerouted) = resp else {
-        panic!("submission after shard kill must still complete, got {resp:?}");
+    // The supervisor must respawn every killed shard into a fully
+    // healthy fleet.
+    let healed = |kills: u64| {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        loop {
+            let fleet = router.fleet_stats();
+            if fleet.respawns >= kills && fleet.shards.iter().all(|s| s.healthy) {
+                assert!(fleet.shard_deaths >= kills, "a death was never counted");
+                return fleet;
+            }
+            assert!(
+                Instant::now() < deadline,
+                "fleet never respawned shard {home}: {fleet:?}"
+            );
+            std::thread::sleep(Duration::from_millis(50));
+        }
     };
-    assert_eq!(
-        rerouted.fingerprint, want,
-        "failover produced different bits"
-    );
-    assert!(
-        rerouted.rerouted,
-        "the outcome must say it was rerouted, not pretend nothing happened"
-    );
-    assert_ne!(rerouted.shard, home, "rerouted to the dead shard");
 
-    // The supervisor must respawn the shard into a fully healthy fleet.
-    let deadline = Instant::now() + Duration::from_secs(10);
-    loop {
-        let fleet = router.fleet_stats();
-        if fleet.respawns >= 1 && fleet.shards.iter().all(|s| s.healthy) {
-            assert!(fleet.shard_deaths >= 1, "the death was never counted");
-            assert!(fleet.reroutes >= 1, "the reroute was never counted");
-            break;
+    // Kill the owning shard out from under the router and resubmit at
+    // once. The health loop pings on its own schedule and sometimes
+    // notices the death first; the request then goes straight to a live
+    // shard, correctly and unmarked. Such a round proves nothing about
+    // failover, so the kill is repeated, once the fleet has healed, until
+    // a resubmission meets the dead owner itself.
+    let mut kills = 0;
+    let rerouted = loop {
+        kills += 1;
+        backend.stop(home);
+        let resp = submit_via(&endpoint, &source, Engine::Kernel);
+        let Response::Done(o) = resp else {
+            panic!("submission after shard kill must still complete, got {resp:?}");
+        };
+        assert_eq!(o.fingerprint, want, "failover produced different bits");
+        if o.rerouted {
+            break o;
         }
         assert!(
-            Instant::now() < deadline,
-            "fleet never respawned shard {home}: {fleet:?}"
+            kills < 10,
+            "the health loop noticed all {kills} kills before the resubmission did"
         );
-        std::thread::sleep(Duration::from_millis(50));
-    }
+        healed(kills);
+    };
+    assert_ne!(rerouted.shard, home, "rerouted to the dead shard");
+    let fleet = healed(kills);
+    assert!(fleet.reroutes >= 1, "the reroute was never counted");
     // And the respawned fleet still answers with the right bits.
     let Response::Done(after) = submit_via(&endpoint, &source, Engine::Kernel) else {
         panic!("post-respawn submission failed");
@@ -266,4 +279,35 @@ fn concurrent_identical_submissions_batch() {
         stats.batched_submits >= 2,
         "batching never counted: {stats:?}"
     );
+}
+
+/// Two fleets booted at once in one process both come up and answer.
+/// Regression: shard sockets were named by pid, shard and generation
+/// alone, so a second in-process fleet collided with the first one's
+/// live sockets and failed to start with `AddrInUse`.
+#[test]
+fn two_fleets_boot_concurrently_in_one_process() {
+    let routers: Vec<Router> = std::thread::scope(|s| {
+        let boots: Vec<_> = (0..2)
+            .map(|_| {
+                s.spawn(|| {
+                    let (config, backend) = fleet_config(2);
+                    Router::start(config, Box::new(SharedBackend(backend)))
+                        .expect("a concurrent fleet failed to boot")
+                })
+            })
+            .collect();
+        boots.into_iter().map(|b| b.join().unwrap()).collect()
+    });
+    let source = example("figure2.mdf");
+    let want = oracle_fingerprint(&source, 12, 10);
+    for router in &routers {
+        let Response::Done(o) = submit_via(router.endpoint(), &source, Engine::Kernel) else {
+            panic!("a concurrently booted fleet did not answer");
+        };
+        assert_eq!(o.fingerprint, want, "concurrent fleet result diverged");
+    }
+    for router in routers {
+        router.drain();
+    }
 }
