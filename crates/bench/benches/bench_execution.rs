@@ -28,9 +28,7 @@ fn flat_arrays(p: &mdf_ir::ast::Program, n: i64, m: i64) -> (Vec<Vec<i64>>, i64)
         .map(|k| {
             let mut buf = Vec::new();
             for i in -halo..=n + halo {
-                for j in -halo..=m + halo {
-                    buf.push(mdf_sim::array2::init_value(k, i, j));
-                }
+                buf.extend(mdf_sim::array2::init_row(k, i, -halo..m + halo + 1));
             }
             buf
         })

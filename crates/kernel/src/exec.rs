@@ -512,10 +512,12 @@ impl CompiledKernel {
 
     /// [`CompiledKernel::run`] with an explicit worker count driving the
     /// step policy (whether certified steps take the tiled [`SharedCells`]
-    /// path); actual parallelism is still the runtime's to grant. Exposed
-    /// so tests and benches can force either path deterministically.
+    /// path, and whether a large image fills in bands, see
+    /// [`KernelMemory::with_threads`]); actual parallelism is still the
+    /// runtime's to grant. Exposed so tests and benches can force either
+    /// path deterministically.
     pub fn run_with_threads(&self, mode: ExecMode, threads: usize) -> (KernelMemory, ExecStats) {
-        let mut mem = KernelMemory::new(self.layout);
+        let mut mem = KernelMemory::with_threads(self.layout, threads);
         // An unlimited meter cannot trip, so the budgeted driver is total.
         #[allow(clippy::expect_used)]
         let stats = self
@@ -652,7 +654,7 @@ impl CompiledKernel {
             |meter| {
                 meter.chaos_site("kernel.alloc")?;
                 meter.charge_cells(self.layout.cells() as u64)?;
-                Ok(KernelMemory::new(self.layout))
+                Ok(KernelMemory::with_threads(self.layout, threads))
             },
             |mem, barrier, threads_now, meter| {
                 meter.check_deadline()?;

@@ -10,13 +10,36 @@
 //!
 //! The layout is bit-for-bit the same as the interpreter's — same halo
 //! rule (`max_offset`), same row-major plane order, same deterministic
-//! [`init_value`] boundary pattern — so [`KernelMemory::fingerprint`]
-//! returns **exactly** the value `mdf_sim::Memory::fingerprint` returns
-//! for an equal memory image. That equality is the kernel's differential
-//! oracle contract, enforced by `tests/` and the fuzzer.
+//! [`init_value`](mdf_sim::array2::init_value) boundary pattern — so
+//! [`KernelMemory::fingerprint`] returns **exactly** the value
+//! `mdf_sim::Memory::fingerprint` returns for an equal memory image.
+//! That equality is the kernel's differential oracle contract, enforced
+//! by `tests/` and the fuzzer.
+//!
+//! Filling the image is part of every run, and at 1024² it is a large
+//! one: tens of megabytes, most of the cost first-touch page faults. An
+//! image of at least [`BANDED_FILL_CELLS`] cells driven by more than one
+//! worker is therefore filled in row bands on the worker pool; smaller
+//! images, and every 1-worker run, fill serially. Both produce the same
+//! bits (DESIGN.md §18).
+
+use std::sync::{Mutex, PoisonError};
 
 use mdf_ir::ast::Program;
-use mdf_sim::array2::init_value;
+use mdf_sim::array2::init_row;
+use rayon::prelude::*;
+
+/// Cell count from which [`KernelMemory::with_threads`] fills an image
+/// in row bands on the worker pool (given more than one worker). Fixed,
+/// so whether a run dispatches its fill depends only on the layout and
+/// the worker count, never on timing; it sits above every 24² service
+/// layout (at most 24 arrays of 29² cells, about 20k), so no service
+/// request dispatches one.
+pub const BANDED_FILL_CELLS: usize = 1 << 17;
+
+/// Row bands a banded fill cuts the image into: a fixed count, many more
+/// than workers, so that claiming balances the bands across the pool.
+const FILL_BANDS: usize = 64;
 
 /// The shared shape of every array plane in a kernel's flat buffer.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -83,17 +106,27 @@ pub struct KernelMemory {
 }
 
 impl KernelMemory {
-    /// Allocates and initializes memory for `layout`, filling every cell
-    /// with the interpreter's deterministic boundary pattern.
+    /// [`KernelMemory::with_threads`] with the current worker count.
     pub fn new(layout: Layout) -> KernelMemory {
-        let mut data = Vec::with_capacity(layout.cells());
-        for k in 0..layout.arrays {
-            for i in -layout.halo..layout.rows - layout.halo {
-                for j in -layout.halo..layout.cols - layout.halo {
-                    data.push(init_value(k, i, j));
+        KernelMemory::with_threads(layout, rayon::current_num_threads())
+    }
+
+    /// Allocates memory for `layout` and fills every cell with the
+    /// interpreter's deterministic boundary pattern. With more than one
+    /// worker, an image of at least [`BANDED_FILL_CELLS`] cells is filled
+    /// in row bands on the worker pool; the image is the same either way.
+    pub fn with_threads(layout: Layout, threads: usize) -> KernelMemory {
+        let data = if threads > 1 && layout.cells() >= BANDED_FILL_CELLS {
+            fill_banded(layout)
+        } else {
+            let mut data = Vec::with_capacity(layout.cells());
+            for k in 0..layout.arrays {
+                for i in -layout.halo..layout.rows - layout.halo {
+                    data.extend(init_row(k, i, -layout.halo..layout.cols - layout.halo));
                 }
             }
-        }
+            data
+        };
         KernelMemory { layout, data }
     }
 
@@ -132,10 +165,46 @@ impl KernelMemory {
     }
 }
 
+/// The banded fill: a zeroed allocation, which above glibc's mmap
+/// threshold maps fresh pages, so the fill is their first touch and the
+/// page faults run on the pool too; then [`FILL_BANDS`] bands of whole
+/// rows, claimed by index. The bands sit in a stack array, so the
+/// dispatch allocates nothing (`tests/fill_allocations.rs`). Out of line,
+/// so that this branch cannot change how the serial fill beside it
+/// compiles.
+#[inline(never)]
+fn fill_banded(layout: Layout) -> Vec<i64> {
+    let mut data = vec![0; layout.cells()];
+    let (rows, cols) = (layout.rows as usize, layout.cols as usize);
+    // Band `b` starts at buffer row `first_row(b)`, counting the rows of
+    // all planes back to back.
+    let first_row = |b: usize| b * layout.arrays * rows / FILL_BANDS;
+    let mut rest = data.as_mut_slice();
+    let bands: [Mutex<&mut [i64]>; FILL_BANDS] = std::array::from_fn(|b| {
+        let len = (first_row(b + 1) - first_row(b)) * cols;
+        let (band, tail) = std::mem::take(&mut rest).split_at_mut(len);
+        rest = tail;
+        Mutex::new(band)
+    });
+    (0..FILL_BANDS).into_par_iter().for_each(|b| {
+        // Each index is claimed once, so the lock is never contended.
+        let band = std::mem::take(&mut *bands[b].lock().unwrap_or_else(PoisonError::into_inner));
+        for (g, row) in (first_row(b)..).zip(band.chunks_exact_mut(cols)) {
+            let i = (g % rows) as i64 - layout.halo;
+            let values = init_row(g / rows, i, -layout.halo..layout.cols - layout.halo);
+            for (cell, v) in row.iter_mut().zip(values) {
+                *cell = v;
+            }
+        }
+    });
+    data
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use mdf_ir::samples::figure2_program;
+    use mdf_sim::array2::init_value;
     use mdf_sim::Memory;
 
     #[test]
@@ -175,6 +244,39 @@ mod tests {
         let d = layout.delta(3, -2, 1);
         assert_eq!(kmem.data[(cur + d) as usize], init_value(3, 0, 4));
         assert_eq!(kmem.get(3, 0, 4), init_value(3, 0, 4));
+    }
+
+    #[test]
+    fn every_worker_count_fills_the_same_image() {
+        let layout = |arrays, rows, cols| Layout {
+            arrays,
+            halo: 2,
+            rows,
+            cols,
+        };
+        let cases = [
+            // Below, at and above the cutoff; the last leaves 633 rows to
+            // cut into 64 bands, the one before leaves most bands empty.
+            (layout(1, 1, BANDED_FILL_CELLS as i64 - 1), false),
+            (layout(2, 256, 256), true),
+            (layout(1, 3, 43_691), true),
+            (layout(3, 211, 211), true),
+        ];
+        for (layout, banded) in cases {
+            assert_eq!(layout.cells() >= BANDED_FILL_CELLS, banded, "{layout:?}");
+            let serial = KernelMemory::with_threads(layout, 1);
+            for t in 1..=4 {
+                let mem = rayon::with_workers(t, || KernelMemory::with_threads(layout, t));
+                for k in 0..layout.arrays {
+                    for i in -layout.halo..layout.rows - layout.halo {
+                        for j in -layout.halo..layout.cols - layout.halo {
+                            assert_eq!(mem.get(k, i, j), init_value(k, i, j), "{layout:?} t={t}");
+                        }
+                    }
+                }
+                assert!(mem == serial, "{layout:?} t={t}");
+            }
+        }
     }
 
     #[test]

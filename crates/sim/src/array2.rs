@@ -8,6 +8,8 @@
 //! boundary access changes the output and is caught by the equivalence
 //! checks, instead of silently reading a zero.
 
+use std::ops::Range;
+
 /// A dense 2-D `i64` array with a (possibly negative) origin.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Array2 {
@@ -32,6 +34,13 @@ pub fn init_value(k: usize, i: i64, j: i64) -> i64 {
     h % 1000
 }
 
+/// The initial values of row `i` of array `k` over the columns `j`, in
+/// column order: [`init_value`] for each cell. Every engine builds its
+/// initial memory image from this, one row at a time.
+pub fn init_row(k: usize, i: i64, j: Range<i64>) -> impl Iterator<Item = i64> {
+    j.map(move |j| init_value(k, i, j))
+}
+
 impl Array2 {
     /// Allocates the array covering `[lo_i, hi_i] x [lo_j, hi_j]`
     /// (inclusive), initializing every cell with [`init_value`] for array
@@ -42,9 +51,7 @@ impl Array2 {
         let cols = hi_j - lo_j + 1;
         let mut data = Vec::with_capacity((rows * cols) as usize);
         for i in lo_i..=hi_i {
-            for j in lo_j..=hi_j {
-                data.push(init_value(k, i, j));
-            }
+            data.extend(init_row(k, i, lo_j..hi_j + 1));
         }
         Array2 {
             lo_i,

@@ -6,7 +6,7 @@
 //! the generated kernels shows up here.
 
 use mdfusion::prelude::*;
-use mdfusion::sim::array2::init_value;
+use mdfusion::sim::array2::init_row;
 
 mod generated {
     #![allow(clippy::all)]
@@ -23,9 +23,7 @@ fn flat_memory(p: &Program, n: i64, m: i64) -> (Vec<Vec<i64>>, i64) {
         .map(|k| {
             let mut buf = Vec::with_capacity((rows * cols) as usize);
             for i in -halo..=n + halo {
-                for j in -halo..=m + halo {
-                    buf.push(init_value(k, i, j));
-                }
+                buf.extend(init_row(k, i, -halo..m + halo + 1));
             }
             buf
         })

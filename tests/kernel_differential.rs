@@ -10,12 +10,14 @@
 //! example under `examples/dsl/`, and a proptest sweep over randomly
 //! generated programs — in both the certificate-licensed execution mode
 //! and the canonical serial fallback, and with a forced multi-worker
-//! policy so the in-place `SharedCells` paths are exercised too.
+//! policy so the in-place `SharedCells` paths, and (for the suites at
+//! 256²) the banded fill of the initial memory image, are exercised too.
 
 use mdfusion::core::{plan_fusion, DegradedPlan, FusionPlan};
 use mdfusion::gen::{executable_suite, random_program, ProgramGenConfig};
 use mdfusion::ir::extract::extract_mldg;
 use mdfusion::ir::{FusedSpec, Program};
+use mdfusion::kernel::memory::{Layout, BANDED_FILL_CELLS};
 use mdfusion::kernel::{plan_mode, CompiledKernel, ExecMode};
 use mdfusion::sim::{align_plan_to_program, run_fused, run_original, run_wavefront, RowOrder};
 use proptest::prelude::*;
@@ -111,8 +113,11 @@ fn suite_programs_agree_across_engines() {
         let p = entry
             .program
             .expect("executable_suite filters for programs");
+        // 256² puts every suite's image over the banded-fill cutoff, so
+        // the forced 4-worker run fills it in bands on the pool.
+        assert!(Layout::for_program(&p, 256, 256).cells() >= BANDED_FILL_CELLS);
         // Suites must fuse fully; a degraded plan here is a regression.
-        for (n, m) in [(0, 0), (7, 5), (16, 16)] {
+        for (n, m) in [(0, 0), (7, 5), (16, 16), (256, 256)] {
             assert!(
                 assert_engines_agree(&p, n, m),
                 "suite {} no longer plans to a fused schedule",
