@@ -140,19 +140,14 @@ pub enum VmMode {
     Serial,
     /// Row-DOALL: iterations of one fused row run concurrently.
     Rows,
-    /// Hyperplane wavefront: iterations with equal `s · (fi, fj)` run
-    /// concurrently.
-    Wavefront {
-        /// The schedule vector `s` as `(x, y)`.
-        schedule: (i64, i64),
-    },
     /// Tiled hyperplane wavefront with barrier elision: `(t, fi)` space
     /// (`t = s · (fi, fj)`) is cut into rectangular tiles and the
     /// anti-diagonal tile *waves* run with barriers only between waves.
     /// Tiles of one wave run concurrently; each tile sweeps its cells
     /// row-major (`fi` ascending, then `fj` ascending). Licensing this
-    /// mode additionally proves the sweep order ([`MDF208`]) on top of
-    /// the hyperplane disjointness ([`MDF205`]).
+    /// mode proves the hyperplane disjointness ([`MDF205`]: iterations
+    /// with equal `s · (fi, fj)` never collide) and the sweep order
+    /// ([`MDF208`]).
     WavefrontTiled {
         /// The schedule vector `s` as `(x, y)`.
         schedule: (i64, i64),
@@ -165,7 +160,6 @@ impl VmMode {
         match self {
             VmMode::Serial => "serial",
             VmMode::Rows => "rows",
-            VmMode::Wavefront { .. } => "wavefront",
             VmMode::WavefrontTiled { .. } => "wavefront-tiled",
         }
     }
@@ -257,11 +251,6 @@ pub fn image_checksum(img: &VmImage) -> u64 {
     match img.mode {
         VmMode::Serial => mix(&mut h, 1),
         VmMode::Rows => mix(&mut h, 2),
-        VmMode::Wavefront { schedule } => {
-            mix(&mut h, 3);
-            mix(&mut h, schedule.0 as u64);
-            mix(&mut h, schedule.1 as u64);
-        }
         VmMode::WavefrontTiled { schedule } => {
             mix(&mut h, 4);
             mix(&mut h, schedule.0 as u64);
@@ -578,13 +567,8 @@ impl Verify<'_> {
         if matches!(mode, VmMode::Serial) {
             return;
         }
-        if let VmMode::Wavefront { schedule: (0, 0) } = mode {
-            self.err(
-                "MDF205",
-                "degenerate wavefront schedule (0, 0): every iteration shares one step".to_string(),
-            );
-            return;
-        }
+        // `s.y >= 1` also rules out the degenerate schedule (0, 0), under
+        // which every iteration would share one step.
         if let VmMode::WavefrontTiled { schedule } = mode {
             if schedule.1 < 1 {
                 self.err(
@@ -669,17 +653,9 @@ impl Verify<'_> {
                             .then_some((0, k))
                             .map(|d| (d, "MDF204", "fused row".to_string()))
                     }
-                    VmMode::Wavefront { schedule } => {
-                        wavefront_witness(schedule, img.cols, k, &arange, &brange).map(|d| {
-                            (
-                                d,
-                                "MDF205",
-                                format!("hyperplane (s = ({}, {}))", schedule.0, schedule.1),
-                            )
-                        })
-                    }
                     VmMode::WavefrontTiled { schedule } => {
-                        // The untiled hyperplane obligation still holds...
+                        // The hyperplane obligation: no two iterations of
+                        // one front collide...
                         wavefront_witness(schedule, img.cols, k, &arange, &brange)
                             .map(|d| {
                                 (
@@ -1093,25 +1069,22 @@ mod tests {
     #[test]
     fn wavefront_step_overlap_matches_the_schedule_geometry() {
         // Read x[i-1][j+1]: displacement (1, -1) is orthogonal to
-        // s = (1, 1), so the hyperplane step races; s = (1, 2) does not.
+        // s = (1, 1), so the hyperplane step races; s = (2, 1) separates
+        // the two iterations and orders them forward along the rows.
         let delta_up_right = |img: &VmImage| -(img.cols as isize) + 1;
-        let mut img = stencil_image(VmMode::Wavefront { schedule: (1, 1) });
+        let mut img = stencil_image(VmMode::WavefrontTiled { schedule: (1, 1) });
         img.loops[0].stmts[0].instrs[0] = VmInstr::Load {
             dst: 0,
             delta: delta_up_right(&img),
         };
         assert_eq!(codes(&verify(&img).unwrap_err()), ["MDF205"]);
 
-        let mut img = stencil_image(VmMode::Wavefront { schedule: (1, 2) });
+        let mut img = stencil_image(VmMode::WavefrontTiled { schedule: (2, 1) });
         img.loops[0].stmts[0].instrs[0] = VmInstr::Load {
             dst: 0,
             delta: delta_up_right(&img),
         };
         assert!(verify(&img).is_ok());
-
-        // Degenerate schedule: always rejected.
-        let img = stencil_image(VmMode::Wavefront { schedule: (0, 0) });
-        assert_eq!(codes(&verify(&img).unwrap_err()), ["MDF205"]);
     }
 
     #[test]
@@ -1129,18 +1102,15 @@ mod tests {
     #[test]
     fn tiled_wavefront_rejects_backward_row_dependences() {
         // Read x[i+1][j-2] under s = (1, 3): the conflict oriented
-        // forward is c = (-1, 2) with s·c = 5 > 0 but c.x < 0 — a plain
-        // wavefront tolerates it, the tiled sweep must not.
-        let image = |mode| {
-            let mut img = stencil_image(mode);
-            img.loops[0].stmts[0].instrs[0] = VmInstr::Load {
-                dst: 0,
-                delta: img.cols as isize - 2,
-            };
-            img
+        // forward is c = (-1, 2) with s·c = 5 > 0 but c.x < 0 — the
+        // fronts are disjoint, but the tiled sweep would run the sink
+        // before its source.
+        let mut img = stencil_image(VmMode::WavefrontTiled { schedule: (1, 3) });
+        img.loops[0].stmts[0].instrs[0] = VmInstr::Load {
+            dst: 0,
+            delta: img.cols as isize - 2,
         };
-        assert!(verify(&image(VmMode::Wavefront { schedule: (1, 3) })).is_ok());
-        let err = verify(&image(VmMode::WavefrontTiled { schedule: (1, 3) })).unwrap_err();
+        let err = verify(&img).unwrap_err();
         assert_eq!(codes(&err), ["MDF208"]);
         assert!(err[0].message.contains("(-1, 2)"), "{err:?}");
     }
@@ -1157,18 +1127,24 @@ mod tests {
     }
 
     #[test]
-    fn tiled_and_untiled_wavefront_certs_do_not_cross_validate() {
-        // Barrier elision is part of the license: a cert minted for the
-        // untiled mode must not arm the tiled executor, nor vice versa.
+    fn wavefront_certs_do_not_cross_validate_across_modes_or_schedules() {
+        // Barrier elision and the schedule are part of the license: a
+        // tiled cert must not arm the serial or row image of the same
+        // kernel, nor a tiled image under another schedule.
         let tiled = stencil_image(VmMode::WavefrontTiled { schedule: (1, 1) });
-        let plain = stencil_image(VmMode::Wavefront { schedule: (1, 1) });
         let tiled_cert = verify(&tiled).unwrap();
-        let plain_cert = verify(&plain).unwrap();
         assert!(revalidate(&tiled_cert, &tiled));
-        assert!(revalidate(&plain_cert, &plain));
-        assert!(!revalidate(&tiled_cert, &plain));
-        assert!(!revalidate(&plain_cert, &tiled));
-        assert_ne!(tiled_cert.checksum, plain_cert.checksum);
+        for other in [
+            VmMode::Serial,
+            VmMode::Rows,
+            VmMode::WavefrontTiled { schedule: (2, 1) },
+        ] {
+            let img = stencil_image(other);
+            let cert = verify(&img).unwrap();
+            assert!(!revalidate(&tiled_cert, &img), "{other:?}");
+            assert!(!revalidate(&cert, &tiled), "{other:?}");
+            assert_ne!(tiled_cert.checksum, cert.checksum, "{other:?}");
+        }
     }
 
     #[test]

@@ -28,9 +28,9 @@
 //! hanging: whatever finished before the deadline is still emitted.
 //!
 //! Schema v2 adds a per-suite `degradation` record so contaminated
-//! numbers are distinguishable from clean ones: `serial_fallback` (the
-//! kernel ran without a race certificate — serial rows or an uncertified
-//! wavefront), `plan_degradations` (ladder rungs the planner fell past),
+//! numbers are distinguishable from clean ones: `serial_fallback` (a
+//! failed certificate sent the kernel to the serial `RowsSerial` sweep),
+//! `plan_degradations` (ladder rungs the planner fell past),
 //! and `retries` (chunk retries by the supervising executor; the plain
 //! bench path never retries, so nonzero marks a perturbed measurement).
 //!
@@ -171,9 +171,8 @@ struct PhaseBreakdown {
 
 /// What (if anything) degraded while producing one suite's numbers.
 struct Degradation {
-    /// The kernel ran without a race certificate: serial rows or an
-    /// uncertified wavefront. Perf numbers measure the fallback, not the
-    /// parallel engine.
+    /// A failed certificate sent the kernel to the serial `RowsSerial`
+    /// sweep. Perf numbers measure the fallback, not the parallel engine.
     serial_fallback: bool,
     /// Ladder rungs the planner fell past before this plan.
     plan_degradations: u64,
@@ -474,14 +473,7 @@ fn bench_entry(
         baseline_syncs: baseline.sync_count(n),
         cells,
         degradation: Degradation {
-            serial_fallback: matches!(
-                mode,
-                mdf_kernel::ExecMode::RowsSerial
-                    | mdf_kernel::ExecMode::Wavefront {
-                        certified: false,
-                        ..
-                    }
-            ),
+            serial_fallback: mode == mdf_kernel::ExecMode::RowsSerial,
             plan_degradations: report.attempts.len().saturating_sub(1) as u64,
             retries: 0,
         },

@@ -440,40 +440,30 @@ fn check_bytecode_oracle(p: &Program, plan: &FusionPlan, seed: u64) -> Result<()
         )));
     }
 
-    // Elision metadata half: when the planner grants the tiled wavefront,
-    // the certificate must pin the elision bit. A cert issued for the
-    // tiled image must not revalidate for the untiled sibling mode (or
+    // Elision metadata half: when the planned mode tiles, the certificate
+    // must pin the tiled machine mode. A cert issued for the tiled image
+    // must not revalidate for the serial fallback of the same kernel (or
     // vice versa) — the two lower to different sync structures — while
     // the honest same-mode replay must keep working, including through
     // the threaded tile dispatch.
-    if let ExecMode::Wavefront {
-        schedule,
-        certified: true,
-        elide: true,
-    } = mode
-    {
-        let untiled = ExecMode::Wavefront {
-            schedule,
-            certified: true,
-            elide: false,
-        };
+    if checked.tile_plan(mode).is_some() {
+        let serial = ExecMode::RowsSerial;
         let tiled_cert = *armed.cert(mode).ok_or_else(|| {
             fail("bytecode oracle: armed kernel lost its tiled certificate".to_string())
         })?;
         let mut replay = checked.clone();
-        if replay.arm_with_cert(untiled, tiled_cert) {
+        if replay.arm_with_cert(serial, tiled_cert) {
             return Err(fail(
-                "bytecode oracle: tiled certificate revalidated for the \
-                 untiled wavefront mode"
+                "bytecode oracle: tiled certificate revalidated for the serial fallback"
                     .to_string(),
             ));
         }
-        let untiled_cert = replay
-            .arm(untiled)
-            .map_err(|_| fail("bytecode oracle: honest untiled wavefront rejected".to_string()))?;
-        if replay.arm_with_cert(mode, untiled_cert) {
+        let serial_cert = replay
+            .arm(serial)
+            .map_err(|_| fail("bytecode oracle: honest serial fallback rejected".to_string()))?;
+        if replay.arm_with_cert(mode, serial_cert) {
             return Err(fail(
-                "bytecode oracle: untiled certificate revalidated for the \
+                "bytecode oracle: serial certificate revalidated for the \
                  tiled wavefront mode"
                     .to_string(),
             ));

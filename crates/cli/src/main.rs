@@ -415,15 +415,7 @@ fn cmd_run(
             let mode_name = match mode {
                 mdf_kernel::ExecMode::RowsCertified => "rows-doall",
                 mdf_kernel::ExecMode::RowsSerial => "rows-serial",
-                mdf_kernel::ExecMode::Wavefront {
-                    certified: true,
-                    elide: true,
-                    ..
-                } => "wavefront-tiled",
-                mdf_kernel::ExecMode::Wavefront {
-                    certified: true, ..
-                } => "wavefront",
-                mdf_kernel::ExecMode::Wavefront { .. } => "wavefront-serial",
+                mdf_kernel::ExecMode::Wavefront { .. } => "wavefront-tiled",
             };
             let suffix = if armed { "+unchecked" } else { "" };
             (

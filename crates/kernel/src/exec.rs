@@ -2,7 +2,7 @@
 //! space.
 //!
 //! Three modes, picked by [`crate::plan_mode`] from the plan and the
-//! static race certificate:
+//! static certificates:
 //!
 //! * [`ExecMode::RowsCertified`] — row-DOALL execution. Each fused row
 //!   runs **loop-major**: every lowered loop sweeps its active column
@@ -14,24 +14,26 @@
 //!   on worker threads, writing **in place** through [`SharedCells`].
 //! * [`ExecMode::RowsSerial`] — the canonical cell-major serialization,
 //!   sequential and in place (a single thread cannot race itself). The
-//!   fallback when no certificate exists.
-//! * [`ExecMode::Wavefront`] — hyperplane execution: cells grouped by
-//!   `t = s · (fi, fj)`, groups ascending, one barrier per group; groups
-//!   run threaded in place only when the hyperplane certificate holds.
-//!   With the **elision certificate** additionally held (`elide`), the
-//!   `(t, fi)` space is cut into rectangular tiles and executed as
-//!   anti-diagonal tile *waves* ([`TilePlan`]): barriers survive only
-//!   between waves, every in-wave front barrier is elided, and each tile
-//!   sweeps its cells row-major — the order the certificate proves
-//!   equivalent. Waves too small to amortize a dispatch run serially by
-//!   a deterministic cost model ([`SERIAL_WAVE_CELLS`]).
+//!   fallback for every uncertified plan, rows or hyperplane: it is
+//!   bit-identical to `mdf_sim::run_fused`, and legal for any retiming
+//!   that LLOFRA made non-negative.
+//! * [`ExecMode::Wavefront`] — hyperplane execution under both the
+//!   hyperplane race certificate and the **elision certificate**: the
+//!   `(t, fi)` space (`t = s · (fi, fj)`) is cut into rectangular tiles
+//!   and executed as anti-diagonal tile *waves* ([`TilePlan`]). Barriers
+//!   survive only between waves, every in-wave front barrier is elided,
+//!   and each tile sweeps its cells row-major — the order the certificate
+//!   proves equivalent. Waves too small to amortize a dispatch run
+//!   serially by a deterministic cost model ([`SERIAL_WAVE_CELLS`]). A
+//!   wavefront that cannot tile (an empty space, or a hand-built schedule
+//!   with `s.y < 1`) runs the serial sweep instead.
 //!
-//! Counters ([`ExecStats`]) match the interpreter's accounting exactly:
-//! one barrier per fused row / non-empty wavefront group, one statement
-//! instance per executed assignment — so BENCH reports are directly
-//! comparable across engines.
-
-use std::collections::BTreeMap;
+//! Each drive derives one private per-barrier step plan from the mode and
+//! the shape; execution, checkpointing, counters and the verifier's image
+//! all read it, so they cannot disagree on what a barrier is. Counters
+//! ([`ExecStats`]) count one barrier per fused row or tile wave and one
+//! statement instance per executed assignment, so BENCH reports are
+//! directly comparable across engines.
 
 use mdf_analyze::bytecode::{
     self, BytecodeCert, VmImage, VmInstr, VmLoop, VmMode, VmRange, VmStmt,
@@ -74,25 +76,32 @@ const TILE_COLS: i64 = 256;
 const SERIAL_WAVE_CELLS: i64 = 2048;
 
 /// How a compiled kernel traverses the fused iteration space. Produced by
-/// [`crate::plan_mode`]; constructing a `RowsCertified`/certified
-/// wavefront mode by hand asserts that the caller holds a race
-/// certificate for the spec.
+/// [`crate::plan_mode`]; constructing `RowsCertified` by hand asserts that
+/// the caller holds the row race certificate for the spec, and
+/// constructing `Wavefront` asserts the hyperplane race and elision
+/// certificates for its schedule.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ExecMode {
     /// Row-DOALL, certificate held: loop-major rows, tiled + threaded.
     RowsCertified,
     /// No certificate: canonical cell-major serialization, sequential.
     RowsSerial,
-    /// Hyperplane wavefront with schedule vector `s`.
+    /// Hyperplane wavefront with schedule vector `s`, run as tile waves.
     Wavefront {
         /// The schedule vector.
         schedule: IVec2,
-        /// Whether the hyperplane race certificate holds (gates threading).
-        certified: bool,
-        /// Whether the barrier-elision certificate holds (gates the tiled
-        /// wave executor; meaningful only when `certified`).
-        elide: bool,
     },
+}
+
+/// What one barrier of a drive executes, derived from the mode and the
+/// kernel's shape by [`CompiledKernel::steps`].
+enum Steps {
+    /// One certified fused row per barrier, loop-major.
+    Rows,
+    /// One fused row per barrier, cell-major and sequential.
+    Cells,
+    /// One anti-diagonal tile wave per barrier.
+    Waves(TilePlan),
 }
 
 /// The skewed tiling of an elision-certified wavefront: the `(t, fi)`
@@ -125,8 +134,9 @@ impl TilePlan {
         (self.n_tb + self.n_ib - 1).max(0) as u64
     }
 
-    /// Front indices the space spans — the barriers the *untiled* driver
-    /// would place (one per front, counting empty ones on a box space).
+    /// Front indices the space spans — the barriers a front-per-barrier
+    /// drive would place (one per front, counting empty ones on a box
+    /// space).
     pub fn fronts(&self) -> u64 {
         (self.t1 - self.t0 + 1).max(0) as u64
     }
@@ -136,7 +146,7 @@ impl TilePlan {
         (self.n_tb * self.n_ib).max(0) as u64
     }
 
-    /// Barriers elided relative to the untiled front-per-barrier drive.
+    /// Barriers elided relative to a front-per-barrier drive.
     pub fn elided(&self) -> u64 {
         self.fronts().saturating_sub(self.waves())
     }
@@ -322,34 +332,18 @@ impl CompiledKernel {
     /// model for `mode` — everything that determines memory behaviour
     /// (layout extents, swept ranges, retiming offsets, access deltas,
     /// instruction shape) and nothing that does not (constant values,
-    /// operator identities). An uncertified wavefront executes its groups
-    /// sequentially, so it is verified as serial. An elision-licensed
-    /// wavefront maps to the tiled machine mode exactly when
-    /// [`CompiledKernel::tile_plan`] would drive it tiled — the cert mode
-    /// and the executed path are derived from the same predicate, so a
-    /// certificate can never license one and run the other.
+    /// operator identities). The machine mode comes from the same step
+    /// plan the drive executes: tile waves map to the tiled machine mode,
+    /// and a wavefront that cannot tile runs the serial sweep, so it is
+    /// verified as serial. A certificate can never license one path and
+    /// run another.
     pub fn vm_image(&self, mode: ExecMode) -> VmImage {
-        let vm_mode = match mode {
-            ExecMode::RowsCertified => VmMode::Rows,
-            ExecMode::RowsSerial => VmMode::Serial,
-            ExecMode::Wavefront {
-                schedule,
-                certified: true,
-                ..
-            } => {
-                if self.tile_plan(mode).is_some() {
-                    VmMode::WavefrontTiled {
-                        schedule: (schedule.x, schedule.y),
-                    }
-                } else {
-                    VmMode::Wavefront {
-                        schedule: (schedule.x, schedule.y),
-                    }
-                }
-            }
-            ExecMode::Wavefront {
-                certified: false, ..
-            } => VmMode::Serial,
+        let vm_mode = match self.steps(mode) {
+            Steps::Rows => VmMode::Rows,
+            Steps::Cells => VmMode::Serial,
+            Steps::Waves(tp) => VmMode::WavefrontTiled {
+                schedule: (tp.schedule.x, tp.schedule.y),
+            },
         };
         VmImage {
             arrays: self.layout.arrays,
@@ -404,19 +398,14 @@ impl CompiledKernel {
     }
 
     /// The skewed tile plan `mode` drives, or `None` when the mode does
-    /// not tile: it must be a certified wavefront with the elision
-    /// license, the schedule must order rows (`s.y >= 1`), and the
-    /// iteration space must be non-empty. Tile sizes are derived
-    /// deterministically from the space's shape alone, so the same
-    /// kernel + mode always produces the same plan — the property that
-    /// keeps barrier indices stable across checkpoint/resume.
+    /// not tile: it must be a wavefront, the schedule must order rows
+    /// (`s.y >= 1`), and the iteration space must be non-empty. Tile
+    /// sizes are derived deterministically from the space's shape alone,
+    /// so the same kernel + mode always produces the same plan — the
+    /// property that keeps barrier indices stable across
+    /// checkpoint/resume.
     pub fn tile_plan(&self, mode: ExecMode) -> Option<TilePlan> {
-        let ExecMode::Wavefront {
-            schedule: s,
-            certified: true,
-            elide: true,
-        } = mode
-        else {
+        let ExecMode::Wavefront { schedule: s } = mode else {
             return None;
         };
         if s.y < 1 || self.outer.is_empty() || self.inner.is_empty() {
@@ -449,6 +438,18 @@ impl CompiledKernel {
             n_tb: (fronts + bt - 1) / bt,
             n_ib: (rows + bi - 1) / bi,
         })
+    }
+
+    /// The per-barrier step plan of `mode` over this kernel's space: the
+    /// one predicate behind execution, checkpointing, counters and the
+    /// verifier's image. A wavefront that cannot tile falls back to the
+    /// serial sweep.
+    fn steps(&self, mode: ExecMode) -> Steps {
+        match mode {
+            ExecMode::RowsCertified => Steps::Rows,
+            ExecMode::RowsSerial => Steps::Cells,
+            ExecMode::Wavefront { .. } => self.tile_plan(mode).map_or(Steps::Cells, Steps::Waves),
+        }
     }
 
     /// Runs the static bytecode verifier over this kernel for `mode` and,
@@ -528,7 +529,7 @@ impl CompiledKernel {
 
     /// Runs under a resource budget: cells charged before allocation, the
     /// deadline re-checked and statement instances charged at every
-    /// barrier (fused row or wavefront group), mirroring the budgeted
+    /// barrier (fused row or tile wave), mirroring the budgeted
     /// interpreter drivers in `mdf-sim`. Deadline expiry at a barrier top
     /// does not discard completed work: it returns
     /// [`RunOutcome::Partial`] with the live image and a resumable
@@ -585,17 +586,18 @@ impl CompiledKernel {
     }
 
     /// The number of barriers `mode` executes over this kernel's iteration
-    /// space: fused rows for the row modes, non-empty hyperplane groups
-    /// for the untiled wavefront, tile waves for the tiled one. The unit
-    /// of checkpointing and resumption, and the count [`ExecStats`]
-    /// reports — post-elision syncs, never the pre-elision front count.
+    /// space: fused rows for the row modes and for a wavefront that
+    /// cannot tile, tile waves for one that can. The unit of
+    /// checkpointing and resumption, and the count [`ExecStats`] reports
+    /// — post-elision syncs, never the pre-elision front count.
     pub fn barrier_count(&self, mode: ExecMode) -> u64 {
-        match mode {
-            ExecMode::RowsCertified | ExecMode::RowsSerial => self.outer.len().max(0) as u64,
-            ExecMode::Wavefront { schedule, .. } => match self.tile_plan(mode) {
-                Some(tp) => tp.waves(),
-                None => self.wavefront_groups(schedule).len() as u64,
-            },
+        self.barriers(&self.steps(mode))
+    }
+
+    fn barriers(&self, steps: &Steps) -> u64 {
+        match steps {
+            Steps::Rows | Steps::Cells => self.outer.len().max(0) as u64,
+            Steps::Waves(tp) => tp.waves(),
         }
     }
 
@@ -636,17 +638,10 @@ impl CompiledKernel {
         meter: &mut BudgetMeter,
         resume: Option<(KernelMemory, Checkpoint)>,
     ) -> Result<SupervisedOutcome<KernelMemory>, MdfError> {
-        let tp = self.tile_plan(mode);
-        let groups = match mode {
-            ExecMode::Wavefront { schedule, .. } if tp.is_none() => self.wavefront_groups(schedule),
-            _ => Vec::new(),
-        };
-        let total = match mode {
-            ExecMode::RowsCertified | ExecMode::RowsSerial => self.outer.len().max(0) as u64,
-            ExecMode::Wavefront { .. } => tp.map_or(groups.len() as u64, |tp| tp.waves()),
-        };
+        let steps = self.steps(mode);
+        let unchecked = self.is_armed(mode);
         supervise_run(
-            total,
+            self.barriers(&steps),
             threads,
             policy,
             meter,
@@ -659,36 +654,7 @@ impl CompiledKernel {
             |mem, barrier, threads_now, meter| {
                 meter.check_deadline()?;
                 meter.chaos_site("kernel.barrier")?;
-                let unchecked = self.is_armed(mode);
-                let instances = match mode {
-                    ExecMode::RowsCertified => self.row_loop_major(
-                        mem.data_mut(),
-                        self.outer.lo + barrier as i64,
-                        threads_now,
-                        unchecked,
-                    ),
-                    ExecMode::RowsSerial => self.row_cell_major(
-                        mem.data_mut(),
-                        self.outer.lo + barrier as i64,
-                        unchecked,
-                    ),
-                    ExecMode::Wavefront { certified, .. } => match &tp {
-                        Some(tp) => self.tile_wave(
-                            mem.data_mut(),
-                            tp,
-                            barrier as i64,
-                            threads_now,
-                            unchecked,
-                        ),
-                        None => self.wavefront_group(
-                            mem.data_mut(),
-                            &groups[barrier as usize],
-                            certified,
-                            threads_now,
-                            unchecked,
-                        ),
-                    },
-                };
+                let instances = self.step(&steps, mem.data_mut(), barrier, threads_now, unchecked);
                 // Fires *after* the chunk's writes — only a panic is sound
                 // here (the supervisor restores the snapshot wholesale).
                 meter.chaos_site("kernel.chunk.mid")?;
@@ -706,11 +672,12 @@ impl CompiledKernel {
 
     /// As [`CompiledKernel::run_with_threads`], reporting execution
     /// counters onto `span`: `kernel.barriers`, `kernel.instances`, plus
-    /// `kernel.rows` / `kernel.groups` for the mode taken and
-    /// `kernel.tiles` when the tiled threaded path is active. Counters are
-    /// derived after the run from [`ExecStats`] and the kernel's shape —
-    /// nothing is counted inside the hot loops, so the run itself is
-    /// bit-identical to the untraced one.
+    /// `kernel.rows` (row steps) or `kernel.groups` and `wavefront.*`
+    /// (tile waves), and `kernel.tiles` when certified rows take the tiled
+    /// threaded path. Counters are derived after the run from
+    /// [`ExecStats`] and the kernel's shape — nothing is counted inside
+    /// the hot loops, so the run itself is bit-identical to the untraced
+    /// one.
     pub fn run_with_threads_traced(
         &self,
         mode: ExecMode,
@@ -737,17 +704,17 @@ impl CompiledKernel {
     }
 
     /// Post-run counter reporting, shared by the traced entry points.
-    /// `stats.barriers` equals rows executed (row modes) or non-empty
-    /// wavefront groups (wavefront mode), so the mode-specific counters
-    /// are exact without re-walking the iteration space.
+    /// `stats.barriers` equals the rows or tile waves executed, so the
+    /// step-specific counters are exact without re-walking the iteration
+    /// space.
     fn report_exec(&self, mode: ExecMode, threads: usize, stats: &ExecStats, span: &Span) {
         if !span.is_enabled() {
             return;
         }
         span.add("kernel.barriers", stats.barriers);
         span.add("kernel.instances", stats.stmt_instances);
-        match mode {
-            ExecMode::RowsCertified => {
+        match self.steps(mode) {
+            Steps::Rows => {
                 span.add("kernel.rows", stats.barriers);
                 if self.rows_tiled(threads) {
                     span.add(
@@ -756,16 +723,14 @@ impl CompiledKernel {
                     );
                 }
             }
-            ExecMode::RowsSerial => span.add("kernel.rows", stats.barriers),
-            ExecMode::Wavefront { .. } => {
+            Steps::Cells => span.add("kernel.rows", stats.barriers),
+            Steps::Waves(tp) => {
+                // Derived post-run from the deterministic plan + cost
+                // model, never counted inside the hot loops.
                 span.add("kernel.groups", stats.barriers);
-                if let Some(tp) = self.tile_plan(mode) {
-                    // Derived post-run from the deterministic plan + cost
-                    // model, never counted inside the hot loops.
-                    span.add("wavefront.tiles", tp.tiles());
-                    span.add("wavefront.elided_barriers", tp.elided());
-                    span.add("wavefront.serial_fronts", tp.serial_waves(threads));
-                }
+                span.add("wavefront.tiles", tp.tiles());
+                span.add("wavefront.elided_barriers", tp.elided());
+                span.add("wavefront.serial_fronts", tp.serial_waves(threads));
             }
         }
     }
@@ -799,115 +764,54 @@ impl CompiledKernel {
         start: u64,
         stats0: ExecStats,
     ) -> Result<DriveEnd, MdfError> {
-        fn gate(meter: &mut BudgetMeter) -> Result<(), MdfError> {
-            meter.check_deadline()?;
-            meter.chaos_site("kernel.barrier")
-        }
-        let mut stats = stats0;
-        let mut completed = start;
+        let steps = self.steps(mode);
         let unchecked = self.is_armed(mode);
-        match mode {
-            ExecMode::RowsCertified | ExecMode::RowsSerial => {
-                for (idx, fi) in (self.outer.lo..=self.outer.hi).enumerate() {
-                    let idx = idx as u64;
-                    if idx < start {
-                        continue;
+        let mut stats = stats0;
+        for barrier in start..self.barriers(&steps) {
+            if let Some(meter) = meter.as_deref_mut() {
+                let gate = meter
+                    .check_deadline()
+                    .and_then(|()| meter.chaos_site("kernel.barrier"));
+                match gate {
+                    Ok(()) => {}
+                    Err(cause) if deadline_expired(&cause) => {
+                        return Ok(DriveEnd::Stopped {
+                            completed: barrier,
+                            stats,
+                            cause,
+                        });
                     }
-                    if let Some(meter) = meter.as_deref_mut() {
-                        if let Err(e) = gate(meter) {
-                            if deadline_expired(&e) {
-                                return Ok(DriveEnd::Stopped {
-                                    completed,
-                                    stats,
-                                    cause: e,
-                                });
-                            }
-                            return Err(e);
-                        }
-                    }
-                    let instances = if mode == ExecMode::RowsCertified {
-                        self.row_loop_major(mem.data_mut(), fi, threads, unchecked)
-                    } else {
-                        self.row_cell_major(mem.data_mut(), fi, unchecked)
-                    };
-                    stats.stmt_instances += instances;
-                    stats.barriers += 1;
-                    completed = idx + 1;
-                    if let Some(meter) = meter.as_deref_mut() {
-                        meter.chaos_site("kernel.chunk.mid")?;
-                        meter.charge_iterations(instances)?;
-                    }
+                    Err(e) => return Err(e),
                 }
             }
-            ExecMode::Wavefront {
-                schedule,
-                certified,
-                ..
-            } => {
-                if let Some(tp) = self.tile_plan(mode) {
-                    // Tiled drive: one barrier per anti-diagonal tile
-                    // wave; the per-front barriers inside a wave are
-                    // elided (licensed by the elision certificate). No
-                    // group materialization — tiles sweep their cells
-                    // directly from the plan's interval arithmetic.
-                    for w in 0..tp.waves() as i64 {
-                        let idx = w as u64;
-                        if idx < start {
-                            continue;
-                        }
-                        if let Some(meter) = meter.as_deref_mut() {
-                            if let Err(e) = gate(meter) {
-                                if deadline_expired(&e) {
-                                    return Ok(DriveEnd::Stopped {
-                                        completed,
-                                        stats,
-                                        cause: e,
-                                    });
-                                }
-                                return Err(e);
-                            }
-                        }
-                        let instances = self.tile_wave(mem.data_mut(), &tp, w, threads, unchecked);
-                        stats.stmt_instances += instances;
-                        stats.barriers += 1;
-                        completed = idx + 1;
-                        if let Some(meter) = meter.as_deref_mut() {
-                            meter.chaos_site("kernel.chunk.mid")?;
-                            meter.charge_iterations(instances)?;
-                        }
-                    }
-                    return Ok(DriveEnd::Complete(stats));
-                }
-                for (idx, group) in self.wavefront_groups(schedule).into_iter().enumerate() {
-                    let idx = idx as u64;
-                    if idx < start {
-                        continue;
-                    }
-                    if let Some(meter) = meter.as_deref_mut() {
-                        if let Err(e) = gate(meter) {
-                            if deadline_expired(&e) {
-                                return Ok(DriveEnd::Stopped {
-                                    completed,
-                                    stats,
-                                    cause: e,
-                                });
-                            }
-                            return Err(e);
-                        }
-                    }
-                    let instances =
-                        self.wavefront_group(mem.data_mut(), &group, certified, threads, unchecked);
-                    stats.stmt_instances += instances;
-                    stats.barriers += 1;
-                    completed = idx + 1;
-                    if let Some(meter) = meter.as_deref_mut() {
-                        meter.chaos_site("kernel.chunk.mid")?;
-                        meter.charge_iterations(instances)?;
-                    }
-                }
+            let instances = self.step(&steps, mem.data_mut(), barrier, threads, unchecked);
+            stats.stmt_instances += instances;
+            stats.barriers += 1;
+            if let Some(meter) = meter.as_deref_mut() {
+                meter.chaos_site("kernel.chunk.mid")?;
+                meter.charge_iterations(instances)?;
             }
         }
         Ok(DriveEnd::Complete(stats))
+    }
+
+    /// Executes barrier `barrier` of `steps` in place and returns its
+    /// statement instances. `unchecked` selects the assert-free bodies;
+    /// callers derive it from [`Self::is_armed`], never directly.
+    fn step(
+        &self,
+        steps: &Steps,
+        data: &mut [i64],
+        barrier: u64,
+        threads: usize,
+        unchecked: bool,
+    ) -> u64 {
+        let b = barrier as i64;
+        match steps {
+            Steps::Rows => self.row_loop_major(data, self.outer.lo + b, threads, unchecked),
+            Steps::Cells => self.row_cell_major(data, self.outer.lo + b, unchecked),
+            Steps::Waves(tp) => self.tile_wave(data, tp, b, threads, unchecked),
+        }
     }
 
     /// Whether certified rows take the tiled threaded path under `threads`
@@ -925,8 +829,11 @@ impl CompiledKernel {
     }
 
     /// One certified row, loop-major (see [`Self::row_body`]). `unchecked`
-    /// selects the monomorphized body without per-access asserts; callers
-    /// derive it from [`Self::is_armed`], never directly.
+    /// selects the monomorphized body without per-access asserts. Kept
+    /// out of line so the dispatch in [`Self::step`] cannot change how the
+    /// row loops compile: inlined there, the unchecked loop ran 13–20%
+    /// slower on E1, E2 and E4 at 192² (`mdfuse bench`'s `verified` rows).
+    #[inline(never)]
     fn row_loop_major(&self, data: &mut [i64], fi: i64, threads: usize, unchecked: bool) -> u64 {
         if unchecked {
             self.row_body::<false>(data, fi, threads)
@@ -1042,92 +949,6 @@ impl CompiledKernel {
                 instances += 1;
             }
         }
-        instances
-    }
-
-    /// The wavefront groups of the compiled iteration space: active cells
-    /// bucketed by `s · (fi, fj)`, ascending.
-    fn wavefront_groups(&self, s: IVec2) -> Vec<Vec<(i64, i64)>> {
-        let mut buckets: BTreeMap<i64, Vec<(i64, i64)>> = BTreeMap::new();
-        for fi in self.outer.lo..=self.outer.hi {
-            for fj in self.inner.lo..=self.inner.hi {
-                if self
-                    .loops
-                    .iter()
-                    .any(|cl| cl.rows.contains(fi) && cl.cols.contains(fj))
-                {
-                    buckets
-                        .entry(s.x * fi + s.y * fj)
-                        .or_default()
-                        .push((fi, fj));
-                }
-            }
-        }
-        buckets.into_values().collect()
-    }
-
-    /// One wavefront group: all cells of one hyperplane. Threaded in place
-    /// only under the hyperplane certificate; otherwise sequential in
-    /// group order (the interpreter's serialization). `unchecked` selects
-    /// the assert-free body, derived from [`Self::is_armed`].
-    fn wavefront_group(
-        &self,
-        data: &mut [i64],
-        group: &[(i64, i64)],
-        certified: bool,
-        threads: usize,
-        unchecked: bool,
-    ) -> u64 {
-        if unchecked {
-            self.wavefront_body::<false>(data, group, certified, threads)
-        } else {
-            self.wavefront_body::<true>(data, group, certified, threads)
-        }
-    }
-
-    fn wavefront_body<const CHECKED: bool>(
-        &self,
-        data: &mut [i64],
-        group: &[(i64, i64)],
-        certified: bool,
-        threads: usize,
-    ) -> u64 {
-        let cells = SharedCells::<CHECKED>::new(data);
-        if certified && threads > 1 && group.len() >= 2 {
-            self.wavefront_threaded(&cells, group)
-        } else {
-            let mut regs = [0i64; MAX_REGS];
-            let mut instances = 0u64;
-            for &(fi, fj) in group {
-                instances += self.exec_cell(&cells, &mut regs, fi, fj);
-            }
-            instances
-        }
-    }
-
-    /// The threaded branch of [`Self::wavefront_body`]: one pool step over
-    /// the group's cells, dispatched by index into `group`. Instances are
-    /// pre-counted so the hot loop carries no shared accumulator.
-    #[inline(never)]
-    fn wavefront_threaded<const CHECKED: bool>(
-        &self,
-        cells: &SharedCells<CHECKED>,
-        group: &[(i64, i64)],
-    ) -> u64 {
-        let instances: u64 = group
-            .iter()
-            .map(|&(fi, fj)| {
-                self.loops
-                    .iter()
-                    .filter(|cl| cl.rows.contains(fi) && cl.cols.contains(fj))
-                    .map(|cl| cl.stmts.len() as u64)
-                    .sum::<u64>()
-            })
-            .sum();
-        (0..group.len()).into_par_iter().for_each(|k| {
-            let (fi, fj) = group[k];
-            self.exec_cell(cells, &mut [0i64; MAX_REGS], fi, fj);
-        });
         instances
     }
 
@@ -1332,52 +1153,33 @@ mod tests {
     }
 
     #[test]
-    fn wavefront_mode_matches_original_and_interpreter_barriers() {
+    fn wavefront_mode_matches_original_and_interpreter_instances() {
         let p = relaxation_program();
         let (spec, plan) = planned_spec(&p);
         let mode = crate::plan_mode(&spec, &plan);
-        let ExecMode::Wavefront {
-            schedule,
-            certified,
-            elide,
-        } = mode
-        else {
+        let ExecMode::Wavefront { schedule } = mode else {
             panic!("relaxation must plan a wavefront");
         };
-        assert!(certified);
-        assert!(elide, "relaxation's schedule passes elision");
-        // The untiled drive (elision off) keeps the interpreter's
-        // barrier-per-front accounting.
-        let untiled = ExecMode::Wavefront {
-            schedule,
-            certified,
-            elide: false,
-        };
+        let w = plan.wavefront().unwrap();
+        assert_eq!(w.schedule, schedule);
         for (n, m) in [(0, 0), (3, 5), (10, 10)] {
             let k = CompiledKernel::compile(&spec, n, m).unwrap();
-            let (kmem, kstats) = k.run(untiled);
+            let (kmem, kstats) = k.run(mode);
             let (imem, _) = run_original(&p, n, m);
             assert_eq!(kmem.fingerprint(), imem.fingerprint(), "({n},{m})");
-            let w = plan.wavefront().unwrap();
-            assert_eq!(w.schedule, schedule);
+            // Same work as the front-per-barrier interpreter, far fewer
+            // syncs: one per tile wave.
             let (_, wstats) = run_wavefront(&spec, w, n, m);
-            assert_eq!(kstats.barriers, wstats.barriers);
-            // The tiled drive is bit-identical with far fewer syncs.
-            let (tmem, tstats) = k.run(mode);
-            assert_eq!(tmem.fingerprint(), imem.fingerprint(), "tiled ({n},{m})");
             let tp = k.tile_plan(mode).unwrap();
-            assert_eq!(tstats.barriers, tp.waves());
-            assert!(tstats.barriers <= kstats.barriers);
-            assert_eq!(tstats.stmt_instances, kstats.stmt_instances);
+            assert_eq!(kstats.barriers, tp.waves());
+            assert!(kstats.barriers <= wstats.barriers);
+            assert_eq!(kstats.stmt_instances, wstats.stmt_instances);
         }
-        // Forced-parallel waves agree with the sequential waves, tiled
-        // and untiled alike.
+        // Forced-parallel waves agree with the sequential waves.
         let k = CompiledKernel::compile(&spec, 8, 8).unwrap();
-        for m in [mode, untiled] {
-            let (a, _) = k.run_with_threads(m, 1);
-            let (b, _) = k.run_with_threads(m, 4);
-            assert_eq!(a.fingerprint(), b.fingerprint(), "{m:?}");
-        }
+        let (a, _) = k.run_with_threads(mode, 1);
+        let (b, _) = k.run_with_threads(mode, 4);
+        assert_eq!(a.fingerprint(), b.fingerprint());
     }
 
     #[test]
@@ -1771,66 +1573,51 @@ mod tests {
     }
 
     #[test]
-    fn tile_plan_exists_only_for_elided_certified_wavefronts() {
+    fn a_wavefront_that_cannot_tile_runs_and_verifies_as_the_serial_sweep() {
         let p = relaxation_program();
         let (spec, plan) = planned_spec(&p);
         let mode = crate::plan_mode(&spec, &plan);
-        let ExecMode::Wavefront { schedule, .. } = mode else {
-            panic!("expected wavefront");
-        };
         let k = CompiledKernel::compile(&spec, 8, 8).unwrap();
         assert!(k.tile_plan(mode).is_some());
-        for no_tile in [
-            ExecMode::Wavefront {
-                schedule,
-                certified: true,
-                elide: false,
-            },
-            ExecMode::Wavefront {
-                schedule,
-                certified: false,
-                elide: true,
-            },
-            ExecMode::RowsCertified,
-            ExecMode::RowsSerial,
-        ] {
-            assert!(k.tile_plan(no_tile).is_none(), "{no_tile:?}");
+        for rows in [ExecMode::RowsCertified, ExecMode::RowsSerial] {
+            assert!(k.tile_plan(rows).is_none(), "{rows:?}");
         }
-        // A schedule that cannot order rows never tiles.
-        assert!(k
-            .tile_plan(ExecMode::Wavefront {
-                schedule: mdf_graph::v2(1, 0),
-                certified: true,
-                elide: true,
-            })
-            .is_none());
-        // An empty space never tiles (and the untiled drive is exact).
+        // A hand-built schedule that cannot order rows never tiles: it
+        // projects, counts and runs exactly as the serial fallback.
+        let flat = ExecMode::Wavefront {
+            schedule: mdf_graph::v2(1, 0),
+        };
+        assert!(k.tile_plan(flat).is_none());
+        assert_eq!(k.vm_image(flat), k.vm_image(ExecMode::RowsSerial));
+        assert_eq!(k.barrier_count(flat), k.barrier_count(ExecMode::RowsSerial));
+        let (fmem, fstats) = k.run(flat);
+        let (smem, sstats) = k.run(ExecMode::RowsSerial);
+        assert_eq!(fmem.fingerprint(), smem.fingerprint());
+        assert_eq!(fstats, sstats);
+        let (imem, _) = run_original(&p, 8, 8);
+        assert_eq!(fmem.fingerprint(), imem.fingerprint());
+        // An empty space never tiles, projects as serial, and counts zero
+        // barriers.
         let empty = CompiledKernel::compile(&spec, -1, 8).unwrap();
         assert!(empty.tile_plan(mode).is_none());
+        assert_eq!(empty.vm_image(mode).mode, VmMode::Serial);
         assert_eq!(empty.barrier_count(mode), 0);
+        let (_, stats) = empty.run(mode);
+        assert_eq!(stats, ExecStats::default());
     }
 
     #[test]
     fn tiled_cert_mode_tracks_the_executed_path() {
-        // The armed image's mode must equal what the drive will execute:
-        // tiled for the elided mode, plain wavefront with elision off —
-        // and the certs must not cross-validate.
+        // The armed image's mode must equal what the drive will execute,
+        // and a tiled cert must not cross-validate with the serial
+        // fallback's cert for the same kernel, nor vice versa.
         let p = relaxation_program();
         let (spec, plan) = planned_spec(&p);
         let mode = crate::plan_mode(&spec, &plan);
-        let ExecMode::Wavefront {
-            schedule,
-            certified: true,
-            elide: true,
-        } = mode
-        else {
-            panic!("expected elided wavefront");
+        let ExecMode::Wavefront { schedule } = mode else {
+            panic!("expected a wavefront");
         };
-        let untiled = ExecMode::Wavefront {
-            schedule,
-            certified: true,
-            elide: false,
-        };
+        let serial = ExecMode::RowsSerial;
         let mut k = CompiledKernel::compile(&spec, 10, 10).unwrap();
         let tiled_cert = k.arm(mode).unwrap();
         assert_eq!(
@@ -1839,20 +1626,15 @@ mod tests {
                 schedule: (schedule.x, schedule.y)
             }
         );
-        let untiled_cert = k.arm(untiled).unwrap();
-        assert_eq!(
-            untiled_cert.mode,
-            VmMode::Wavefront {
-                schedule: (schedule.x, schedule.y)
-            }
-        );
+        let serial_cert = k.arm(serial).unwrap();
+        assert_eq!(serial_cert.mode, VmMode::Serial);
         // Cross-mode adoption is rejected both ways.
         let mut fresh = CompiledKernel::compile(&spec, 10, 10).unwrap();
-        assert!(!fresh.arm_with_cert(mode, untiled_cert));
-        assert!(!fresh.arm_with_cert(untiled, tiled_cert));
+        assert!(!fresh.arm_with_cert(mode, serial_cert));
+        assert!(!fresh.arm_with_cert(serial, tiled_cert));
         assert!(fresh.arm_with_cert(mode, tiled_cert));
         assert!(fresh.is_armed(mode));
-        assert!(!fresh.is_armed(untiled));
+        assert!(!fresh.is_armed(serial));
     }
 
     #[test]

@@ -1,12 +1,11 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 //! # `mdf-kernel` — compiled execution engine for fused schedules
 //!
-//! The reference path in `mdf-sim` is a tree-walking interpreter: every
-//! statement instance re-traverses its `Expr` AST, every array access
-//! re-derives a halo-adjusted 2-D index, and the thread-safe `parallel`
-//! runner buffers writes into per-iteration overlays that are applied
-//! after each barrier. That is the right substrate for *checking*
-//! transformations; it is the wrong substrate for *running* them.
+//! The reference path in `mdf-sim` is a sequential tree-walking
+//! interpreter: every statement instance re-traverses its `Expr` AST and
+//! every array access re-derives a halo-adjusted 2-D index. That is the
+//! right substrate for *checking* transformations; it is the wrong
+//! substrate for *running* them.
 //!
 //! This crate lowers a [`FusedSpec`] (program + retiming) once into a
 //! flat, allocation-free kernel and executes the planned iteration space
@@ -18,8 +17,8 @@
 //!   one dense buffer shared by all arrays (no per-cell halo math);
 //! * [`memory`] — [`KernelMemory`], the dense buffer, laid out exactly
 //!   like `mdf_sim::Memory` so fingerprints are directly comparable;
-//! * [`exec`] — the step drivers: tiled row-DOALL and hyperplane
-//!   wavefront, writing **in place** with no buffered-write overlay.
+//! * [`exec`] — the step drivers: tiled row-DOALL and tiled hyperplane
+//!   wavefront, writing **in place**.
 //!
 //! ## In-place safety argument
 //!
@@ -28,11 +27,13 @@
 //! precisely what `mdf-analyze`'s static race certificate proves — for
 //! every iteration-space size, not just the one being run. The engine
 //! therefore *consumes the certificate*: [`plan_mode`] runs
-//! [`certify_doall`] and only a `Certified` verdict unlocks the loop-major
-//! traversal and threaded in-place writes; anything else degrades to the
-//! canonical sequential serialization (still compiled, still in place —
-//! a single thread cannot race itself). Callers who want the buffered
-//! interpreter path instead can keep using `mdf_sim::parallel`.
+//! [`mdf_analyze::certify_doall`] (and, for a hyperplane,
+//! [`mdf_analyze::certify_elision`]) and only `Certified` verdicts unlock
+//! the loop-major rows, the tile waves and threaded in-place writes;
+//! anything else degrades to the canonical sequential serialization
+//! (still compiled, still in place — a single thread cannot race
+//! itself). The sequential interpreter in `mdf-sim` stays the reference
+//! every mode is checked against.
 //!
 //! A second, independent gate governs *bounds checks*: by default every
 //! load and store asserts its flat index against the buffer length. A
@@ -61,48 +62,27 @@ pub use memory::KernelMemory;
 // service plan cache) can store and revalidate bytecode certificates.
 pub use mdf_analyze::bytecode::{BytecodeCert, VmImage, VmMode};
 
-use mdf_analyze::{
-    certify_doall, certify_doall_traced, certify_elision, certify_elision_traced, ParallelMode,
-};
+use mdf_analyze::{certify_doall_traced, certify_elision_traced, ParallelMode};
 use mdf_core::FusionPlan;
 use mdf_ir::retgen::FusedSpec;
-use mdf_trace::Span;
+use mdf_trace::{Span, Tracer};
 
-/// Picks the execution mode for a plan by consulting the static race
-/// certificate: certified plans run loop-major and (on multicore hosts)
-/// with threaded in-place writes; uncertified plans fall back to the
-/// canonical sequential serialization.
+/// Picks the execution mode for a plan by consulting the static
+/// certificates: certified rows run loop-major and (on multicore hosts)
+/// with threaded in-place writes; a hyperplane plan runs as tile waves
+/// only when both its race certificate and its elision certificate hold;
+/// every other plan falls back to the canonical sequential serialization.
 pub fn plan_mode(spec: &FusedSpec, plan: &FusionPlan) -> ExecMode {
-    match plan {
-        FusionPlan::FullParallel { .. } => {
-            if certify_doall(spec, ParallelMode::Rows).is_certified() {
-                ExecMode::RowsCertified
-            } else {
-                ExecMode::RowsSerial
-            }
-        }
-        FusionPlan::Hyperplane { wavefront, .. } => {
-            let s = wavefront.schedule;
-            let certified = certify_doall(spec, ParallelMode::Hyperplanes(s)).is_certified();
-            ExecMode::Wavefront {
-                schedule: s,
-                certified,
-                // Barrier elision rides on top of the hyperplane license:
-                // only a certified wavefront may also tile.
-                elide: certified && certify_elision(spec, s).is_certified(),
-            }
-        }
-    }
+    plan_mode_traced(spec, plan, &Tracer::disabled().span("plan-mode"))
 }
 
 /// As [`plan_mode`], reporting the certificate consultation and the
 /// decision onto `span`: one of `kernel.mode.rows-certified` /
-/// `kernel.mode.rows-serial` / `kernel.mode.wavefront` /
-/// `kernel.mode.wavefront-tiled`, plus a `kernel.fallback.row-race`,
-/// `kernel.fallback.hyperplane-race`, or
+/// `kernel.mode.rows-serial` / `kernel.mode.wavefront-tiled`, plus a
+/// `kernel.fallback.row-race`, `kernel.fallback.hyperplane-race`, or
 /// `kernel.fallback.elision-blocked` counter when a failed certificate
-/// caused a serial(ized)/untiled fallback — the "why is this not
-/// parallel" answer, straight from the profile.
+/// caused the serial fallback — the "why is this not parallel" answer,
+/// straight from the profile.
 pub fn plan_mode_traced(spec: &FusedSpec, plan: &FusionPlan, span: &Span) -> ExecMode {
     let mode = match plan {
         FusionPlan::FullParallel { .. } => {
@@ -115,30 +95,21 @@ pub fn plan_mode_traced(spec: &FusedSpec, plan: &FusionPlan, span: &Span) -> Exe
         }
         FusionPlan::Hyperplane { wavefront, .. } => {
             let s = wavefront.schedule;
-            let certified =
-                certify_doall_traced(spec, ParallelMode::Hyperplanes(s), span).is_certified();
-            let elide = if !certified {
+            if !certify_doall_traced(spec, ParallelMode::Hyperplanes(s), span).is_certified() {
                 span.add("kernel.fallback.hyperplane-race", 1);
-                false
+                ExecMode::RowsSerial
+            } else if !certify_elision_traced(spec, s, span).is_certified() {
+                span.add("kernel.fallback.elision-blocked", 1);
+                ExecMode::RowsSerial
             } else {
-                let elide = certify_elision_traced(spec, s, span).is_certified();
-                if !elide {
-                    span.add("kernel.fallback.elision-blocked", 1);
-                }
-                elide
-            };
-            ExecMode::Wavefront {
-                schedule: s,
-                certified,
-                elide,
+                ExecMode::Wavefront { schedule: s }
             }
         }
     };
     match mode {
         ExecMode::RowsCertified => span.add("kernel.mode.rows-certified", 1),
         ExecMode::RowsSerial => span.add("kernel.mode.rows-serial", 1),
-        ExecMode::Wavefront { elide: true, .. } => span.add("kernel.mode.wavefront-tiled", 1),
-        ExecMode::Wavefront { .. } => span.add("kernel.mode.wavefront", 1),
+        ExecMode::Wavefront { .. } => span.add("kernel.mode.wavefront-tiled", 1),
     }
     mode
 }
@@ -161,7 +132,9 @@ mod tests {
         let plan = plan_fusion(&extract_mldg(&p).unwrap().graph).unwrap();
         let spec = FusedSpec::new(p, plan.retiming().offsets().to_vec());
         match plan_mode(&spec, &plan) {
-            ExecMode::Wavefront { certified, .. } => assert!(certified),
+            ExecMode::Wavefront { schedule } => {
+                assert_eq!(schedule, plan.wavefront().unwrap().schedule)
+            }
             other => panic!("expected wavefront, got {other:?}"),
         }
     }
@@ -221,18 +194,39 @@ mod tests {
         let plan = plan_fusion(&extract_mldg(&p).unwrap().graph).unwrap();
         let spec = FusedSpec::new(p, plan.retiming().offsets().to_vec());
         let (mode, profile) = profile_of(&spec, &plan);
-        assert!(matches!(
-            mode,
-            ExecMode::Wavefront {
-                certified: true,
-                elide: true,
-                ..
-            }
-        ));
+        assert!(matches!(mode, ExecMode::Wavefront { .. }));
         assert_eq!(profile.counter_total("kernel.mode.wavefront-tiled"), 1);
         assert_eq!(profile.counter_total("kernel.mode.wavefront"), 0);
         assert_eq!(profile.counter_total("kernel.fallback.hyperplane-race"), 0);
         assert_eq!(profile.counter_total("kernel.fallback.elision-blocked"), 0);
         assert_eq!(profile.counter_total("analyze.elision.certified"), 1);
+
+        // Forged hyperplane schedules: (1, 0) puts relaxation's (0, 2)
+        // dependence inside one front, so the race certificate fails;
+        // (2, -1) passes it but cannot order a tile's rows, so elision is
+        // blocked. Either way the plan takes the serial sweep.
+        let mdf_core::FusionPlan::Hyperplane {
+            retiming,
+            wavefront,
+        } = plan
+        else {
+            panic!("relaxation plans a hyperplane");
+        };
+        for (schedule, cause) in [
+            (mdf_graph::v2(1, 0), "kernel.fallback.hyperplane-race"),
+            (mdf_graph::v2(2, -1), "kernel.fallback.elision-blocked"),
+        ] {
+            let forged = mdf_core::FusionPlan::Hyperplane {
+                retiming: retiming.clone(),
+                wavefront: mdf_retime::Wavefront {
+                    schedule,
+                    ..wavefront
+                },
+            };
+            let (mode, profile) = profile_of(&spec, &forged);
+            assert_eq!(mode, ExecMode::RowsSerial, "{schedule:?}");
+            assert_eq!(profile.counter_total(cause), 1, "{schedule:?}");
+            assert_eq!(profile.counter_total("kernel.mode.rows-serial"), 1);
+        }
     }
 }

@@ -272,11 +272,8 @@ fn integrity(offsets: &[(String, IVec2)], shape: &CachedShape, cert: Option<&Byt
             match c.mode {
                 VmMode::Serial => fold(1),
                 VmMode::Rows => fold(2),
-                VmMode::Wavefront { schedule } => {
-                    fold(4);
-                    fold(schedule.0 as u64);
-                    fold(schedule.1 as u64);
-                }
+                // 4 was the retired untiled wavefront; the surviving
+                // constants keep their values so stored sums still refold.
                 VmMode::WavefrontTiled { schedule } => {
                     fold(5);
                     fold(schedule.0 as u64);

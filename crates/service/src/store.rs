@@ -109,7 +109,10 @@ const METHOD_ACYCLIC: u8 = 1;
 const METHOD_CYCLIC: u8 = 2;
 const MODE_SERIAL: u8 = 1;
 const MODE_ROWS: u8 = 2;
-const MODE_WAVEFRONT: u8 = 4;
+/// The retired untiled wavefront mode. Never written; a stored record
+/// carrying it is dropped on its own. The surviving tags keep their
+/// values, so stores written before the retirement still load.
+const MODE_RETIRED_WAVEFRONT: u8 = 4;
 const MODE_WAVEFRONT_TILED: u8 = 5;
 
 /// A typed store decode failure. Load maps every one of these to "drop
@@ -185,11 +188,6 @@ pub(crate) fn encode_record(key: u64, plan: &CachedPlan) -> Vec<u8> {
             match c.mode {
                 VmMode::Serial => w.u8(MODE_SERIAL),
                 VmMode::Rows => w.u8(MODE_ROWS),
-                VmMode::Wavefront { schedule } => {
-                    w.u8(MODE_WAVEFRONT);
-                    w.i64(schedule.0);
-                    w.i64(schedule.1);
-                }
                 VmMode::WavefrontTiled { schedule } => {
                     w.u8(MODE_WAVEFRONT_TILED);
                     w.i64(schedule.0);
@@ -272,15 +270,12 @@ pub(crate) fn decode_record(payload: &[u8]) -> Result<(u64, CachedPlan), StoreEr
             let mode = match r.u8().map_err(|_| StoreError::Truncated)? {
                 MODE_SERIAL => VmMode::Serial,
                 MODE_ROWS => VmMode::Rows,
-                m @ (MODE_WAVEFRONT | MODE_WAVEFRONT_TILED) => {
+                MODE_WAVEFRONT_TILED => {
                     let sx = r.i64().map_err(|_| StoreError::Truncated)?;
                     let sy = r.i64().map_err(|_| StoreError::Truncated)?;
-                    if m == MODE_WAVEFRONT {
-                        VmMode::Wavefront { schedule: (sx, sy) }
-                    } else {
-                        VmMode::WavefrontTiled { schedule: (sx, sy) }
-                    }
+                    VmMode::WavefrontTiled { schedule: (sx, sy) }
                 }
+                MODE_RETIRED_WAVEFRONT => return Err(bad("retired vm mode")),
                 _ => return Err(bad("unknown vm mode")),
             };
             let n = r.i64().map_err(|_| StoreError::Truncated)?;
@@ -803,6 +798,52 @@ mod tests {
     }
 
     #[test]
+    fn a_record_with_the_retired_wavefront_cert_mode_is_dropped_alone() {
+        // A log written before the untiled wavefront mode was retired may
+        // hold a well-framed record carrying its cert mode tag. That
+        // record is dropped by itself — not taken for a torn tail — and
+        // the valid record after it is restored.
+        let g2 = figure2();
+        let g8 = figure8();
+        let dir = temp_dir("retired-mode");
+        let (k2, mut cache) = populated_cache(&g2);
+        let k8 = canonical_fingerprint(&g8);
+        cache.insert(k8, &g8, &plan_fusion(&g8).unwrap());
+        assert!(cache.attach_cert(k2, sample_cert()));
+        let mut retired = encode_record(k2, cache.peek(k2).unwrap());
+        // After the mode byte: the schedule (2 x i64), the cert's seven
+        // 8-byte fields, the plan sum and the record checksum.
+        let at = retired.len() - 1 - 16 - 56 - 8 - 8;
+        assert_eq!(retired[at], MODE_WAVEFRONT_TILED);
+        retired[at] = MODE_RETIRED_WAVEFRONT;
+        let end = retired.len() - 8;
+        let check = record_check(&retired[4..end]);
+        retired[end..].copy_from_slice(&check.to_le_bytes());
+        assert_eq!(
+            decode_record(&retired[4..]).unwrap_err(),
+            StoreError::BadPayload("retired vm mode")
+        );
+        let mut log = LOG_MAGIC.to_vec();
+        log.extend_from_slice(&retired);
+        log.extend_from_slice(&encode_record(k8, cache.peek(k8).unwrap()));
+        std::fs::write(dir.join("cache.log"), &log).unwrap();
+
+        let mut warmed = PlanCache::new(8);
+        let report = CacheStore::open(&dir, CacheSync::Never, false)
+            .unwrap()
+            .load(&mut warmed);
+        assert_eq!((report.loaded, report.dropped), (1, 1), "{report:?}");
+        assert!(matches!(
+            warmed.lookup(k8, &g8, false),
+            crate::cache::CacheLookup::Hit(..)
+        ));
+        assert!(matches!(
+            warmed.lookup(k2, &g2, false),
+            crate::cache::CacheLookup::Miss
+        ));
+    }
+
+    #[test]
     fn compact_survives_a_chaos_kill_between_tmp_and_rename() {
         let g = figure2();
         let dir = temp_dir("compact-kill");
@@ -872,7 +913,7 @@ mod tests {
             coords in proptest::collection::vec((-1000i64..1000, -1000i64..1000), 6),
             shape_pick in 0u8..6,
             wf in (-8i64..8, -8i64..8, -8i64..8, -8i64..8),
-            cert_pick in 0u8..10,
+            cert_pick in 0u8..9,
             dims in (0i64..1000, 0i64..1000),
             loops in 0usize..100,
             counters in (0u64..1 << 32, 0u64..1 << 32, 0u64..1 << 32),
@@ -894,10 +935,9 @@ mod tests {
                     },
                 },
             };
-            let mode = match cert_pick % 4 {
+            let mode = match cert_pick % 3 {
                 0 => VmMode::Serial,
                 1 => VmMode::Rows,
-                2 => VmMode::Wavefront { schedule: (wf.0, wf.1) },
                 _ => VmMode::WavefrontTiled { schedule: (wf.2, wf.3) },
             };
             let cert = (cert_pick >= 4).then_some(BytecodeCert {

@@ -132,23 +132,7 @@ pub fn run_wavefront(
     // the final memory images are directly comparable.
     let mut mem = Memory::for_program(&spec.program, n, m, 0);
     let mut stats = ExecStats::default();
-    let orange = spec.outer_range(n);
-    let irange = spec.inner_range(m);
-    let s = wavefront.schedule;
-    // Bucket iterations by their schedule value.
-    let mut buckets: std::collections::BTreeMap<i64, Vec<(i64, i64)>> =
-        std::collections::BTreeMap::new();
-    for fi in orange.lo..=orange.hi {
-        for fj in irange.lo..=irange.hi {
-            if (0..spec.program.loops.len()).any(|l| spec.node_active(l, fi, fj, n, m)) {
-                buckets
-                    .entry(s.x * fi + s.y * fj)
-                    .or_default()
-                    .push((fi, fj));
-            }
-        }
-    }
-    for (_, group) in buckets {
+    for group in wavefront_buckets(spec, wavefront.schedule, n, m) {
         for (fi, fj) in group {
             exec_body_at(spec, &body, &mut mem, fi, fj, n, m, &mut stats);
         }
@@ -273,7 +257,7 @@ fn fused_rows_from(
 
 /// The wavefront groups of the fused iteration space: active cells
 /// bucketed by `s · (fi, fj)`, ascending — the barrier sequence of
-/// hyperplane execution, shared by the budgeted driver and its resume.
+/// hyperplane execution, shared by every wavefront driver.
 fn wavefront_buckets(spec: &FusedSpec, s: IVec2, n: i64, m: i64) -> Vec<Vec<(i64, i64)>> {
     let orange = spec.outer_range(n);
     let irange = spec.inner_range(m);

@@ -1,7 +1,9 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 //! # `mdf-sim` — execution substrate and transformation verifier
 //!
-//! Executes the paper's program model and its fused/retimed transforms:
+//! Executes the paper's program model and its fused/retimed transforms
+//! sequentially — the reference oracle every compiled and threaded
+//! execution (`mdf-kernel`) is checked against:
 //!
 //! * [`array2`] — halo-extended arrays with deterministic boundary values;
 //! * [`interp`] — the reference interpreter (original semantics: one
@@ -13,8 +15,6 @@
 //!   behind the Section 5 comparisons;
 //! * [`cache`] — set-associative LRU cache simulation measuring the
 //!   data-locality benefit of fusion (the paper's Section 2 motivation);
-//! * [`parallel`] — Rayon execution of certified-DOALL fused loops on real
-//!   threads (buffered writes + per-iteration overlays; no `unsafe`);
 //! * [`recover`] — checkpoint/resume substrate and the supervising
 //!   executor (barrier-granular snapshots, deterministic retry with
 //!   backoff, typed partial reports).
@@ -28,7 +28,6 @@ pub mod doall_check;
 pub mod exec_plan;
 pub mod interp;
 pub mod machine;
-pub mod parallel;
 pub mod recover;
 pub mod spaceviz;
 pub mod traced;
@@ -48,10 +47,6 @@ pub use interp::{eval_expr, run_original, run_original_budgeted, ExecStats, Memo
 pub use machine::{
     makespan_fused_rows, makespan_original, makespan_partitioned, makespan_wavefront, speedup,
     MachineParams, Makespan,
-};
-pub use parallel::{
-    run_fused_rayon, run_partitioned_rayon, run_wavefront_rayon, try_run_fused_rayon,
-    try_run_partitioned_rayon, try_run_wavefront_rayon,
 };
 pub use recover::{
     check_resume, deadline_expired, supervise_run, Checkpoint, RecoveryStats, RetryPolicy,

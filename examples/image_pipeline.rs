@@ -8,6 +8,7 @@
 //! ```
 
 use mdfusion::baselines::{direct_fusion, shift_and_peel, DirectPolicy, Partition};
+use mdfusion::kernel::{plan_mode, CompiledKernel};
 use mdfusion::prelude::*;
 use mdfusion::{ir, sim};
 
@@ -78,8 +79,10 @@ fn main() {
     }
 
     // And prove the DOALL certificate on real threads.
-    let (par, _) = sim::run_fused_rayon(&spec, n, m);
+    let mode = plan_mode(&spec, &plan);
+    let kernel = CompiledKernel::compile(&spec, n, m).expect("the planned spec compiles");
+    let (par, _) = kernel.run_with_threads(mode, 4);
     let (reference, _) = run_original(&program, n, m);
-    assert_eq!(par, reference);
-    println!("\nrayon execution matches the original bit for bit");
+    assert_eq!(par.fingerprint(), reference.fingerprint());
+    println!("\nthreaded kernel ({mode:?}) matches the original bit for bit");
 }

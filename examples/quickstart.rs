@@ -8,6 +8,7 @@
 //! plans a retiming with the paper's algorithms, prints the fused code,
 //! and validates the transformation by executing both versions.
 
+use mdfusion::kernel::{plan_mode, CompiledKernel};
 use mdfusion::prelude::*;
 use mdfusion::{core, ir, sim};
 
@@ -55,10 +56,16 @@ fn main() {
     );
 
     // 5. Run the certified-DOALL fused loop on real threads.
-    let (par_mem, _) = sim::run_fused_rayon(&spec, n, m);
+    let mode = plan_mode(&spec, &plan);
+    let kernel = CompiledKernel::compile(&spec, n, m).expect("the planned spec compiles");
+    let (par_mem, _) = kernel.run_with_threads(mode, 4);
     let (ref_mem, _) = run_original(&program, n, m);
-    assert_eq!(par_mem, ref_mem, "Rayon execution matches the original");
-    println!("rayon execution: results identical to the sequential original");
+    assert_eq!(
+        par_mem.fingerprint(),
+        ref_mem.fingerprint(),
+        "threaded execution matches the original"
+    );
+    println!("threaded kernel ({mode:?}): results identical to the sequential original");
 
     // 6. Predicted makespans under the machine model.
     let mp = MachineParams::default();

@@ -6,6 +6,7 @@
 //! cargo run --example stencil_wavefront
 //! ```
 
+use mdfusion::kernel::{plan_mode, CompiledKernel};
 use mdfusion::prelude::*;
 use mdfusion::{ir, sim};
 
@@ -57,10 +58,16 @@ fn main() {
     assert!(sim::check_rows_doall(&spec, n, m).is_err());
     println!("dynamic check: hyperplanes conflict-free; rows are not (as predicted)");
 
-    // Real threads along hyperplanes.
-    let (par, _) = sim::run_wavefront_rayon(&spec, w, n, m);
-    assert_eq!(par, reference);
-    println!("rayon wavefront execution matches the original");
+    // Real threads along hyperplanes: the compiled kernel runs the
+    // certified wavefront as tile waves, one barrier per wave.
+    let mode = plan_mode(&spec, &plan);
+    let kernel = CompiledKernel::compile(&spec, n, m).expect("the planned spec compiles");
+    let (par, par_stats) = kernel.run_with_threads(mode, 4);
+    assert_eq!(par.fingerprint(), reference.fingerprint());
+    println!(
+        "threaded tile-wave execution matches the original ({} barriers)",
+        par_stats.barriers
+    );
 
     // Hyperplane width statistics (how much parallelism each step exposes).
     let mp = MachineParams::default();

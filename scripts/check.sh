@@ -16,8 +16,9 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo test --workspace"
 cargo test -q --workspace
 
-echo "==> fuzz smoke (50 cases)"
-./target/release/mdfuse fuzz --cases 50 --seed 1
+echo "==> fuzz oracle (500 cases at seeds 1 and 7)"
+./target/release/mdfuse fuzz --cases 500 --seed 1
+./target/release/mdfuse fuzz --cases 500 --seed 7
 
 echo "==> bench matrix smoke (threads 1,2, schema-validated, vs committed baseline)"
 bench_out=$(mktemp -d)

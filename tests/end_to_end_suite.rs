@@ -5,8 +5,17 @@
 use mdfusion::baselines::{direct_fusion, shift_and_peel, DirectPolicy, Partition};
 use mdfusion::core::FullParallelMethod;
 use mdfusion::gen::suite;
+use mdfusion::kernel::{plan_mode, CompiledKernel};
 use mdfusion::prelude::*;
 use mdfusion::sim;
+
+/// Runs `spec` as the certified compiled kernel on four workers and
+/// returns its memory fingerprint.
+fn threaded_kernel_fingerprint(spec: &FusedSpec, plan: &FusionPlan, n: i64, m: i64) -> u64 {
+    let mode = plan_mode(spec, plan);
+    let kernel = CompiledKernel::compile(spec, n, m).expect("planned specs compile");
+    kernel.run_with_threads(mode, 4).0.fingerprint()
+}
 
 #[test]
 fn every_suite_entry_plans_verifies_and_simulates() {
@@ -147,13 +156,12 @@ fn rayon_execution_matches_for_all_runnable_entries() {
         let plan = plan_fusion(&entry.graph).unwrap();
         let spec = FusedSpec::new(p.clone(), plan.retiming().offsets().to_vec());
         let (reference, _) = run_original(p, 20, 20);
-        let (par, _) = match &plan {
-            FusionPlan::FullParallel { .. } => sim::run_fused_rayon(&spec, 20, 20),
-            FusionPlan::Hyperplane { wavefront, .. } => {
-                sim::run_wavefront_rayon(&spec, *wavefront, 20, 20)
-            }
-        };
-        assert_eq!(par, reference, "{}", entry.id);
+        assert_eq!(
+            threaded_kernel_fingerprint(&spec, &plan, 20, 20),
+            reference.fingerprint(),
+            "{}",
+            entry.id
+        );
     }
 }
 
@@ -207,15 +215,13 @@ fn extended_kernels_plan_and_verify_end_to_end() {
             ("conv_chain", _) => {}
             other => panic!("unexpected plan for {other:?}"),
         }
-        // Rayon execution for whichever model the plan certifies.
+        // Threaded execution for whichever model the plan certifies.
         let spec = FusedSpec::new(p.clone(), plan.retiming().offsets().to_vec());
         let (reference, _) = run_original(&p, 20, 20);
-        let (par, _) = match &plan {
-            FusionPlan::FullParallel { .. } => mdfusion::sim::run_fused_rayon(&spec, 20, 20),
-            FusionPlan::Hyperplane { wavefront, .. } => {
-                mdfusion::sim::run_wavefront_rayon(&spec, *wavefront, 20, 20)
-            }
-        };
-        assert_eq!(par, reference, "{name}");
+        assert_eq!(
+            threaded_kernel_fingerprint(&spec, &plan, 20, 20),
+            reference.fingerprint(),
+            "{name}"
+        );
     }
 }

@@ -1,14 +1,19 @@
 //! Differential suite for the tiled wavefront executor and its barrier
 //! elision.
 //!
-//! An elision-certified hyperplane plan runs as anti-diagonal tile waves
-//! with one barrier per wave instead of one per front. Everything about
-//! that path is checked against independent oracles here:
+//! Every hyperplane plan the planner emits is also elision-certified
+//! (LLOFRA makes every retimed dependence non-negative and Algorithm 5
+//! picks `s.y = 1`), so it runs as anti-diagonal tile waves with one
+//! barrier per wave instead of one per front. Everything about that path
+//! is checked against independent oracles here:
 //!
+//! * **The invariant** — every hyperplane plan gets the tiled wavefront
+//!   mode with a tile plan at the tested shape; a planner or certifier
+//!   change that drops one to the serial sweep fails loudly.
 //! * **Bit-identity** — tiled execution (planned single-worker, forced
 //!   multi-worker, and the adaptive cost-model path) must fingerprint-
-//!   match the unfused interpreter, the untiled wavefront interpreter,
-//!   the untiled kernel mode, and the serial fallback.
+//!   match the unfused interpreter, the front-per-barrier wavefront
+//!   interpreter, and the serial fallback.
 //! * **Barrier accounting** — reported `ExecStats::barriers` must equal
 //!   the tile plan's wave count, and that count must equal the number of
 //!   syncs the supervised executor *actually* takes (its per-barrier
@@ -17,7 +22,7 @@
 //!   wave, and elided-barrier counts are pinned to hand-derived values so
 //!   the hyperplane regression cannot silently reopen.
 //! * **Certificate gating** — a bytecode certificate issued for the tiled
-//!   mode must not revalidate for the untiled one (and vice versa).
+//!   mode must not revalidate for the serial fallback (and vice versa).
 
 use mdfusion::core::{plan_fusion, Budget, FusionPlan};
 use mdfusion::gen::{executable_suite, random_program, ProgramGenConfig};
@@ -40,11 +45,9 @@ fn artifacts(p: &Program) -> Option<(FusedSpec, FusionPlan, ExecMode)> {
     Some((spec, plan, mode))
 }
 
-/// Compiles `p` at `(n, m)` and, when the planned mode tiles, checks the
-/// whole contract above. Returns `false` when the workload does not take
-/// the tiled path at this shape (planner degraded, full-parallel plan, no
-/// elision license, or an empty space) — callers decide whether that is
-/// acceptable for their corpus.
+/// Compiles `p` at `(n, m)` and, when the planner reaches a hyperplane
+/// plan, asserts that it tiles and checks the whole contract above.
+/// Returns `false` when the planner degraded or chose full parallelism.
 fn assert_tiled_agrees(p: &Program, n: i64, m: i64) -> bool {
     let Some((spec, plan, mode)) = artifacts(p) else {
         return false;
@@ -52,55 +55,30 @@ fn assert_tiled_agrees(p: &Program, n: i64, m: i64) -> bool {
     let FusionPlan::Hyperplane { wavefront, .. } = &plan else {
         return false;
     };
-    let ExecMode::Wavefront {
-        schedule,
-        certified: true,
-        elide: true,
-    } = mode
-    else {
-        return false;
-    };
+    assert_eq!(
+        mode,
+        ExecMode::Wavefront {
+            schedule: wavefront.schedule
+        },
+        "{}: a hyperplane plan must be race- and elision-certified",
+        p.name
+    );
     let kernel = CompiledKernel::compile(&spec, n, m).expect("planned specs compile");
-    let Some(tp) = kernel.tile_plan(mode) else {
-        return false;
-    };
+    let tp = kernel
+        .tile_plan(mode)
+        .unwrap_or_else(|| panic!("{}: hyperplane plan must tile at ({n},{m})", p.name));
 
-    // Oracles: the unfused interpreter and the untiled wavefront
-    // interpreter (which must already agree with each other).
+    // Oracles: the unfused interpreter and the front-per-barrier
+    // wavefront interpreter (which must already agree with each other).
     let (omem, ostats) = run_original(p, n, m);
     let (imem, istats) = run_wavefront(&spec, *wavefront, n, m);
     assert_eq!(
         imem.fingerprint(),
         omem.fingerprint(),
-        "{}: untiled wavefront interpreter diverged from run_original at ({n},{m})",
+        "{}: wavefront interpreter diverged from run_original at ({n},{m})",
         p.name
     );
     assert_eq!(istats.stmt_instances, ostats.stmt_instances, "{}", p.name);
-
-    // The *untiled* kernel mode is the third oracle: same schedule, no
-    // elision license, one sync per front.
-    let untiled = ExecMode::Wavefront {
-        schedule,
-        certified: true,
-        elide: false,
-    };
-    assert!(
-        kernel.tile_plan(untiled).is_none(),
-        "{}: elision-free mode must not tile",
-        p.name
-    );
-    let (umem, ustats) = kernel.run_with_threads(untiled, 1);
-    assert_eq!(
-        umem.fingerprint(),
-        omem.fingerprint(),
-        "{}: untiled kernel diverged at ({n},{m})",
-        p.name
-    );
-    assert_eq!(
-        ustats.barriers, istats.barriers,
-        "{}: untiled kernel and interpreter disagree on syncs",
-        p.name
-    );
 
     // Static accounting before any tiled run: the books must balance and
     // elision may only ever *remove* barriers.
@@ -326,41 +304,33 @@ fn traced_counters_match_the_tile_plan() {
 }
 
 /// Elision changes the bytecode contract (one machine step spans a whole
-/// tile wave), so a certificate issued for one wavefront mode must never
-/// arm the other: the cert records the VM mode and revalidation checks
-/// it.
+/// tile wave), so a certificate issued for the tiled mode must never arm
+/// the serial fallback of the same kernel, nor the reverse: the cert
+/// records the VM mode and revalidation checks it.
 #[test]
 fn elision_certificates_do_not_transfer_across_modes() {
     let (_, kernel, tiled_mode, _) = e5_full_shape();
-    let untiled_mode = match tiled_mode {
-        ExecMode::Wavefront {
-            schedule,
-            certified,
-            ..
-        } => ExecMode::Wavefront {
-            schedule,
-            certified,
-            elide: false,
-        },
-        other => panic!("E5 must plan a wavefront, got {other:?}"),
-    };
+    assert!(
+        matches!(tiled_mode, ExecMode::Wavefront { .. }),
+        "E5 must plan a wavefront, got {tiled_mode:?}"
+    );
+    let serial_mode = ExecMode::RowsSerial;
 
     let mut armed = kernel.clone();
     let tiled_cert = armed.arm(tiled_mode).expect("tiled E5 verifies");
     assert!(armed.is_armed(tiled_mode));
-    let untiled_cert = armed.arm(untiled_mode).expect("untiled E5 verifies");
+    let serial_cert = armed.arm(serial_mode).expect("serial E5 verifies");
 
-    // Same kernel, same schedule, opposite elision bit: both replays
-    // must be rejected.
+    // Same kernel, opposite modes: both replays must be rejected.
     let mut fresh = kernel.clone();
     assert!(
-        !fresh.arm_with_cert(untiled_mode, tiled_cert),
-        "tiled cert must not arm the untiled mode"
+        !fresh.arm_with_cert(serial_mode, tiled_cert),
+        "tiled cert must not arm the serial fallback"
     );
-    assert!(!fresh.is_armed(untiled_mode));
+    assert!(!fresh.is_armed(serial_mode));
     assert!(
-        !fresh.arm_with_cert(tiled_mode, untiled_cert),
-        "untiled cert must not arm the tiled mode"
+        !fresh.arm_with_cert(tiled_mode, serial_cert),
+        "serial cert must not arm the tiled mode"
     );
     assert!(!fresh.is_armed(tiled_mode));
 
@@ -428,12 +398,12 @@ fn tiled_runs_interrupted_at_every_wave_resume_bit_identically() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Random programs: whenever the planner reaches an elision-certified
-    /// hyperplane, the tiled executor must pass the full differential
-    /// contract (fingerprints, barrier accounting, supervised sync
-    /// count).
+    /// Random programs: whenever the planner reaches a hyperplane, it must
+    /// be elision-certified and tile, and the tiled executor must pass the
+    /// full differential contract (fingerprints, barrier accounting,
+    /// supervised sync count).
     #[test]
-    fn random_tiled_programs_agree(seed in 0u64..1u64 << 48, loops in 2usize..5) {
+    fn random_tiled_programs_agree(seed in 0u64..1u64 << 48, loops in 2usize..9) {
         let cfg = ProgramGenConfig {
             loops,
             reads_per_loop: 1 + (seed % 3) as usize,
@@ -441,7 +411,7 @@ proptest! {
             self_read_probability: 0.3,
         };
         let p = random_program(seed, &cfg);
-        // Returns false for non-tiling plans — the assertion work only
+        // Returns false for full-parallel plans — the assertion work only
         // happens on the hyperplane subset, which is the point.
         assert_tiled_agrees(&p, 17, 13);
     }
