@@ -45,9 +45,12 @@
 //! drives for the certified mode take an assert-free path. No cert, no
 //! unchecked execution; mutating the lowered loops disarms the kernel.
 //!
-//! The tiny `unsafe` surface (shared `&[Cell]`-style writes during a
-//! certified step) lives in [`exec`] behind that gate; everything else in
-//! the crate is `#![deny(unsafe_code)]`-clean.
+//! The tiny `unsafe` surface is two pieces: shared `&[Cell]`-style writes
+//! during a certified step, in [`exec`] behind that gate, and one
+//! `madvise` call in [`memory`] that asks Linux to back a fresh image's
+//! whole 2 MiB pages with transparent huge pages (it changes how pages
+//! are backed, never their contents). Everything else in the crate is
+//! `#![deny(unsafe_code)]`-clean.
 
 #![warn(missing_docs)]
 

@@ -21,8 +21,11 @@
 //! image of at least [`BANDED_FILL_CELLS`] cells driven by more than one
 //! worker is therefore filled in row bands on the worker pool; smaller
 //! images, and every 1-worker run, fill serially. Both produce the same
-//! bits (DESIGN.md §18).
+//! bits. Before its first write, either fill asks Linux to back the
+//! buffer's whole 2 MiB-aligned pages with transparent huge pages, so each
+//! such page takes one fault instead of 512 (DESIGN.md §18).
 
+use std::ops::Range;
 use std::sync::{Mutex, PoisonError};
 
 use mdf_ir::ast::Program;
@@ -40,6 +43,10 @@ pub const BANDED_FILL_CELLS: usize = 1 << 17;
 /// Row bands a banded fill cuts the image into: a fixed count, many more
 /// than workers, so that claiming balances the bands across the pool.
 const FILL_BANDS: usize = 64;
+
+/// Size of a transparent huge page on x86-64 and aarch64 (4 KiB base
+/// pages).
+const HUGE_PAGE: usize = 2 << 20;
 
 /// The shared shape of every array plane in a kernel's flat buffer.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -120,6 +127,7 @@ impl KernelMemory {
             fill_banded(layout)
         } else {
             let mut data = Vec::with_capacity(layout.cells());
+            advise_huge_pages(data.spare_capacity_mut());
             for k in 0..layout.arrays {
                 for i in -layout.halo..layout.rows - layout.halo {
                     data.extend(init_row(k, i, -layout.halo..layout.cols - layout.halo));
@@ -165,6 +173,46 @@ impl KernelMemory {
     }
 }
 
+/// The whole [`HUGE_PAGE`]-aligned pages inside the `len` bytes at
+/// `addr`, as an address range; empty when there are none.
+fn huge_pages_within(addr: usize, len: usize) -> Range<usize> {
+    let start = addr.next_multiple_of(HUGE_PAGE);
+    let end = (addr + len) / HUGE_PAGE * HUGE_PAGE;
+    start..end.max(start)
+}
+
+/// Asks Linux to back the whole huge pages inside `buf` with transparent
+/// huge pages (`madvise(MADV_HUGEPAGE)`), so that each takes one fault
+/// and stays one TLB entry. Called before the buffer's first write. A
+/// buffer holding no such page, every small image, is not advised. The
+/// result is ignored: with THP off the call fails with `EINVAL` and the
+/// pages stay 4 KiB; on other targets this is a no-op.
+fn advise_huge_pages<T>(buf: &mut [T]) {
+    let pages = huge_pages_within(buf.as_mut_ptr() as usize, std::mem::size_of_val(buf));
+    if pages.is_empty() {
+        return;
+    }
+    #[cfg(all(
+        target_os = "linux",
+        any(target_arch = "x86_64", target_arch = "aarch64")
+    ))]
+    {
+        use std::ffi::{c_int, c_void};
+        /// `MADV_HUGEPAGE` in `<sys/mman.h>` on these targets.
+        const MADV_HUGEPAGE: c_int = 14;
+        extern "C" {
+            fn madvise(addr: *mut c_void, len: usize, advice: c_int) -> c_int;
+        }
+        // SAFETY: `pages` lies inside `buf`, which this exclusive borrow
+        // keeps allocated for the call. The advice changes only how the
+        // range's pages are backed, never their contents, so no Rust
+        // value is read or written.
+        unsafe {
+            madvise(pages.start as *mut c_void, pages.len(), MADV_HUGEPAGE);
+        }
+    }
+}
+
 /// The banded fill: a zeroed allocation, which above glibc's mmap
 /// threshold maps fresh pages, so the fill is their first touch and the
 /// page faults run on the pool too; then [`FILL_BANDS`] bands of whole
@@ -175,6 +223,7 @@ impl KernelMemory {
 #[inline(never)]
 fn fill_banded(layout: Layout) -> Vec<i64> {
     let mut data = vec![0; layout.cells()];
+    advise_huge_pages(&mut data);
     let (rows, cols) = (layout.rows as usize, layout.cols as usize);
     // Band `b` starts at buffer row `first_row(b)`, counting the rows of
     // all planes back to back.
@@ -247,6 +296,27 @@ mod tests {
     }
 
     #[test]
+    fn huge_pages_within_keeps_only_whole_aligned_pages() {
+        const H: usize = HUGE_PAGE;
+        let cases = [
+            // Shorter than a huge page, aligned or not: nothing.
+            (H, H - 8, H..H),
+            (H + 16, 4096, 2 * H..2 * H),
+            // Unaligned start: the head up to the next boundary is cut.
+            (H + 16, 3 * H, 2 * H..4 * H),
+            // Aligned start, end inside a huge page: the tail is cut.
+            (H, 2 * H + 8, H..3 * H),
+            // Aligned start, an exact multiple of 2 MiB: all of it.
+            (3 * H, 4 * H, 3 * H..7 * H),
+            // One huge page long, but unaligned: nothing.
+            (H + 16, H, 2 * H..2 * H),
+        ];
+        for (addr, len, want) in cases {
+            assert_eq!(huge_pages_within(addr, len), want, "{addr:#x}+{len:#x}");
+        }
+    }
+
+    #[test]
     fn every_worker_count_fills_the_same_image() {
         let layout = |arrays, rows, cols| Layout {
             arrays,
@@ -254,13 +324,24 @@ mod tests {
             rows,
             cols,
         };
+        // Three planes of 1024² cells (24 MiB): an image whose whole huge
+        // pages are advised, filled serially and in bands.
+        let advised = mdf_ir::parse_program(
+            "program advised { arrays a, b, c; do i { doall A: j { c[i][j] = a[i-2][j] + b[i][j+2]; } } }",
+        )
+        .unwrap();
+        let (n, m) = (1019, 1019);
+        let big = Layout::for_program(&advised, n, m);
+        assert_eq!(big, layout(3, 1024, 1024));
         let cases = [
-            // Below, at and above the cutoff; the last leaves 633 rows to
-            // cut into 64 bands, the one before leaves most bands empty.
+            // Below, at and above the cutoff; the fourth leaves 633 rows
+            // to cut into 64 bands, the one before leaves most bands
+            // empty.
             (layout(1, 1, BANDED_FILL_CELLS as i64 - 1), false),
             (layout(2, 256, 256), true),
             (layout(1, 3, 43_691), true),
             (layout(3, 211, 211), true),
+            (big, true),
         ];
         for (layout, banded) in cases {
             assert_eq!(layout.cells() >= BANDED_FILL_CELLS, banded, "{layout:?}");
@@ -276,6 +357,11 @@ mod tests {
                 }
                 assert!(mem == serial, "{layout:?} t={t}");
             }
+        }
+        let want = Memory::for_program(&advised, n, m, 0).fingerprint();
+        for t in [1, 2] {
+            let mem = rayon::with_workers(t, || KernelMemory::with_threads(big, t));
+            assert_eq!(mem.fingerprint(), want, "t={t}");
         }
     }
 

@@ -1,9 +1,10 @@
 //! Allocation count of a kernel memory fill.
 //!
 //! A fill must allocate its buffer and nothing else; in particular the
-//! banded fill's dispatch must not build a heap list of its bands
-//! (DESIGN.md §18). A counting global allocator pins that. This binary
-//! holds a single test, so no other test allocates while it counts.
+//! banded fill's dispatch must not build a heap list of its bands, and
+//! the huge-page advice must not allocate (DESIGN.md §18). A counting
+//! global allocator pins that. This binary holds a single test, so no
+//! other test allocates while it counts.
 
 use std::alloc::{GlobalAlloc, Layout as AllocLayout, System};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -71,11 +72,13 @@ fn warm_up_pool() {
 
 #[test]
 fn a_fill_allocates_only_its_buffer() {
+    // 24 MiB: large enough that both fills advise whole huge pages, so
+    // the count covers the advice too.
     let layout = Layout {
         arrays: 3,
         halo: 2,
-        rows: 211,
-        cols: 211,
+        rows: 1024,
+        cols: 1024,
     };
     assert!(layout.cells() >= BANDED_FILL_CELLS);
     warm_up_pool();

@@ -52,6 +52,13 @@ use crate::proto::{ErrCode, Outcome, Request, Response, ServiceError, ServiceSta
 use crate::store::{CacheStore, CacheSync};
 use crate::transport::{read_frame_polled, Endpoint, Listener, Stream, READ_TICK};
 
+/// The largest memory image, in cells, a submission may execute on:
+/// 128 MiB of `i64`. A request asking for more is refused with a typed
+/// `Budget` error before planning, instead of aborting the daemon when
+/// the allocation fails. Fixed, and far above every grid the fleet's
+/// callers send (64² or less).
+const MAX_IMAGE_CELLS: u64 = 1 << 24;
+
 /// Tuning knobs for a [`Server`].
 #[derive(Clone)]
 pub struct ServiceConfig {
@@ -583,6 +590,14 @@ fn process_admitted(
 ) -> Result<Outcome, ServiceError> {
     let config = &shared.config;
     let input = parse_submit(&submit.source)?;
+    if let Some(program) = &input.program {
+        let cells = mdf_sim::Memory::cells_for_program(program, submit.n, submit.m, 0);
+        Budget::unlimited()
+            .with_max_memory_cells(MAX_IMAGE_CELLS)
+            .meter()
+            .charge_cells(cells)
+            .map_err(|e| map_mdf_error(&e))?;
+    }
     let deadline_ms = if submit.deadline_ms == 0 {
         config.default_deadline_ms
     } else {

@@ -151,6 +151,36 @@ fn malformed_graph_gets_a_typed_error_not_a_dead_daemon() {
 }
 
 #[test]
+fn oversized_image_gets_a_typed_budget_error_not_a_dead_daemon() {
+    let socket = unique_socket("oversized");
+    let server = Server::start(ServiceConfig::new(&socket)).unwrap();
+    let mut client = Client::connect(&socket).unwrap();
+    let source = example("figure2.mdf");
+    // 200000² asks for 1.6 TB; at 3037000499² the cell count overflows
+    // i64. Both must be refused before anything is allocated.
+    for side in [200_000, 3_037_000_499] {
+        for engine in [Engine::Kernel, Engine::Interp] {
+            let resp = client
+                .submit(Submit {
+                    engine,
+                    n: side,
+                    m: side,
+                    deadline_ms: 0,
+                    client: String::new(),
+                    source: source.clone(),
+                })
+                .unwrap();
+            let Response::Err(err) = resp else {
+                panic!("{side}² {engine:?}: expected a typed error, got {resp:?}");
+            };
+            assert_eq!(err.code, ErrCode::Budget, "{side}² {engine:?}: {err:?}");
+        }
+    }
+    client.ping().unwrap();
+    server.drain();
+}
+
+#[test]
 fn drain_under_concurrent_load_terminates_every_client() {
     let socket = unique_socket("drain-load");
     let mut config = ServiceConfig::new(&socket);

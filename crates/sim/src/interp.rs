@@ -39,12 +39,17 @@ impl Memory {
         extra_halo: i64,
         meter: &mut BudgetMeter,
     ) -> Result<Memory, MdfError> {
-        let halo = p.max_offset() + extra_halo;
-        let side_i = (n + 2 * halo + 1).max(1) as u64;
-        let side_j = (m + 2 * halo + 1).max(1) as u64;
-        let cells = (p.arrays.len() as u64).saturating_mul(side_i.saturating_mul(side_j));
-        meter.charge_cells(cells)?;
+        meter.charge_cells(Memory::cells_for_program(p, n, m, extra_halo))?;
         Ok(Memory::for_program(p, n, m, extra_halo))
+    }
+
+    /// The cells [`Memory::for_program`] allocates for `p` at these
+    /// bounds, saturating at `u64::MAX` instead of overflowing, so a
+    /// caller can refuse an oversized image before reserving anything.
+    pub fn cells_for_program(p: &Program, n: i64, m: i64, extra_halo: i64) -> u64 {
+        let halo = p.max_offset() + extra_halo;
+        let side = |bound: i64| bound.saturating_add(2 * halo + 1).max(1) as u64;
+        (p.arrays.len() as u64).saturating_mul(side(n).saturating_mul(side(m)))
     }
 
     /// Reads `r` at iteration `(i, j)`.

@@ -16,6 +16,12 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo test --workspace"
 cargo test -q --workspace
 
+# The kernel's bounds checks on its armed path are debug_asserts, which
+# compile out in release, and the crate holds unsafe code: run its tests
+# in the build the benchmark and the CLI ship.
+echo "==> cargo test --release -p mdf-kernel"
+cargo test --release -q -p mdf-kernel
+
 echo "==> fuzz oracle (500 cases at seeds 1 and 7)"
 ./target/release/mdfuse fuzz --cases 500 --seed 1
 ./target/release/mdfuse fuzz --cases 500 --seed 7
