@@ -69,8 +69,7 @@ use mdf_graph::{Budget, BudgetMeter, MdfError};
 use mdf_ir::retgen::FusedSpec;
 use mdf_kernel::CompiledKernel;
 use mdf_sim::{
-    align_plan_to_program, run_fused_ordered_budgeted, run_original_budgeted,
-    run_wavefront_budgeted, ExecStats, RowOrder,
+    align_plan_to_program, run_original_budgeted, run_traversal_budgeted, ExecStats, Traversal,
 };
 use mdf_trace::json::{escape as json_escape, parse as parse_json, Json};
 use mdf_trace::Span;
@@ -371,16 +370,9 @@ fn bench_entry(
                     // Timed rows must be whole runs: a deadline-truncated
                     // partial outcome converts back to its typed cause
                     // here.
-                    let (mem, stats) = match &plan {
-                        FusionPlan::FullParallel { .. } => {
-                            run_fused_ordered_budgeted(&spec, n, m, RowOrder::Ascending, meter)?
-                                .into_complete()?
-                        }
-                        FusionPlan::Hyperplane { wavefront, .. } => {
-                            run_wavefront_budgeted(&spec, *wavefront, n, m, meter)?
-                                .into_complete()?
-                        }
-                    };
+                    let (mem, stats) =
+                        run_traversal_budgeted(&spec, Traversal::of(&plan), n, m, meter, None)?
+                            .into_complete()?;
                     Ok((mem.fingerprint(), stats))
                 }),
                 fingerprint: 0,

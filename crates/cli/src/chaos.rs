@@ -70,9 +70,8 @@ use mdf_service::proto::{ErrCode, Response, Submit};
 use mdf_service::transport::Endpoint;
 use mdf_service::{Client, Engine, Server, ServiceConfig};
 use mdf_sim::{
-    resume_fused_supervised, resume_wavefront_supervised, run_fused_ordered, run_fused_supervised,
-    run_original, run_wavefront, run_wavefront_supervised, ExecStats, RecoveryStats, RetryPolicy,
-    RowOrder, SupervisedOutcome,
+    run_original, run_traversal, run_traversal_supervised, ExecStats, RecoveryStats, RetryPolicy,
+    SupervisedOutcome, Traversal,
 };
 use mdf_trace::json::{escape as json_escape, parse as parse_json};
 use mdf_trace::Span;
@@ -218,14 +217,7 @@ fn baseline(name: &str, program: &Program) -> Result<Option<Baseline>, CliError>
     let kernel = CompiledKernel::compile(&spec, SWEEP_N, SWEEP_M)?;
     let (omem, _) = run_original(program, SWEEP_N, SWEEP_M);
     let (_, kernel_stats) = kernel.run_with_threads(mode, 1);
-    let interp_stats = match &plan {
-        FusionPlan::FullParallel { .. } => {
-            run_fused_ordered(&spec, SWEEP_N, SWEEP_M, RowOrder::Ascending).1
-        }
-        FusionPlan::Hyperplane { wavefront, .. } => {
-            run_wavefront(&spec, *wavefront, SWEEP_N, SWEEP_M).1
-        }
-    };
+    let (_, interp_stats) = run_traversal(&spec, Traversal::of(&plan), SWEEP_N, SWEEP_M);
     Ok(Some(Baseline {
         name: name.to_string(),
         program: program.clone(),
@@ -241,23 +233,6 @@ fn baseline(name: &str, program: &Program) -> Result<Option<Baseline>, CliError>
     }))
 }
 
-/// The supervised interpreter run matching `plan`'s shape.
-fn interp_supervised(
-    spec: &FusedSpec,
-    plan: &FusionPlan,
-    meter: &mut BudgetMeter,
-    policy: &RetryPolicy,
-) -> Result<SupervisedOutcome<mdf_sim::Memory>, MdfError> {
-    match plan {
-        FusionPlan::FullParallel { .. } => {
-            run_fused_supervised(spec, SWEEP_N, SWEEP_M, RowOrder::Ascending, meter, policy)
-        }
-        FusionPlan::Hyperplane { wavefront, .. } => {
-            run_wavefront_supervised(spec, *wavefront, SWEEP_N, SWEEP_M, meter, policy)
-        }
-    }
-}
-
 /// Runs one clean probe over the full pipeline (planning, then both
 /// supervised engines) and returns each site's hit count, bounding the
 /// trigger range the sweep samples from.
@@ -270,7 +245,10 @@ fn probe(b: &Baseline) -> Result<BTreeMap<&'static str, u64>, CliError> {
     b.kernel
         .run_supervised(b.mode, SWEEP_THREADS, &policy, &mut meter)?;
     let mut meter = chaos.meter();
-    interp_supervised(&b.spec, &b.plan, &mut meter, &policy)?;
+    let traversal = Traversal::of(&b.plan);
+    run_traversal_supervised(
+        &b.spec, traversal, SWEEP_N, SWEEP_M, &mut meter, &policy, None,
+    )?;
     Ok(guard.all_hits().into_iter().collect())
 }
 
@@ -353,24 +331,18 @@ fn classify(
     // armed fault plan, so this is safe mid-case).
     let interp = site.starts_with("sim.");
     let same_plan = report == b.report;
+    let traversal = Traversal::of(&plan);
     let want = match (same_plan, interp) {
         (true, true) => b.interp_stats,
         (true, false) => b.kernel_stats,
-        (false, true) => match &plan {
-            FusionPlan::FullParallel { .. } => {
-                run_fused_ordered(&spec, SWEEP_N, SWEEP_M, RowOrder::Ascending).1
-            }
-            FusionPlan::Hyperplane { wavefront, .. } => {
-                run_wavefront(&spec, *wavefront, SWEEP_N, SWEEP_M).1
-            }
-        },
+        (false, true) => run_traversal(&spec, traversal, SWEEP_N, SWEEP_M).1,
         (false, false) => kernel.run_with_threads(mode, 1).1,
     };
+    let supervised = |meter: &mut BudgetMeter, resume| {
+        run_traversal_supervised(&spec, traversal, SWEEP_N, SWEEP_M, meter, policy, resume)
+    };
     if interp {
-        let run = catch_unwind(AssertUnwindSafe(|| {
-            let mut meter = chaos.meter();
-            interp_supervised(&spec, &plan, &mut meter, policy)
-        }));
+        let run = catch_unwind(AssertUnwindSafe(|| supervised(&mut chaos.meter(), None)));
         match run {
             Err(p) => Class::UnhandledPanic(crate::panic_message(p)),
             Ok(Err(_)) => Class::Detected,
@@ -392,21 +364,7 @@ fn classify(
                 // Resume under a clean meter: the partial report's promise
                 // is that the checkpoint completes bit-identically.
                 let mut meter = Budget::unlimited().meter();
-                let resumed = match &plan {
-                    FusionPlan::FullParallel { .. } => resume_fused_supervised(
-                        &spec,
-                        SWEEP_N,
-                        SWEEP_M,
-                        RowOrder::Ascending,
-                        mem,
-                        checkpoint,
-                        &mut meter,
-                        policy,
-                    ),
-                    FusionPlan::Hyperplane { wavefront, .. } => resume_wavefront_supervised(
-                        &spec, *wavefront, SWEEP_N, SWEEP_M, mem, checkpoint, &mut meter, policy,
-                    ),
-                };
+                let resumed = supervised(&mut meter, Some((mem, checkpoint)));
                 partial_class(b, resumed, want, recovery, |m| m.fingerprint())
             }
         }
@@ -1351,6 +1309,7 @@ fn check_file(path: &str) -> Result<String, CliError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mdf_trace::json::Json;
 
     fn sweep_opts(dir: &std::path::Path) -> ChaosOpts {
         ChaosOpts {
@@ -1361,6 +1320,45 @@ mod tests {
             // two levels up.
             examples: concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples/dsl").to_string(),
         }
+    }
+
+    /// The fields of a sweep report that a seed fixes: every in-process
+    /// workload entry (suites and examples), field by field, and the
+    /// `checkpoints_taken` and `resumes` counters. The daemon, fleet and
+    /// store entries run live servers per case, and `faults_injected` and
+    /// `retries` can move by one between runs, so they are left out.
+    #[allow(clippy::type_complexity)]
+    fn seed_fixed_fields(report: &str) -> (Vec<Vec<(String, String)>>, Vec<(String, String)>) {
+        let doc = parse_json(report).unwrap();
+        let text = |v: &Json| {
+            v.str_val()
+                .map_or_else(|| format!("{:?}", v.num()), str::to_string)
+        };
+        let workloads = doc
+            .get("workloads")
+            .and_then(Json::arr)
+            .unwrap()
+            .iter()
+            .filter(|w| {
+                let name = w.get("name").and_then(Json::str_val).unwrap();
+                !["mdfused:", "mdf-router:", "mdfstore:"]
+                    .iter()
+                    .any(|live| name.starts_with(live))
+            })
+            .map(|w| {
+                w.obj()
+                    .unwrap()
+                    .iter()
+                    .map(|(k, v)| (k.clone(), text(v)))
+                    .collect()
+            })
+            .collect();
+        let counters = doc.get("counters").unwrap();
+        let pinned = ["checkpoints_taken", "resumes"]
+            .iter()
+            .map(|k| (k.to_string(), text(counters.get(k).unwrap())))
+            .collect();
+        (workloads, pinned)
     }
 
     #[test]
@@ -1395,8 +1393,21 @@ mod tests {
         .unwrap();
         assert!(checked.contains("valid CHAOS_sweep schema v1"), "{checked}");
 
-        // ...and a schema bump is rejected with exit 3.
+        // ...reproduces the committed seed-7 report wherever the seed
+        // fixes the outcome...
         let json = std::fs::read_to_string(&path).unwrap();
+        let committed = std::fs::read_to_string(concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../CHAOS_sweep.json"
+        ))
+        .unwrap();
+        assert_eq!(
+            seed_fixed_fields(&json),
+            seed_fixed_fields(&committed),
+            "the seed-7 sweep diverged from the committed CHAOS_sweep.json"
+        );
+
+        // ...and a schema bump is rejected with exit 3.
         assert!(json.contains("\"faults_injected\""), "{json}");
         std::fs::write(
             &path,

@@ -379,23 +379,12 @@ fn cmd_run(
     let (fp, stats, how) = match engine {
         "interp" => {
             let exec = span.child("execute");
+            let traversal = mdf_sim::Traversal::of(&plan);
+            let out = mdf_sim::run_traversal_budgeted(&spec, traversal, n, m, &mut meter, None)?;
+            mdf_sim::traced::report(&exec, &out.stats());
             // `run` wants a full answer: a deadline-truncated partial
             // outcome converts back to its typed cause (exit 5).
-            let (mem, stats) = match &plan {
-                mdf_core::FusionPlan::FullParallel { .. } => mdf_sim::run_fused_ordered_traced(
-                    &spec,
-                    n,
-                    m,
-                    mdf_sim::RowOrder::Ascending,
-                    &mut meter,
-                    &exec,
-                )?
-                .into_complete()?,
-                mdf_core::FusionPlan::Hyperplane { wavefront, .. } => {
-                    mdf_sim::run_wavefront_traced(&spec, *wavefront, n, m, &mut meter, &exec)?
-                        .into_complete()?
-                }
-            };
+            let (mem, stats) = out.into_complete()?;
             exec.finish();
             (mem.fingerprint(), stats, "interp".to_string())
         }
@@ -432,7 +421,8 @@ fn cmd_run(
     };
     let wall = t0.elapsed().as_secs_f64() * 1e3;
     let crosscheck = span.child("crosscheck");
-    let (omem, ostats) = mdf_sim::run_original_traced(program, n, m, &mut meter, &crosscheck)?;
+    let (omem, ostats) = mdf_sim::run_original_budgeted(program, n, m, &mut meter)?;
+    mdf_sim::traced::report(&crosscheck, &ostats);
     crosscheck.finish();
     if omem.fingerprint() != fp {
         return Err(CliError::Internal(format!(

@@ -30,7 +30,11 @@
 //!
 //! Each drive derives one private per-barrier step plan from the mode and
 //! the shape; execution, checkpointing, counters and the verifier's image
-//! all read it, so they cannot disagree on what a barrier is. Counters
+//! all read it, so they cannot disagree on what a barrier is. Every run
+//! walks that plan through `mdf-sim`'s barrier drivers
+//! (`mdf_sim::drive_budgeted`, `mdf_sim::supervise_run`), the same ones
+//! the interpreter uses, which own the barrier-top gate and the
+//! per-barrier iteration charge. Counters
 //! ([`ExecStats`]) count one barrier per fused row or tile wave and one
 //! statement instance per executed assignment, so BENCH reports are
 //! directly comparable across engines.
@@ -39,11 +43,11 @@ use mdf_analyze::bytecode::{
     self, BytecodeCert, VmImage, VmInstr, VmLoop, VmMode, VmRange, VmStmt,
 };
 use mdf_analyze::Diagnostic;
-use mdf_graph::{BudgetMeter, IVec2, MdfError};
+use mdf_graph::{Budget, BudgetMeter, IVec2, MdfError};
 use mdf_ir::retgen::{FusedSpec, IRange};
 use mdf_sim::{
-    check_resume, deadline_expired, supervise_run, Checkpoint, ExecStats, RetryPolicy, RunOutcome,
-    Snapshot, SupervisedOutcome,
+    drive_budgeted, supervise_run, Checkpoint, ExecStats, RetryPolicy, RunOutcome, Snapshot,
+    SupervisedOutcome,
 };
 use mdf_trace::Span;
 use rayon::prelude::*;
@@ -174,17 +178,6 @@ impl TilePlan {
             .filter(|&w| self.wave_serial(w, threads))
             .count() as u64
     }
-}
-
-/// How a metered drive ended: all barriers, or stopped at a barrier top
-/// by a deadline report with the work completed so far intact.
-enum DriveEnd {
-    Complete(ExecStats),
-    Stopped {
-        completed: u64,
-        stats: ExecStats,
-        cause: MdfError,
-    },
 }
 
 /// A shared view of the kernel buffer for compiled steps. The *only*
@@ -518,20 +511,18 @@ impl CompiledKernel {
     /// runtime's to grant. Exposed so tests and benches can force either
     /// path deterministically.
     pub fn run_with_threads(&self, mode: ExecMode, threads: usize) -> (KernelMemory, ExecStats) {
-        let mut mem = KernelMemory::with_threads(self.layout, threads);
         // An unlimited meter cannot trip, so the budgeted driver is total.
         #[allow(clippy::expect_used)]
-        let stats = self
-            .drive(mode, &mut mem, threads, None)
-            .expect("unbudgeted kernel run cannot trip a budget");
-        (mem, stats)
+        self.run_metered(mode, threads, &mut Budget::unlimited().meter(), None)
+            .and_then(RunOutcome::into_complete)
+            .expect("unbudgeted kernel run cannot trip a budget")
     }
 
     /// Runs under a resource budget: cells charged before allocation, the
     /// deadline re-checked and statement instances charged at every
-    /// barrier (fused row or tile wave), mirroring the budgeted
-    /// interpreter drivers in `mdf-sim`. Deadline expiry at a barrier top
-    /// does not discard completed work: it returns
+    /// barrier (fused row or tile wave), through the same budgeted driver
+    /// as the interpreter (`mdf_sim::drive_budgeted`). Deadline expiry at
+    /// a barrier top does not discard completed work: it returns
     /// [`RunOutcome::Partial`] with the live image and a resumable
     /// [`Checkpoint`]; every other budget trip stays a typed error.
     pub fn run_budgeted(
@@ -539,10 +530,7 @@ impl CompiledKernel {
         mode: ExecMode,
         meter: &mut BudgetMeter,
     ) -> Result<RunOutcome<KernelMemory>, MdfError> {
-        meter.chaos_site("kernel.alloc")?;
-        meter.charge_cells(self.layout.cells() as u64)?;
-        let mem = KernelMemory::new(self.layout);
-        self.finish_budgeted(mode, mem, meter, 0, ExecStats::default())
+        self.run_metered(mode, rayon::current_num_threads(), meter, None)
     }
 
     /// Continues a budgeted run from a [`Checkpoint`] produced by an
@@ -556,33 +544,60 @@ impl CompiledKernel {
         checkpoint: Checkpoint,
         meter: &mut BudgetMeter,
     ) -> Result<RunOutcome<KernelMemory>, MdfError> {
-        check_resume(&mem, &checkpoint)?;
-        self.finish_budgeted(
+        self.run_metered(
             mode,
-            mem,
+            rayon::current_num_threads(),
             meter,
-            checkpoint.completed_barriers,
-            checkpoint.stats,
+            Some((mem, checkpoint)),
         )
     }
 
-    fn finish_budgeted(
+    /// The budgeted drive of `mode` under `threads` workers, from fresh
+    /// memory or from `resume`.
+    fn run_metered(
         &self,
         mode: ExecMode,
-        mut mem: KernelMemory,
+        threads: usize,
         meter: &mut BudgetMeter,
-        start: u64,
-        stats0: ExecStats,
+        resume: Option<(KernelMemory, Checkpoint)>,
     ) -> Result<RunOutcome<KernelMemory>, MdfError> {
-        let threads = rayon::current_num_threads();
-        match self.drive_from(mode, &mut mem, threads, Some(meter), start, stats0)? {
-            DriveEnd::Complete(stats) => Ok(RunOutcome::Complete { mem, stats }),
-            DriveEnd::Stopped {
-                completed,
-                stats,
-                cause,
-            } => Ok(RunOutcome::partial(mem, completed, stats, cause)),
-        }
+        let steps = self.steps(mode);
+        let unchecked = self.is_armed(mode);
+        drive_budgeted(
+            self.barriers(&steps),
+            "kernel.barrier",
+            meter,
+            resume,
+            |meter| self.alloc(meter, threads),
+            |mem, barrier, meter| self.chunk(&steps, mem, barrier, threads, unchecked, meter),
+        )
+    }
+
+    /// A fresh image under the budget: the `kernel.alloc` fault site,
+    /// then the cell charge, then the fill (see
+    /// [`KernelMemory::with_threads`]).
+    fn alloc(&self, meter: &mut BudgetMeter, threads: usize) -> Result<KernelMemory, MdfError> {
+        meter.chaos_site("kernel.alloc")?;
+        meter.charge_cells(self.layout.cells() as u64)?;
+        Ok(KernelMemory::with_threads(self.layout, threads))
+    }
+
+    /// One barrier of a metered drive: [`Self::step`], then the
+    /// `kernel.chunk.mid` fault site. The site fires *after* the chunk's
+    /// writes, so only a panic is sound there (the supervisor restores
+    /// the snapshot wholesale).
+    fn chunk(
+        &self,
+        steps: &Steps,
+        mem: &mut KernelMemory,
+        barrier: u64,
+        threads: usize,
+        unchecked: bool,
+        meter: &mut BudgetMeter,
+    ) -> Result<u64, MdfError> {
+        let instances = self.step(steps, mem.data_mut(), barrier, threads, unchecked);
+        meter.chaos_site("kernel.chunk.mid")?;
+        Ok(instances)
     }
 
     /// The number of barriers `mode` executes over this kernel's iteration
@@ -643,31 +658,15 @@ impl CompiledKernel {
         supervise_run(
             self.barriers(&steps),
             threads,
+            "kernel.barrier",
             policy,
             meter,
             resume,
-            |meter| {
-                meter.chaos_site("kernel.alloc")?;
-                meter.charge_cells(self.layout.cells() as u64)?;
-                Ok(KernelMemory::with_threads(self.layout, threads))
-            },
+            |meter| self.alloc(meter, threads),
             |mem, barrier, threads_now, meter| {
-                meter.check_deadline()?;
-                meter.chaos_site("kernel.barrier")?;
-                let instances = self.step(&steps, mem.data_mut(), barrier, threads_now, unchecked);
-                // Fires *after* the chunk's writes — only a panic is sound
-                // here (the supervisor restores the snapshot wholesale).
-                meter.chaos_site("kernel.chunk.mid")?;
-                meter.charge_iterations(instances)?;
-                Ok(instances)
+                self.chunk(&steps, mem, barrier, threads_now, unchecked, meter)
             },
         )
-    }
-
-    /// As [`CompiledKernel::run`], reporting execution counters onto `span`
-    /// (see [`CompiledKernel::run_with_threads_traced`]).
-    pub fn run_traced(&self, mode: ExecMode, span: &Span) -> (KernelMemory, ExecStats) {
-        self.run_with_threads_traced(mode, rayon::current_num_threads(), span)
     }
 
     /// As [`CompiledKernel::run_with_threads`], reporting execution
@@ -733,66 +732,6 @@ impl CompiledKernel {
                 span.add("wavefront.serial_fronts", tp.serial_waves(threads));
             }
         }
-    }
-
-    fn drive(
-        &self,
-        mode: ExecMode,
-        mem: &mut KernelMemory,
-        threads: usize,
-        meter: Option<&mut BudgetMeter>,
-    ) -> Result<ExecStats, MdfError> {
-        match self.drive_from(mode, mem, threads, meter, 0, ExecStats::default())? {
-            DriveEnd::Complete(stats) => Ok(stats),
-            // Unreachable without a meter; with one, `run_budgeted` calls
-            // `drive_from` directly and keeps the partial work instead.
-            DriveEnd::Stopped { cause, .. } => Err(cause),
-        }
-    }
-
-    /// The barrier-granular driver: executes barriers `start..` of `mode`,
-    /// accumulating onto `stats0`. A deadline report (real or injected) at
-    /// a barrier *top* — where memory is clean — stops the drive with the
-    /// completed count instead of erroring, so callers can hand back a
-    /// resumable partial result. Any other budget trip propagates.
-    fn drive_from(
-        &self,
-        mode: ExecMode,
-        mem: &mut KernelMemory,
-        threads: usize,
-        mut meter: Option<&mut BudgetMeter>,
-        start: u64,
-        stats0: ExecStats,
-    ) -> Result<DriveEnd, MdfError> {
-        let steps = self.steps(mode);
-        let unchecked = self.is_armed(mode);
-        let mut stats = stats0;
-        for barrier in start..self.barriers(&steps) {
-            if let Some(meter) = meter.as_deref_mut() {
-                let gate = meter
-                    .check_deadline()
-                    .and_then(|()| meter.chaos_site("kernel.barrier"));
-                match gate {
-                    Ok(()) => {}
-                    Err(cause) if deadline_expired(&cause) => {
-                        return Ok(DriveEnd::Stopped {
-                            completed: barrier,
-                            stats,
-                            cause,
-                        });
-                    }
-                    Err(e) => return Err(e),
-                }
-            }
-            let instances = self.step(&steps, mem.data_mut(), barrier, threads, unchecked);
-            stats.stmt_instances += instances;
-            stats.barriers += 1;
-            if let Some(meter) = meter.as_deref_mut() {
-                meter.chaos_site("kernel.chunk.mid")?;
-                meter.charge_iterations(instances)?;
-            }
-        }
-        Ok(DriveEnd::Complete(stats))
     }
 
     /// Executes barrier `barrier` of `steps` in place and returns its
@@ -1741,8 +1680,8 @@ mod tests {
         // A same-loop, same-row dependence (a[i][j] reading a[i][j-1])
         // violates the DOALL program model; dependence analysis rejects
         // it, `body_order` has nothing to order, and compilation must
-        // surface a typed error — mirroring `body_order_typed` in
-        // `mdf-sim` — instead of producing a kernel.
+        // surface a typed error — mirroring the interpreter's traversals
+        // in `mdf-sim` — instead of producing a kernel.
         use mdf_ir::ast::{ArrayRef, Expr, Program, Stmt};
         let mut p = Program::new("not-doall");
         let a = p.add_array("a");

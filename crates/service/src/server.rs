@@ -42,8 +42,8 @@ use mdf_ir::extract::extract_mldg;
 use mdf_ir::retgen::FusedSpec;
 use mdf_kernel::BytecodeCert;
 use mdf_sim::{
-    deadline_expired, resume_fused_supervised, resume_wavefront_supervised, run_fused_supervised,
-    run_wavefront_supervised, ExecStats, RetryPolicy, RowOrder, SupervisedOutcome,
+    deadline_expired, run_traversal_supervised, Checkpoint, ExecStats, RetryPolicy, Snapshot,
+    SupervisedOutcome, Traversal,
 };
 use mdf_trace::Tracer;
 
@@ -730,8 +730,8 @@ struct CertHint {
 }
 
 enum ResumeState {
-    Interp(mdf_sim::Memory, mdf_sim::Checkpoint),
-    Kernel(mdf_kernel::KernelMemory, mdf_sim::Checkpoint),
+    Interp(mdf_sim::Memory, Checkpoint),
+    Kernel(mdf_kernel::KernelMemory, Checkpoint),
 }
 
 /// Runs the fused schedule under supervision; a `Partial` outcome with
@@ -841,63 +841,20 @@ fn run_once(
     let config = &shared.config;
     match submit.engine {
         Engine::Interp => {
-            let outcome = match (plan, attempt) {
-                (FusionPlan::FullParallel { .. }, Attempt::Fresh) => run_fused_supervised(
-                    spec,
-                    submit.n,
-                    submit.m,
-                    RowOrder::Ascending,
-                    meter,
-                    policy,
-                )?,
-                (
-                    FusionPlan::FullParallel { .. },
-                    Attempt::Resume(ResumeState::Interp(mem, cp)),
-                ) => resume_fused_supervised(
-                    spec,
-                    submit.n,
-                    submit.m,
-                    RowOrder::Ascending,
-                    mem,
-                    cp,
-                    meter,
-                    policy,
-                )?,
-                (FusionPlan::Hyperplane { wavefront, .. }, Attempt::Fresh) => {
-                    run_wavefront_supervised(spec, *wavefront, submit.n, submit.m, meter, policy)?
-                }
-                (
-                    FusionPlan::Hyperplane { wavefront, .. },
-                    Attempt::Resume(ResumeState::Interp(mem, cp)),
-                ) => resume_wavefront_supervised(
-                    spec, *wavefront, submit.n, submit.m, mem, cp, meter, policy,
-                )?,
-                (_, Attempt::Resume(ResumeState::Kernel(..))) => {
+            let resume = match attempt {
+                Attempt::Fresh => None,
+                Attempt::Resume(ResumeState::Interp(mem, cp)) => Some((mem, cp)),
+                Attempt::Resume(ResumeState::Kernel(..)) => {
                     return Err(MdfError::invalid(
                         "internal: kernel checkpoint resumed on the interpreter",
                     ))
                 }
             };
-            Ok(match outcome {
-                SupervisedOutcome::Complete {
-                    mem,
-                    stats,
-                    recovery,
-                } => RunResult::Complete {
-                    fingerprint: mem.fingerprint(),
-                    stats,
-                    retried: recovery.retries > 0 || recovery.resumes > 0,
-                },
-                SupervisedOutcome::Partial {
-                    mem,
-                    checkpoint,
-                    cause,
-                    ..
-                } => RunResult::Partial {
-                    resume: ResumeState::Interp(mem, checkpoint),
-                    cause,
-                },
-            })
+            let traversal = Traversal::of(plan);
+            let outcome = run_traversal_supervised(
+                spec, traversal, submit.n, submit.m, meter, policy, resume,
+            )?;
+            Ok(run_result(outcome, ResumeState::Interp))
         }
         Engine::Kernel => {
             let mode = mdf_kernel::plan_mode(spec, plan);
@@ -934,26 +891,36 @@ fn run_once(
                     ))
                 }
             };
-            Ok(match outcome {
-                SupervisedOutcome::Complete {
-                    mem,
-                    stats,
-                    recovery,
-                } => RunResult::Complete {
-                    fingerprint: mem.fingerprint(),
-                    stats,
-                    retried: recovery.retries > 0 || recovery.resumes > 0,
-                },
-                SupervisedOutcome::Partial {
-                    mem,
-                    checkpoint,
-                    cause,
-                    ..
-                } => RunResult::Partial {
-                    resume: ResumeState::Kernel(mem, checkpoint),
-                    cause,
-                },
-            })
+            Ok(run_result(outcome, ResumeState::Kernel))
         }
+    }
+}
+
+/// One engine's supervised outcome as a [`RunResult`]; `resume` wraps a
+/// partial run's image and checkpoint for the next attempt. The image's
+/// digest is its fingerprint on both engines.
+fn run_result<M: Snapshot>(
+    outcome: SupervisedOutcome<M>,
+    resume: impl FnOnce(M, Checkpoint) -> ResumeState,
+) -> RunResult {
+    match outcome {
+        SupervisedOutcome::Complete {
+            mem,
+            stats,
+            recovery,
+        } => RunResult::Complete {
+            fingerprint: mem.digest(),
+            stats,
+            retried: recovery.retries > 0 || recovery.resumes > 0,
+        },
+        SupervisedOutcome::Partial {
+            mem,
+            checkpoint,
+            cause,
+            ..
+        } => RunResult::Partial {
+            resume: resume(mem, checkpoint),
+            cause,
+        },
     }
 }

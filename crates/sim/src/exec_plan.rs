@@ -1,38 +1,39 @@
 //! Executing fused, retimed programs — and checking them against the
 //! reference interpreter.
 //!
-//! Execution models:
-//! * [`run_fused`] — row-major order (the serialization of a DOALL fused
-//!   loop, and of any legally-fused loop: all retimed dependences are
-//!   `>= (0,0)`, so ascending `J` respects forward row dependences);
-//! * [`run_fused_desc`] — row-major with `J` *descending*: an adversarial
-//!   serialization that produces the same result **iff** no dependence
-//!   binds within a row, i.e. exactly when the fused loop really is DOALL;
-//! * [`run_wavefront`] — hyperplane order for Algorithm 5 plans.
+//! A fused run is a sequence of DOALL steps separated by barriers, and a
+//! [`Traversal`] names the order in which it visits them:
 //!
+//! * [`Traversal::Rows`] — one fused row per barrier. Ascending `J` is
+//!   the serialization of a DOALL fused loop (and of any legally-fused
+//!   loop: all retimed dependences are `>= (0,0)`, so ascending `J`
+//!   respects forward row dependences). Descending `J` is an adversarial
+//!   serialization that produces the same result **iff** no dependence
+//!   binds within a row, i.e. exactly when the fused loop really is
+//!   DOALL;
+//! * [`Traversal::Wavefront`] — one hyperplane group per barrier, for
+//!   Algorithm 5 plans;
+//! * [`Traversal::Clusters`] — one cluster step per barrier, for
+//!   partial-fusion plans.
+//!
+//! [`Traversal::of`] picks the order a fully fused plan runs in. Every
+//! traversal runs through the same three entry points: [`run_traversal`]
+//! (plain), [`run_traversal_budgeted`] and [`run_traversal_supervised`],
+//! the last two over the shared barrier drivers in [`crate::recover`].
 //! [`check_plan`] runs the full pipeline for a plan and compares every
 //! memory image against the original program's.
 
 use mdf_core::{FusionPlan, PartialFusionPlan};
 use mdf_graph::mldg::{Mldg, NodeId};
-use mdf_graph::{BudgetMeter, IVec2, MdfError};
+use mdf_graph::{Budget, BudgetMeter, IVec2, MdfError};
 use mdf_ir::ast::Program;
-use mdf_ir::retgen::FusedSpec;
+use mdf_ir::retgen::{FusedSpec, IRange};
 use mdf_retime::{Retiming, Wavefront};
 
-use crate::interp::{eval_expr, run_original, run_original_budgeted, ExecStats, Memory};
+use crate::interp::{eval_expr, run_original_budgeted, ExecStats, Memory};
 use crate::recover::{
-    check_resume, deadline_expired, supervise_run, Checkpoint, RetryPolicy, RunOutcome,
-    SupervisedOutcome,
+    drive_budgeted, supervise_run, Checkpoint, RetryPolicy, RunOutcome, SupervisedOutcome,
 };
-
-/// The fused body order, or a typed error for non-executable specs (a
-/// `(0,0)`-dependence cycle between loops) instead of a panic.
-pub(crate) fn body_order_typed(spec: &FusedSpec) -> Result<Vec<usize>, MdfError> {
-    spec.body_order().ok_or_else(|| {
-        MdfError::invalid("fused body has a (0,0)-dependence cycle: the program is not executable")
-    })
-}
 
 /// Inner-loop traversal order for fused row execution.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -41,6 +42,33 @@ pub enum RowOrder {
     Ascending,
     /// Descending `J` (adversarial; only valid for DOALL rows).
     Descending,
+}
+
+/// The order in which a fused run visits its barriers.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Traversal<'a> {
+    /// One fused row per barrier, its cells in the given `J` order.
+    Rows(RowOrder),
+    /// One hyperplane group per barrier: the active cells with equal
+    /// `t = s · (fi, fj)`, groups in ascending `t`.
+    Wavefront(Wavefront),
+    /// A partial-fusion plan's clusters: each fused row runs the clusters
+    /// in order, one barrier after each, so barrier `b` is cluster
+    /// `b % k` of row `b / k` for `k` clusters.
+    Clusters(&'a [Vec<NodeId>]),
+}
+
+impl Traversal<'static> {
+    /// The order the interpreter runs a fully fused plan in: ascending
+    /// rows for a full-parallel plan, the plan's wavefront for a
+    /// hyperplane plan. The interpreter's counterpart of
+    /// `mdf_kernel::plan_mode`.
+    pub fn of(plan: &FusionPlan) -> Self {
+        match plan {
+            FusionPlan::FullParallel { .. } => Traversal::Rows(RowOrder::Ascending),
+            FusionPlan::Hyperplane { wavefront, .. } => Traversal::Wavefront(*wavefront),
+        }
+    }
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -68,140 +96,114 @@ fn exec_body_at(
     }
 }
 
-/// Runs the fused program row by row with the chosen inner order.
-///
-/// One barrier is charged per fused row — the synchronization saving the
-/// paper reports (Section 4.2's `7n` vs `n - 2` arithmetic comes from this
-/// model plus the unfused one in [`run_original`]).
-pub fn run_fused_ordered(spec: &FusedSpec, n: i64, m: i64, order: RowOrder) -> (Memory, ExecStats) {
-    // Executability of `spec` is a documented precondition of this API.
-    #[allow(clippy::expect_used)]
-    let body = spec
-        .body_order()
-        .expect("fused spec has a (0,0)-dependence cycle: input was not executable");
-    // Guards keep every access within max_offset of [0,n]x[0,m], so the
-    // fused run uses the same allocation as the reference interpreter and
-    // the final memory images are directly comparable.
-    let mut mem = Memory::for_program(&spec.program, n, m, 0);
-    let mut stats = ExecStats::default();
-    let orange = spec.outer_range(n);
-    let irange = spec.inner_range(m);
-    for fi in orange.lo..=orange.hi {
-        match order {
-            RowOrder::Ascending => {
-                for fj in irange.lo..=irange.hi {
-                    exec_body_at(spec, &body, &mut mem, fi, fj, n, m, &mut stats);
+/// What one barrier of a traversal executes, resolved once per run.
+enum Steps {
+    /// Fused row `outer.lo + b`, in this `J` order.
+    Rows(RowOrder),
+    /// Wavefront group `b`'s cells.
+    Groups(Vec<Vec<(i64, i64)>>),
+    /// Each cluster's loops in fused body order; barrier `b` runs member
+    /// list `b % k` over fused row `outer.lo + b / k`.
+    Clusters(Vec<Vec<usize>>),
+}
+
+/// A traversal resolved against a spec and bounds: the fused body order,
+/// the fused ranges and the per-barrier work.
+struct Walk<'s> {
+    spec: &'s FusedSpec,
+    n: i64,
+    m: i64,
+    body: Vec<usize>,
+    outer: IRange,
+    inner: IRange,
+    steps: Steps,
+}
+
+impl<'s> Walk<'s> {
+    /// Resolves `traversal`, or a typed error for non-executable specs (a
+    /// `(0,0)`-dependence cycle between loops) instead of a panic.
+    fn new(
+        spec: &'s FusedSpec,
+        traversal: Traversal<'_>,
+        n: i64,
+        m: i64,
+    ) -> Result<Self, MdfError> {
+        let body = spec.body_order().ok_or_else(|| {
+            MdfError::invalid(
+                "fused body has a (0,0)-dependence cycle: the program is not executable",
+            )
+        })?;
+        let steps = match traversal {
+            Traversal::Rows(order) => Steps::Rows(order),
+            Traversal::Wavefront(w) => Steps::Groups(wavefront_buckets(spec, w.schedule, n, m)),
+            // Members in global body order, restricted to each cluster.
+            Traversal::Clusters(clusters) => Steps::Clusters(
+                clusters
+                    .iter()
+                    .map(|c| {
+                        body.iter()
+                            .copied()
+                            .filter(|li| c.iter().any(|n| n.index() == *li))
+                            .collect()
+                    })
+                    .collect(),
+            ),
+        };
+        Ok(Walk {
+            spec,
+            n,
+            m,
+            body,
+            outer: spec.outer_range(n),
+            inner: spec.inner_range(m),
+            steps,
+        })
+    }
+
+    /// The barriers the traversal executes.
+    fn barriers(&self) -> u64 {
+        let rows = self.outer.len() as u64;
+        match &self.steps {
+            Steps::Rows(_) => rows,
+            Steps::Groups(groups) => groups.len() as u64,
+            Steps::Clusters(members) => rows * members.len() as u64,
+        }
+    }
+
+    /// Executes barrier `b` in place and returns its statement instances.
+    fn step(&self, mem: &mut Memory, b: u64) -> u64 {
+        let (spec, n, m) = (self.spec, self.n, self.m);
+        let (lo, hi) = (self.inner.lo, self.inner.hi);
+        let mut stats = ExecStats::default();
+        match &self.steps {
+            Steps::Rows(RowOrder::Ascending) => {
+                let fi = self.outer.lo + b as i64;
+                for fj in lo..=hi {
+                    exec_body_at(spec, &self.body, mem, fi, fj, n, m, &mut stats);
                 }
             }
-            RowOrder::Descending => {
-                for fj in (irange.lo..=irange.hi).rev() {
-                    exec_body_at(spec, &body, &mut mem, fi, fj, n, m, &mut stats);
+            Steps::Rows(RowOrder::Descending) => {
+                let fi = self.outer.lo + b as i64;
+                for fj in (lo..=hi).rev() {
+                    exec_body_at(spec, &self.body, mem, fi, fj, n, m, &mut stats);
+                }
+            }
+            Steps::Groups(groups) => {
+                for &(fi, fj) in &groups[b as usize] {
+                    exec_body_at(spec, &self.body, mem, fi, fj, n, m, &mut stats);
+                }
+            }
+            Steps::Clusters(members) => {
+                let k = members.len() as u64;
+                let fi = self.outer.lo + (b / k) as i64;
+                let order = &members[(b % k) as usize];
+                for fj in lo..=hi {
+                    exec_body_at(spec, order, mem, fi, fj, n, m, &mut stats);
                 }
             }
         }
-        stats.barriers += 1;
+        stats.stmt_instances
     }
-    (mem, stats)
-}
-
-/// [`run_fused_ordered`] with ascending rows.
-pub fn run_fused(spec: &FusedSpec, n: i64, m: i64) -> (Memory, ExecStats) {
-    run_fused_ordered(spec, n, m, RowOrder::Ascending)
-}
-
-/// [`run_fused_ordered`] with descending rows (adversarial DOALL check).
-pub fn run_fused_desc(spec: &FusedSpec, n: i64, m: i64) -> (Memory, ExecStats) {
-    run_fused_ordered(spec, n, m, RowOrder::Descending)
-}
-
-/// Runs the fused program in wavefront order: iterations grouped by
-/// `t = s · (I, J)`, groups ascending; one barrier per non-empty group.
-pub fn run_wavefront(
-    spec: &FusedSpec,
-    wavefront: Wavefront,
-    n: i64,
-    m: i64,
-) -> (Memory, ExecStats) {
-    // Executability of `spec` is a documented precondition of this API.
-    #[allow(clippy::expect_used)]
-    let body = spec
-        .body_order()
-        .expect("fused spec has a (0,0)-dependence cycle: input was not executable");
-    // Guards keep every access within max_offset of [0,n]x[0,m], so the
-    // fused run uses the same allocation as the reference interpreter and
-    // the final memory images are directly comparable.
-    let mut mem = Memory::for_program(&spec.program, n, m, 0);
-    let mut stats = ExecStats::default();
-    for group in wavefront_buckets(spec, wavefront.schedule, n, m) {
-        for (fi, fj) in group {
-            exec_body_at(spec, &body, &mut mem, fi, fj, n, m, &mut stats);
-        }
-        stats.barriers += 1;
-    }
-    (mem, stats)
-}
-
-/// Barrier-top budget-and-chaos gate shared by the budgeted drivers: the
-/// deadline is re-checked and the `sim.barrier` fault site consulted at
-/// the top of every barrier. `Some(outcome)` means "stop here with a
-/// clean partial result"; a non-deadline failure propagates as `Err`.
-fn barrier_gate(
-    meter: &mut BudgetMeter,
-    mem: &Memory,
-    completed: u64,
-    stats: ExecStats,
-) -> Result<Option<RunOutcome<Memory>>, MdfError> {
-    match meter
-        .check_deadline()
-        .and_then(|()| meter.chaos_site("sim.barrier"))
-    {
-        Ok(()) => Ok(None),
-        Err(e) if deadline_expired(&e) => {
-            Ok(Some(RunOutcome::partial(mem.clone(), completed, stats, e)))
-        }
-        Err(e) => Err(e),
-    }
-}
-
-/// [`run_fused_ordered`] under a resource budget: typed error for
-/// non-executable specs, cells charged at allocation, statement instances
-/// charged per fused row, deadline re-checked every row. Deadline expiry
-/// at a row top returns [`RunOutcome::Partial`] with the completed rows
-/// and a resumable [`Checkpoint`] instead of discarding them.
-pub fn run_fused_ordered_budgeted(
-    spec: &FusedSpec,
-    n: i64,
-    m: i64,
-    order: RowOrder,
-    meter: &mut BudgetMeter,
-) -> Result<RunOutcome<Memory>, MdfError> {
-    let mem = alloc_budgeted(spec, n, m, meter)?;
-    fused_rows_from(spec, n, m, order, mem, 0, ExecStats::default(), meter)
-}
-
-/// Resumes [`run_fused_ordered_budgeted`] from a prior partial result.
-/// The checkpoint's digest is verified against `mem` before continuing;
-/// a completed resume is bit-identical to an uninterrupted run.
-pub fn resume_fused_ordered_budgeted(
-    spec: &FusedSpec,
-    n: i64,
-    m: i64,
-    order: RowOrder,
-    mem: Memory,
-    checkpoint: &Checkpoint,
-    meter: &mut BudgetMeter,
-) -> Result<RunOutcome<Memory>, MdfError> {
-    check_resume(&mem, checkpoint)?;
-    fused_rows_from(
-        spec,
-        n,
-        m,
-        order,
-        mem,
-        checkpoint.completed_barriers,
-        checkpoint.stats,
-        meter,
-    )
 }
 
 /// Allocation under the budget and the `sim.alloc` fault site.
@@ -215,49 +217,9 @@ fn alloc_budgeted(
     Memory::for_program_budgeted(&spec.program, n, m, 0, meter)
 }
 
-#[allow(clippy::too_many_arguments)]
-fn fused_rows_from(
-    spec: &FusedSpec,
-    n: i64,
-    m: i64,
-    order: RowOrder,
-    mut mem: Memory,
-    start: u64,
-    mut stats: ExecStats,
-    meter: &mut BudgetMeter,
-) -> Result<RunOutcome<Memory>, MdfError> {
-    let body = body_order_typed(spec)?;
-    let orange = spec.outer_range(n);
-    let irange = spec.inner_range(m);
-    for (idx, fi) in (orange.lo..=orange.hi).enumerate() {
-        if (idx as u64) < start {
-            continue;
-        }
-        if let Some(partial) = barrier_gate(meter, &mem, idx as u64, stats)? {
-            return Ok(partial);
-        }
-        let before = stats.stmt_instances;
-        match order {
-            RowOrder::Ascending => {
-                for fj in irange.lo..=irange.hi {
-                    exec_body_at(spec, &body, &mut mem, fi, fj, n, m, &mut stats);
-                }
-            }
-            RowOrder::Descending => {
-                for fj in (irange.lo..=irange.hi).rev() {
-                    exec_body_at(spec, &body, &mut mem, fi, fj, n, m, &mut stats);
-                }
-            }
-        }
-        stats.barriers += 1;
-        meter.charge_iterations(stats.stmt_instances - before)?;
-    }
-    Ok(RunOutcome::Complete { mem, stats })
-}
-
 /// The wavefront groups of the fused iteration space: active cells
 /// bucketed by `s · (fi, fj)`, ascending — the barrier sequence of
-/// hyperplane execution, shared by every wavefront driver.
+/// hyperplane execution.
 fn wavefront_buckets(spec: &FusedSpec, s: IVec2, n: i64, m: i64) -> Vec<Vec<(i64, i64)>> {
     let orange = spec.outer_range(n);
     let irange = spec.inner_range(m);
@@ -276,80 +238,108 @@ fn wavefront_buckets(spec: &FusedSpec, s: IVec2, n: i64, m: i64) -> Vec<Vec<(i64
     buckets.into_values().collect()
 }
 
-/// [`run_wavefront`] under a resource budget (one deadline check and one
-/// iteration charge per hyperplane group). Deadline expiry at a group top
-/// returns [`RunOutcome::Partial`] with a resumable [`Checkpoint`].
-pub fn run_wavefront_budgeted(
+/// Runs `spec` over `(n, m)` in `traversal` order under a resource
+/// budget, through [`drive_budgeted`]: typed error for non-executable
+/// specs, cells charged at allocation (never on resume), the deadline
+/// re-checked and the `sim.barrier` fault site consulted at every barrier
+/// top, and statement instances charged per barrier. Deadline expiry at a
+/// barrier top returns [`RunOutcome::Partial`] with the completed
+/// barriers and a resumable [`Checkpoint`]; passing that image and
+/// checkpoint back as `resume` continues the run (digest-verified), and a
+/// completed resume is bit-identical to an uninterrupted run. Guards keep
+/// every access within `max_offset` of `[0,n]x[0,m]`, so the fused run
+/// uses the same allocation as the reference interpreter and the final
+/// memory images are directly comparable.
+pub fn run_traversal_budgeted(
     spec: &FusedSpec,
-    wavefront: Wavefront,
+    traversal: Traversal<'_>,
     n: i64,
     m: i64,
     meter: &mut BudgetMeter,
+    resume: Option<(Memory, Checkpoint)>,
 ) -> Result<RunOutcome<Memory>, MdfError> {
-    let mem = alloc_budgeted(spec, n, m, meter)?;
-    wavefront_groups_from(spec, wavefront, n, m, mem, 0, ExecStats::default(), meter)
-}
-
-/// Resumes [`run_wavefront_budgeted`] from a prior partial result
-/// (digest-verified, groups skipped by the checkpoint's barrier count).
-pub fn resume_wavefront_budgeted(
-    spec: &FusedSpec,
-    wavefront: Wavefront,
-    n: i64,
-    m: i64,
-    mem: Memory,
-    checkpoint: &Checkpoint,
-    meter: &mut BudgetMeter,
-) -> Result<RunOutcome<Memory>, MdfError> {
-    check_resume(&mem, checkpoint)?;
-    wavefront_groups_from(
-        spec,
-        wavefront,
-        n,
-        m,
-        mem,
-        checkpoint.completed_barriers,
-        checkpoint.stats,
+    let walk = Walk::new(spec, traversal, n, m)?;
+    drive_budgeted(
+        walk.barriers(),
+        "sim.barrier",
         meter,
+        resume,
+        |meter| alloc_budgeted(spec, n, m, meter),
+        |mem, b, _| Ok(walk.step(mem, b)),
     )
 }
 
-#[allow(clippy::too_many_arguments)]
-fn wavefront_groups_from(
+/// [`run_traversal_budgeted`] on an unlimited meter: the whole run.
+///
+/// One barrier is charged per step — the synchronization saving the
+/// paper reports (Section 4.2's `7n` vs `n - 2` arithmetic comes from the
+/// row model plus the unfused one in [`crate::run_original`]).
+pub fn run_traversal(
+    spec: &FusedSpec,
+    traversal: Traversal<'_>,
+    n: i64,
+    m: i64,
+) -> (Memory, ExecStats) {
+    // Executability of `spec` is a documented precondition of this API,
+    // and an unlimited meter cannot trip.
+    #[allow(clippy::expect_used)]
+    run_traversal_budgeted(
+        spec,
+        traversal,
+        n,
+        m,
+        &mut Budget::unlimited().meter(),
+        None,
+    )
+    .and_then(RunOutcome::into_complete)
+    .expect("fused spec has a (0,0)-dependence cycle: input was not executable")
+}
+
+/// [`run_traversal`] with ascending rows.
+pub fn run_fused(spec: &FusedSpec, n: i64, m: i64) -> (Memory, ExecStats) {
+    run_traversal(spec, Traversal::Rows(RowOrder::Ascending), n, m)
+}
+
+/// [`run_traversal`] in wavefront order.
+pub fn run_wavefront(
     spec: &FusedSpec,
     wavefront: Wavefront,
     n: i64,
     m: i64,
-    mut mem: Memory,
-    start: u64,
-    mut stats: ExecStats,
-    meter: &mut BudgetMeter,
-) -> Result<RunOutcome<Memory>, MdfError> {
-    let body = body_order_typed(spec)?;
-    let groups = wavefront_buckets(spec, wavefront.schedule, n, m);
-    for (idx, group) in groups.iter().enumerate() {
-        if (idx as u64) < start {
-            continue;
-        }
-        if let Some(partial) = barrier_gate(meter, &mem, idx as u64, stats)? {
-            return Ok(partial);
-        }
-        let before = stats.stmt_instances;
-        for &(fi, fj) in group {
-            exec_body_at(spec, &body, &mut mem, fi, fj, n, m, &mut stats);
-        }
-        stats.barriers += 1;
-        meter.charge_iterations(stats.stmt_instances - before)?;
-    }
-    Ok(RunOutcome::Complete { mem, stats })
+) -> (Memory, ExecStats) {
+    run_traversal(spec, Traversal::Wavefront(wavefront), n, m)
 }
 
-/// Supervised fused execution: [`run_fused_ordered_budgeted`] driven
-/// barrier by barrier through [`supervise_run`] — per-row checkpoints,
-/// retry with deterministic backoff on recoverable failures, typed
-/// partial report once the ladder is exhausted. The interpreter is
-/// single-threaded, so the degradation ladder's thread step is a no-op
-/// here (the kernel supervisor exercises it for real).
+/// Supervised fused execution: `traversal` driven barrier by barrier
+/// through [`supervise_run`] — per-barrier checkpoints, retry with
+/// deterministic backoff on recoverable failures, typed partial report
+/// once the ladder is exhausted. `resume` continues from a prior
+/// checkpoint (digest-verified). The interpreter is single-threaded, so
+/// the degradation ladder's thread step is a no-op here (the kernel
+/// supervisor exercises it for real).
+pub fn run_traversal_supervised(
+    spec: &FusedSpec,
+    traversal: Traversal<'_>,
+    n: i64,
+    m: i64,
+    meter: &mut BudgetMeter,
+    policy: &RetryPolicy,
+    resume: Option<(Memory, Checkpoint)>,
+) -> Result<SupervisedOutcome<Memory>, MdfError> {
+    let walk = Walk::new(spec, traversal, n, m)?;
+    supervise_run(
+        walk.barriers(),
+        1,
+        "sim.barrier",
+        policy,
+        meter,
+        resume,
+        |meter| alloc_budgeted(spec, n, m, meter),
+        |mem, b, _, _| Ok(walk.step(mem, b)),
+    )
+}
+
+/// [`run_traversal_supervised`] over fused rows, from fresh memory.
 pub fn run_fused_supervised(
     spec: &FusedSpec,
     n: i64,
@@ -358,69 +348,10 @@ pub fn run_fused_supervised(
     meter: &mut BudgetMeter,
     policy: &RetryPolicy,
 ) -> Result<SupervisedOutcome<Memory>, MdfError> {
-    supervise_fused(spec, n, m, order, meter, policy, None)
+    run_traversal_supervised(spec, Traversal::Rows(order), n, m, meter, policy, None)
 }
 
-/// Resumes [`run_fused_supervised`] from a prior checkpoint.
-#[allow(clippy::too_many_arguments)]
-pub fn resume_fused_supervised(
-    spec: &FusedSpec,
-    n: i64,
-    m: i64,
-    order: RowOrder,
-    mem: Memory,
-    checkpoint: Checkpoint,
-    meter: &mut BudgetMeter,
-    policy: &RetryPolicy,
-) -> Result<SupervisedOutcome<Memory>, MdfError> {
-    supervise_fused(spec, n, m, order, meter, policy, Some((mem, checkpoint)))
-}
-
-fn supervise_fused(
-    spec: &FusedSpec,
-    n: i64,
-    m: i64,
-    order: RowOrder,
-    meter: &mut BudgetMeter,
-    policy: &RetryPolicy,
-    resume: Option<(Memory, Checkpoint)>,
-) -> Result<SupervisedOutcome<Memory>, MdfError> {
-    let body = body_order_typed(spec)?;
-    let orange = spec.outer_range(n);
-    let irange = spec.inner_range(m);
-    let rows: Vec<i64> = (orange.lo..=orange.hi).collect();
-    supervise_run(
-        rows.len() as u64,
-        1,
-        policy,
-        meter,
-        resume,
-        |meter| alloc_budgeted(spec, n, m, meter),
-        |mem, barrier, _threads, meter| {
-            meter.check_deadline()?;
-            meter.chaos_site("sim.barrier")?;
-            let fi = rows[barrier as usize];
-            let mut stats = ExecStats::default();
-            match order {
-                RowOrder::Ascending => {
-                    for fj in irange.lo..=irange.hi {
-                        exec_body_at(spec, &body, mem, fi, fj, n, m, &mut stats);
-                    }
-                }
-                RowOrder::Descending => {
-                    for fj in (irange.lo..=irange.hi).rev() {
-                        exec_body_at(spec, &body, mem, fi, fj, n, m, &mut stats);
-                    }
-                }
-            }
-            meter.charge_iterations(stats.stmt_instances)?;
-            Ok(stats.stmt_instances)
-        },
-    )
-}
-
-/// Supervised wavefront execution — [`run_fused_supervised`]'s hyperplane
-/// counterpart, one checkpoint per wavefront group.
+/// [`run_traversal_supervised`] over wavefront groups, from fresh memory.
 pub fn run_wavefront_supervised(
     spec: &FusedSpec,
     wavefront: Wavefront,
@@ -429,60 +360,14 @@ pub fn run_wavefront_supervised(
     meter: &mut BudgetMeter,
     policy: &RetryPolicy,
 ) -> Result<SupervisedOutcome<Memory>, MdfError> {
-    supervise_wavefront(spec, wavefront, n, m, meter, policy, None)
-}
-
-/// Resumes [`run_wavefront_supervised`] from a prior checkpoint.
-#[allow(clippy::too_many_arguments)]
-pub fn resume_wavefront_supervised(
-    spec: &FusedSpec,
-    wavefront: Wavefront,
-    n: i64,
-    m: i64,
-    mem: Memory,
-    checkpoint: Checkpoint,
-    meter: &mut BudgetMeter,
-    policy: &RetryPolicy,
-) -> Result<SupervisedOutcome<Memory>, MdfError> {
-    supervise_wavefront(
+    run_traversal_supervised(
         spec,
-        wavefront,
+        Traversal::Wavefront(wavefront),
         n,
         m,
         meter,
         policy,
-        Some((mem, checkpoint)),
-    )
-}
-
-fn supervise_wavefront(
-    spec: &FusedSpec,
-    wavefront: Wavefront,
-    n: i64,
-    m: i64,
-    meter: &mut BudgetMeter,
-    policy: &RetryPolicy,
-    resume: Option<(Memory, Checkpoint)>,
-) -> Result<SupervisedOutcome<Memory>, MdfError> {
-    let body = body_order_typed(spec)?;
-    let groups = wavefront_buckets(spec, wavefront.schedule, n, m);
-    supervise_run(
-        groups.len() as u64,
-        1,
-        policy,
-        meter,
-        resume,
-        |meter| alloc_budgeted(spec, n, m, meter),
-        |mem, barrier, _threads, meter| {
-            meter.check_deadline()?;
-            meter.chaos_site("sim.barrier")?;
-            let mut stats = ExecStats::default();
-            for &(fi, fj) in &groups[barrier as usize] {
-                exec_body_at(spec, &body, mem, fi, fj, n, m, &mut stats);
-            }
-            meter.charge_iterations(stats.stmt_instances)?;
-            Ok(stats.stmt_instances)
-        },
+        None,
     )
 }
 
@@ -604,47 +489,24 @@ pub struct SimReport {
 /// 2. run the fused program per the plan (row-major, plus descending-row
 ///    for full-parallel plans, plus wavefront order for hyperplane plans);
 /// 3. require every final memory image to be identical.
+///
+/// [`check_plan_budgeted`] on an unlimited meter.
 pub fn check_plan(
     program: &Program,
     plan: &FusionPlan,
     n: i64,
     m: i64,
 ) -> Result<SimReport, SimError> {
-    let (reference, ref_stats) = run_original(program, n, m);
-    let spec = FusedSpec::new(program.clone(), plan.retiming().offsets().to_vec());
-
-    let (fused_mem, fused_stats) = run_fused(&spec, n, m);
-    if fused_mem != reference {
-        return Err(SimError::ResultMismatch { mode: "row-major" });
-    }
-    // Report the barrier count of the plan's *parallel* execution: fused
-    // rows for full-parallel plans, hyperplane steps for wavefront plans.
-    let fused_barriers = match plan {
-        FusionPlan::FullParallel { .. } => {
-            let (desc_mem, _) = run_fused_desc(&spec, n, m);
-            if desc_mem != reference {
-                return Err(SimError::NotDoall);
-            }
-            fused_stats.barriers
-        }
-        FusionPlan::Hyperplane { wavefront, .. } => {
-            let (wf_mem, wf_stats) = run_wavefront(&spec, *wavefront, n, m);
-            if wf_mem != reference {
-                return Err(SimError::ResultMismatch { mode: "wavefront" });
-            }
-            wf_stats.barriers
-        }
-    };
-    Ok(SimReport {
-        original_barriers: ref_stats.barriers,
-        fused_barriers,
-        stmt_instances: ref_stats.stmt_instances,
-    })
+    // Executability of the plan's spec is a documented precondition, and
+    // an unlimited meter cannot trip.
+    #[allow(clippy::expect_used)]
+    check_plan_budgeted(program, plan, n, m, &mut Budget::unlimited().meter())
+        .expect("fused spec has a (0,0)-dependence cycle: input was not executable")
 }
 
 /// [`check_plan`] under a resource budget. The outer `Result` reports
 /// abnormal termination (a budget trip); the inner one is the differential
-/// verdict itself, exactly as [`check_plan`] would return it.
+/// verdict itself.
 #[allow(clippy::type_complexity)]
 pub fn check_plan_budgeted(
     program: &Program,
@@ -655,27 +517,27 @@ pub fn check_plan_budgeted(
 ) -> Result<Result<SimReport, SimError>, MdfError> {
     let (reference, ref_stats) = run_original_budgeted(program, n, m, meter)?;
     let spec = FusedSpec::new(program.clone(), plan.retiming().offsets().to_vec());
-
     // A partial run cannot support a differential verdict, so the typed
     // cause propagates as abnormal termination here (`into_complete`).
-    let (fused_mem, fused_stats) =
-        run_fused_ordered_budgeted(&spec, n, m, RowOrder::Ascending, meter)?.into_complete()?;
+    let mut run =
+        |traversal| run_traversal_budgeted(&spec, traversal, n, m, meter, None)?.into_complete();
+
+    let (fused_mem, fused_stats) = run(Traversal::Rows(RowOrder::Ascending))?;
     if fused_mem != reference {
         return Ok(Err(SimError::ResultMismatch { mode: "row-major" }));
     }
+    // Report the barrier count of the plan's *parallel* execution: fused
+    // rows for full-parallel plans, hyperplane steps for wavefront plans.
     let fused_barriers = match plan {
         FusionPlan::FullParallel { .. } => {
-            let (desc_mem, _) =
-                run_fused_ordered_budgeted(&spec, n, m, RowOrder::Descending, meter)?
-                    .into_complete()?;
+            let (desc_mem, _) = run(Traversal::Rows(RowOrder::Descending))?;
             if desc_mem != reference {
                 return Ok(Err(SimError::NotDoall));
             }
             fused_stats.barriers
         }
         FusionPlan::Hyperplane { wavefront, .. } => {
-            let (wf_mem, wf_stats) =
-                run_wavefront_budgeted(&spec, *wavefront, n, m, meter)?.into_complete()?;
+            let (wf_mem, wf_stats) = run(Traversal::Wavefront(*wavefront))?;
             if wf_mem != reference {
                 return Ok(Err(SimError::ResultMismatch { mode: "wavefront" }));
             }
@@ -702,8 +564,15 @@ pub fn check_partial_budgeted(
 ) -> Result<Result<SimReport, SimError>, MdfError> {
     let (reference, ref_stats) = run_original_budgeted(program, n, m, meter)?;
     let spec = FusedSpec::new(program.clone(), plan.retiming.offsets().to_vec());
-    let (part_mem, part_stats) =
-        run_partitioned_budgeted(&spec, &plan.clusters, n, m, meter)?.into_complete()?;
+    let (part_mem, part_stats) = run_traversal_budgeted(
+        &spec,
+        Traversal::Clusters(&plan.clusters),
+        n,
+        m,
+        meter,
+        None,
+    )?
+    .into_complete()?;
     if part_mem != reference {
         return Ok(Err(SimError::ResultMismatch {
             mode: "partitioned",
@@ -719,6 +588,7 @@ pub fn check_partial_budgeted(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::interp::run_original;
     use mdf_core::plan_fusion;
     use mdf_graph::v2;
     use mdf_ir::extract::extract_mldg;
@@ -842,7 +712,7 @@ mod tests {
         let (reference, _) = run_original(&p, 8, 8);
         let (asc, _) = run_fused(&spec, 8, 8);
         assert_eq!(asc, reference);
-        let (desc, _) = run_fused_desc(&spec, 8, 8);
+        let (desc, _) = run_traversal(&spec, Traversal::Rows(RowOrder::Descending), 8, 8);
         assert_ne!(desc, reference, "Figure 7 shows intra-row dependences");
     }
 
@@ -870,148 +740,10 @@ mod tests {
     }
 }
 
-/// Runs a partial-fusion plan: within each fused row, the clusters execute
-/// in order with a barrier after each (so `clusters.len()` barriers per
-/// row); iterations within a cluster's row sweep are independent
-/// (row-DOALL per cluster).
-pub fn run_partitioned(
-    spec: &FusedSpec,
-    clusters: &[Vec<mdf_graph::NodeId>],
-    n: i64,
-    m: i64,
-) -> (Memory, ExecStats) {
-    // Executability of `spec` is a documented precondition of this API.
-    #[allow(clippy::expect_used)]
-    let body = spec
-        .body_order()
-        .expect("fused spec has a (0,0)-dependence cycle");
-    let mut mem = Memory::for_program(&spec.program, n, m, 0);
-    let mut stats = ExecStats::default();
-    let orange = spec.outer_range(n);
-    let irange = spec.inner_range(m);
-    for fi in orange.lo..=orange.hi {
-        for cluster in clusters {
-            // Members in global body order, restricted to this cluster.
-            let members: Vec<usize> = body
-                .iter()
-                .copied()
-                .filter(|li| cluster.iter().any(|n| n.index() == *li))
-                .collect();
-            for fj in irange.lo..=irange.hi {
-                for &li in &members {
-                    if !spec.node_active(li, fi, fj, n, m) {
-                        continue;
-                    }
-                    let r = spec.offsets[li];
-                    let (i, j) = (fi + r.x, fj + r.y);
-                    for s in &spec.program.loops[li].stmts {
-                        let v = eval_expr(&mem, &s.rhs, i, j);
-                        mem.write(&s.lhs, i, j, v);
-                        stats.stmt_instances += 1;
-                    }
-                }
-            }
-            stats.barriers += 1;
-        }
-    }
-    (mem, stats)
-}
-
-/// [`run_partitioned`] under a resource budget: the deadline is checked
-/// and the `sim.barrier` fault site consulted at every barrier (each
-/// cluster step of each fused row), and iterations are charged per
-/// cluster step. Deadline expiry at a barrier top returns
-/// [`RunOutcome::Partial`] with a resumable [`Checkpoint`].
-pub fn run_partitioned_budgeted(
-    spec: &FusedSpec,
-    clusters: &[Vec<mdf_graph::NodeId>],
-    n: i64,
-    m: i64,
-    meter: &mut BudgetMeter,
-) -> Result<RunOutcome<Memory>, MdfError> {
-    let mem = alloc_budgeted(spec, n, m, meter)?;
-    partitioned_from(spec, clusters, n, m, mem, 0, ExecStats::default(), meter)
-}
-
-/// Resumes [`run_partitioned_budgeted`] from a prior partial result
-/// (digest-verified; the checkpoint counts cluster-step barriers).
-pub fn resume_partitioned_budgeted(
-    spec: &FusedSpec,
-    clusters: &[Vec<mdf_graph::NodeId>],
-    n: i64,
-    m: i64,
-    mem: Memory,
-    checkpoint: &Checkpoint,
-    meter: &mut BudgetMeter,
-) -> Result<RunOutcome<Memory>, MdfError> {
-    check_resume(&mem, checkpoint)?;
-    partitioned_from(
-        spec,
-        clusters,
-        n,
-        m,
-        mem,
-        checkpoint.completed_barriers,
-        checkpoint.stats,
-        meter,
-    )
-}
-
-#[allow(clippy::too_many_arguments)]
-fn partitioned_from(
-    spec: &FusedSpec,
-    clusters: &[Vec<mdf_graph::NodeId>],
-    n: i64,
-    m: i64,
-    mut mem: Memory,
-    start: u64,
-    mut stats: ExecStats,
-    meter: &mut BudgetMeter,
-) -> Result<RunOutcome<Memory>, MdfError> {
-    let body = body_order_typed(spec)?;
-    let orange = spec.outer_range(n);
-    let irange = spec.inner_range(m);
-    let mut barrier: u64 = 0;
-    for fi in orange.lo..=orange.hi {
-        for cluster in clusters {
-            let this = barrier;
-            barrier += 1;
-            if this < start {
-                continue;
-            }
-            if let Some(partial) = barrier_gate(meter, &mem, this, stats)? {
-                return Ok(partial);
-            }
-            let members: Vec<usize> = body
-                .iter()
-                .copied()
-                .filter(|li| cluster.iter().any(|n| n.index() == *li))
-                .collect();
-            let before = stats.stmt_instances;
-            for fj in irange.lo..=irange.hi {
-                for &li in &members {
-                    if !spec.node_active(li, fi, fj, n, m) {
-                        continue;
-                    }
-                    let r = spec.offsets[li];
-                    let (i, j) = (fi + r.x, fj + r.y);
-                    for s in &spec.program.loops[li].stmts {
-                        let v = eval_expr(&mem, &s.rhs, i, j);
-                        mem.write(&s.lhs, i, j, v);
-                        stats.stmt_instances += 1;
-                    }
-                }
-            }
-            stats.barriers += 1;
-            meter.charge_iterations(stats.stmt_instances - before)?;
-        }
-    }
-    Ok(RunOutcome::Complete { mem, stats })
-}
-
 #[cfg(test)]
 mod budgeted_tests {
     use super::*;
+    use crate::interp::run_original;
     use mdf_core::{fuse_partial, plan_fusion};
     use mdf_graph::{Budget, BudgetResource};
     use mdf_ir::extract::extract_mldg;
@@ -1074,7 +806,8 @@ mod budgeted_tests {
         let spec = FusedSpec::unretimed(p.clone());
         let mut meter = Budget::unlimited().meter();
         let (reference, _) = run_original(&p, 8, 8);
-        let (fused, _) = run_fused_ordered_budgeted(&spec, 8, 8, RowOrder::Ascending, &mut meter)
+        let ascending = Traversal::Rows(RowOrder::Ascending);
+        let (fused, _) = run_traversal_budgeted(&spec, ascending, 8, 8, &mut meter, None)
             .unwrap()
             .into_complete()
             .unwrap();
@@ -1085,6 +818,7 @@ mod budgeted_tests {
 #[cfg(test)]
 mod partial_tests {
     use super::*;
+    use crate::interp::run_original;
     use mdf_core::partial::{fuse_partial, verify_partial};
     use mdf_ir::extract::extract_mldg;
     use mdf_ir::samples::{figure2_program, relaxation_program};
@@ -1099,7 +833,8 @@ mod partial_tests {
         assert!(verify_partial(&g, &plan));
         let spec = FusedSpec::new(p.clone(), plan.retiming.offsets().to_vec());
         let (reference, orig_stats) = run_original(&p, 14, 14);
-        let (part_mem, part_stats) = run_partitioned(&spec, &plan.clusters, 14, 14);
+        let (part_mem, part_stats) =
+            run_traversal(&spec, Traversal::Clusters(&plan.clusters), 14, 14);
         assert_eq!(part_mem, reference);
         // 2 barriers per row here equals the unfused count (2 loops) — the
         // value shows on graphs where clusters merge more than one loop.
@@ -1114,7 +849,7 @@ mod partial_tests {
         assert_eq!(plan.clusters.len(), 1);
         let spec = FusedSpec::new(p.clone(), plan.retiming.offsets().to_vec());
         let (reference, _) = run_original(&p, 10, 10);
-        let (mem, stats) = run_partitioned(&spec, &plan.clusters, 10, 10);
+        let (mem, stats) = run_traversal(&spec, Traversal::Clusters(&plan.clusters), 10, 10);
         assert_eq!(mem, reference);
         // One cluster: one barrier per fused row.
         assert_eq!(stats.barriers, spec.outer_range(10).len() as u64);

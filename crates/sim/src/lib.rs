@@ -8,16 +8,20 @@
 //! * [`array2`] — halo-extended arrays with deterministic boundary values;
 //! * [`interp`] — the reference interpreter (original semantics: one
 //!   barrier per DOALL loop per outer iteration);
-//! * [`exec_plan`] — fused execution (row-major, adversarial descending,
-//!   wavefront) and end-to-end plan checking against the reference;
+//! * [`exec_plan`] — fused execution along a [`Traversal`] (fused rows
+//!   ascending or adversarially descending, wavefront groups, or
+//!   partial-fusion clusters; one barrier per step) and end-to-end plan
+//!   checking against the reference;
 //! * [`doall_check`] — dynamic DOALL verification from recorded accesses;
 //! * [`machine`] — the synchronization-counting multiprocessor cost model
 //!   behind the Section 5 comparisons;
 //! * [`cache`] — set-associative LRU cache simulation measuring the
 //!   data-locality benefit of fusion (the paper's Section 2 motivation);
-//! * [`recover`] — checkpoint/resume substrate and the supervising
-//!   executor (barrier-granular snapshots, deterministic retry with
-//!   backoff, typed partial reports).
+//! * [`recover`] — checkpoint/resume substrate and the two barrier
+//!   drivers both engines run on: budgeted (typed partial reports on a
+//!   deadline) and supervised (barrier-granular snapshots, deterministic
+//!   retry with backoff);
+//! * [`traced`] — the `sim.*` counters a traced run reports.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -37,11 +41,9 @@ pub use cache::{cache_fused, cache_original, Cache, CacheConfig, CacheStats};
 pub use doall_check::{check_hyperplanes_doall, check_rows_doall, DoallViolation};
 pub use exec_plan::{
     align_partial_to_program, align_plan_to_program, check_partial_budgeted, check_plan,
-    check_plan_budgeted, resume_fused_ordered_budgeted, resume_fused_supervised,
-    resume_partitioned_budgeted, resume_wavefront_budgeted, resume_wavefront_supervised, run_fused,
-    run_fused_desc, run_fused_ordered, run_fused_ordered_budgeted, run_fused_supervised,
-    run_partitioned, run_partitioned_budgeted, run_wavefront, run_wavefront_budgeted,
-    run_wavefront_supervised, RowOrder, SimError, SimReport,
+    check_plan_budgeted, run_fused, run_fused_supervised, run_traversal, run_traversal_budgeted,
+    run_traversal_supervised, run_wavefront, run_wavefront_supervised, RowOrder, SimError,
+    SimReport, Traversal,
 };
 pub use interp::{eval_expr, run_original, run_original_budgeted, ExecStats, Memory};
 pub use machine::{
@@ -49,8 +51,7 @@ pub use machine::{
     MachineParams, Makespan,
 };
 pub use recover::{
-    check_resume, deadline_expired, supervise_run, Checkpoint, RecoveryStats, RetryPolicy,
-    RunOutcome, Snapshot, SupervisedOutcome,
+    check_resume, deadline_expired, drive_budgeted, supervise_run, Checkpoint, RecoveryStats,
+    RetryPolicy, RunOutcome, Snapshot, SupervisedOutcome,
 };
 pub use spaceviz::{render_row_space, render_wavefront_space};
-pub use traced::{run_fused_ordered_traced, run_original_traced, run_wavefront_traced};

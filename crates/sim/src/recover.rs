@@ -6,8 +6,8 @@
 //! barriers is exactly the image any uninterrupted run has at that point.
 //! This module exploits that twice:
 //!
-//! * **Partial results.** The budgeted drivers no longer discard completed
-//!   work on deadline expiry — they return [`RunOutcome::Partial`]
+//! * **Partial results.** [`drive_budgeted`] does not discard completed
+//!   work on deadline expiry — it returns [`RunOutcome::Partial`]
 //!   carrying the live memory image, a [`Checkpoint`] (completed-barrier
 //!   count, counters, snapshot hash) and the typed cause, so a caller can
 //!   report progress or resume later with a fresh budget.
@@ -19,6 +19,13 @@
 //!   spirit; once attempts are exhausted it returns a typed partial
 //!   report. Recovered runs are bit-identical to uninterrupted ones
 //!   because every retry replays from a clean barrier boundary.
+//!
+//! These two drivers are the only barrier loops of both engines (the
+//! interpreter's traversals in [`crate::exec_plan`] and `mdf-kernel`'s
+//! step plans). Each engine supplies an allocation, a barrier count and a
+//! step; the drivers own the rest: the barrier-top gate (deadline, then
+//! the engine's `*.barrier` fault site), the per-barrier iteration charge
+//! after the step, and the resume check.
 //!
 //! Backoff is deterministic (a fixed doubling schedule); tests and the
 //! chaos sweep run it in *virtual time* ([`RetryPolicy::virtual_time`]),
@@ -301,22 +308,82 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
+/// The barrier-top gate of both drivers: the deadline, then the engine's
+/// barrier fault site `site`. Memory is clean here, so a deadline report
+/// is a sound place to stop or retry.
+fn check_barrier_top(meter: &mut BudgetMeter, site: &'static str) -> Result<(), MdfError> {
+    meter.check_deadline()?;
+    meter.chaos_site(site)
+}
+
+/// The budgeted executor: drives barriers `0..total` (or, with `resume`,
+/// from a digest-verified [`Checkpoint`] on) through `step`, without
+/// supervision.
+///
+/// * `alloc` produces a fresh image; it is not called on resume, so a
+///   presented image is never re-charged.
+/// * Each barrier passes the gate (deadline, then the fault site `site`),
+///   runs `step(mem, barrier, meter)` for its statement-instance count,
+///   and charges those instances as iterations.
+/// * A deadline report at the gate ends the run as
+///   [`RunOutcome::Partial`], moving the live image into the outcome;
+///   every other failure is a typed error.
+pub fn drive_budgeted<M, A, S>(
+    total: u64,
+    site: &'static str,
+    meter: &mut BudgetMeter,
+    resume: Option<(M, Checkpoint)>,
+    alloc: A,
+    mut step: S,
+) -> Result<RunOutcome<M>, MdfError>
+where
+    M: Snapshot,
+    A: FnOnce(&mut BudgetMeter) -> Result<M, MdfError>,
+    S: FnMut(&mut M, u64, &mut BudgetMeter) -> Result<u64, MdfError>,
+{
+    let (mut mem, start, mut stats) = match resume {
+        Some((mem, checkpoint)) => {
+            check_resume(&mem, &checkpoint)?;
+            (mem, checkpoint.completed_barriers, checkpoint.stats)
+        }
+        None => (alloc(meter)?, 0, ExecStats::default()),
+    };
+    for barrier in start..total {
+        match check_barrier_top(meter, site) {
+            Ok(()) => {}
+            Err(cause) if deadline_expired(&cause) => {
+                return Ok(RunOutcome::partial(mem, barrier, stats, cause));
+            }
+            Err(e) => return Err(e),
+        }
+        let instances = step(&mut mem, barrier, meter)?;
+        stats.barriers += 1;
+        stats.stmt_instances += instances;
+        meter.charge_iterations(instances)?;
+    }
+    Ok(RunOutcome::Complete { mem, stats })
+}
+
 /// The supervising executor: drives `total` barriers through `step`,
 /// checkpointing after each and recovering per `policy`.
 ///
 /// * `alloc` produces the initial memory image; refusals
 ///   ([`BudgetResource::MemoryCells`]) retry under the same policy.
-/// * `step(mem, barrier, threads, meter)` executes one barrier and
-///   returns its statement-instance count. It must only commit writes for
-///   its own barrier — on failure the image is restored from the last
-///   snapshot, so partial writes are discarded wholesale.
+/// * Each attempt at a barrier passes the gate (deadline, then the fault
+///   site `site`), runs `step(mem, barrier, threads, meter)` for its
+///   statement-instance count, and charges those instances as
+///   iterations. A step must only commit writes for its own barrier — on
+///   failure the image is restored from the last snapshot, so partial
+///   writes are discarded wholesale.
 /// * `resume` continues from a prior [`Checkpoint`] (digest-verified).
 ///
 /// Counters in the returned outcome reflect committed barriers only;
 /// retried work is restored, re-run, and counted once.
+#[allow(clippy::too_many_arguments)]
 pub fn supervise_run<M, A, S>(
     total: u64,
     threads: usize,
+    site: &'static str,
     policy: &RetryPolicy,
     meter: &mut BudgetMeter,
     resume: Option<(M, Checkpoint)>,
@@ -353,7 +420,10 @@ where
                 threads
             };
             let attempt = catch_unwind(AssertUnwindSafe(|| {
-                step(&mut mem, barrier, threads_now, meter)
+                check_barrier_top(meter, site)?;
+                let instances = step(&mut mem, barrier, threads_now, meter)?;
+                meter.charge_iterations(instances)?;
+                Ok::<u64, MdfError>(instances)
             }));
             let cause = match attempt {
                 Ok(Ok(instances)) => {
@@ -466,6 +536,7 @@ mod tests {
         let out = supervise_run(
             4,
             1,
+            "toy.barrier",
             &RetryPolicy::deterministic(),
             &mut meter,
             None,
@@ -497,6 +568,7 @@ mod tests {
         let out = supervise_run(
             3,
             4,
+            "toy.barrier",
             &RetryPolicy::deterministic(),
             &mut meter,
             None,
@@ -536,6 +608,7 @@ mod tests {
         let out = supervise_run(
             3,
             8,
+            "toy.barrier",
             &policy,
             &mut meter,
             None,
@@ -579,6 +652,7 @@ mod tests {
         let out = supervise_run(
             4,
             1,
+            "toy.barrier",
             &policy,
             &mut meter,
             None,
@@ -605,6 +679,7 @@ mod tests {
         assert!(supervise_run(
             4,
             1,
+            "toy.barrier",
             &policy,
             &mut meter,
             Some((tampered, checkpoint)),
@@ -618,6 +693,7 @@ mod tests {
         let resumed = supervise_run(
             4,
             1,
+            "toy.barrier",
             &policy,
             &mut meter,
             Some((mem, checkpoint)),
@@ -647,6 +723,7 @@ mod tests {
         let out = supervise_run(
             1,
             1,
+            "toy.barrier",
             &policy,
             &mut meter,
             None,
@@ -672,6 +749,7 @@ mod tests {
         let err = supervise_run(
             1,
             1,
+            "toy.barrier",
             &policy,
             &mut meter,
             None,
@@ -701,6 +779,7 @@ mod tests {
         let err = supervise_run(
             2,
             1,
+            "toy.barrier",
             &RetryPolicy::deterministic(),
             &mut meter,
             None,
@@ -723,6 +802,60 @@ mod tests {
             }
         ));
         assert_eq!(calls, 1, "no retry on a deterministic resource trip");
+    }
+
+    #[test]
+    fn budgeted_drive_stops_at_a_deadline_and_resumes_bit_identically() {
+        use std::time::Duration;
+        // Barrier 1 outlasts the deadline, so the gate at barrier 2 stops
+        // the run with the live image.
+        let mut meter = Budget::unlimited()
+            .with_deadline(Duration::from_millis(200))
+            .meter();
+        let out = drive_budgeted(
+            4,
+            "toy.barrier",
+            &mut meter,
+            None,
+            |_| Ok(Toy(vec![0; 4])),
+            |mem, b, _| {
+                if b == 1 {
+                    std::thread::sleep(Duration::from_millis(300));
+                }
+                Ok(toy_step(mem, b))
+            },
+        )
+        .unwrap();
+        let RunOutcome::Partial {
+            mem,
+            checkpoint,
+            cause,
+        } = out
+        else {
+            panic!("expected a partial outcome");
+        };
+        assert!(deadline_expired(&cause));
+        assert_eq!(mem.0, vec![1, 2, 0, 0]);
+        assert_eq!(checkpoint.completed_barriers, 2);
+        assert_eq!(checkpoint.stats.stmt_instances, 3);
+        assert_eq!(checkpoint.snapshot_hash, mem.digest());
+
+        // A resume presents its image: nothing is allocated.
+        let mut meter = Budget::unlimited().meter();
+        let (mem, stats) = drive_budgeted(
+            4,
+            "toy.barrier",
+            &mut meter,
+            Some((mem, checkpoint)),
+            |_| -> Result<Toy, MdfError> { panic!("a resume must not allocate") },
+            |mem, b, _| Ok(toy_step(mem, b)),
+        )
+        .unwrap()
+        .into_complete()
+        .unwrap();
+        assert_eq!(mem.0, vec![1, 2, 3, 4]);
+        assert_eq!(stats.barriers, 4);
+        assert_eq!(stats.stmt_instances, 10);
     }
 
     #[test]

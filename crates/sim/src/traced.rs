@@ -1,73 +1,26 @@
-//! Traced wrappers around the interpreter entry points.
+//! Execution counters for traced runs.
 //!
-//! Thin and strictly observational: each wrapper runs the corresponding
-//! budgeted function and reports the resulting [`ExecStats`] onto the
-//! caller's span as `sim.barriers` / `sim.instances` counters. Results —
-//! memory contents, fingerprints, the stats themselves — are exactly what
-//! the untraced call produces.
+//! Strictly observational: [`report`] puts an already-computed
+//! [`ExecStats`] onto the caller's span as `sim.barriers` /
+//! `sim.instances` counters, after any interpreter entry point (plain,
+//! budgeted, or the stats accumulated so far by a partial outcome).
+//! Results — memory contents, fingerprints, the stats themselves — are
+//! exactly what the call produced.
 
-use mdf_graph::budget::BudgetMeter;
-use mdf_graph::error::MdfError;
-use mdf_ir::ast::Program;
-use mdf_ir::retgen::FusedSpec;
-use mdf_retime::Wavefront;
 use mdf_trace::Span;
 
-use crate::exec_plan::{run_fused_ordered_budgeted, run_wavefront_budgeted, RowOrder};
-use crate::interp::{run_original_budgeted, ExecStats, Memory};
-use crate::recover::RunOutcome;
+use crate::interp::ExecStats;
 
-fn report(span: &Span, stats: &ExecStats) {
+/// Reports `stats` onto `span` as `sim.barriers` and `sim.instances`.
+pub fn report(span: &Span, stats: &ExecStats) {
     span.add("sim.barriers", stats.barriers);
     span.add("sim.instances", stats.stmt_instances);
-}
-
-/// As [`run_original_budgeted`], reporting the stats onto `span`.
-pub fn run_original_traced(
-    p: &Program,
-    n: i64,
-    m: i64,
-    meter: &mut BudgetMeter,
-    span: &Span,
-) -> Result<(Memory, ExecStats), MdfError> {
-    let out = run_original_budgeted(p, n, m, meter)?;
-    report(span, &out.1);
-    Ok(out)
-}
-
-/// As [`run_fused_ordered_budgeted`], reporting the stats accumulated so
-/// far (final on complete runs) onto `span`.
-pub fn run_fused_ordered_traced(
-    spec: &FusedSpec,
-    n: i64,
-    m: i64,
-    order: RowOrder,
-    meter: &mut BudgetMeter,
-    span: &Span,
-) -> Result<RunOutcome<Memory>, MdfError> {
-    let out = run_fused_ordered_budgeted(spec, n, m, order, meter)?;
-    report(span, &out.stats());
-    Ok(out)
-}
-
-/// As [`run_wavefront_budgeted`], reporting the stats accumulated so far
-/// (final on complete runs) onto `span`.
-pub fn run_wavefront_traced(
-    spec: &FusedSpec,
-    wavefront: Wavefront,
-    n: i64,
-    m: i64,
-    meter: &mut BudgetMeter,
-    span: &Span,
-) -> Result<RunOutcome<Memory>, MdfError> {
-    let out = run_wavefront_budgeted(spec, wavefront, n, m, meter)?;
-    report(span, &out.stats());
-    Ok(out)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::interp::run_original_budgeted;
     use mdf_graph::budget::Budget;
     use mdf_ir::parse_program;
     use mdf_trace::{MemorySink, Tracer};
@@ -97,7 +50,8 @@ program traced_smoke {
         let tracer = Tracer::new(sink.clone());
         let span = tracer.span("execute");
         let mut meter = Budget::unlimited().meter();
-        let (mem, stats) = run_original_traced(&p, 6, 6, &mut meter, &span).unwrap();
+        let (mem, stats) = run_original_budgeted(&p, 6, 6, &mut meter).unwrap();
+        report(&span, &stats);
         span.finish();
 
         assert_eq!(mem.fingerprint(), plain_mem.fingerprint());

@@ -22,6 +22,22 @@ cargo test -q --workspace
 echo "==> cargo test --release -p mdf-kernel"
 cargo test --release -q -p mdf-kernel
 
+# perfbench is its own package outside the workspace, so only this step
+# notices a library API change that breaks the benchmark. Building it
+# rewrites its stale lockfile; the committed one is put back byte for
+# byte afterwards, on failure too.
+echo "==> benchmark package (build and unit tests)"
+perfbench_lock=$(mktemp)
+cp perfbench/Cargo.lock "$perfbench_lock"
+restore_perfbench_lock() {
+  cp "$perfbench_lock" perfbench/Cargo.lock
+  rm -f "$perfbench_lock"
+}
+trap restore_perfbench_lock EXIT
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+restore_perfbench_lock
+trap - EXIT
+
 echo "==> fuzz oracle (500 cases at seeds 1 and 7)"
 ./target/release/mdfuse fuzz --cases 500 --seed 1
 ./target/release/mdfuse fuzz --cases 500 --seed 7

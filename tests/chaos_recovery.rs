@@ -6,20 +6,21 @@
 //! interrupted at that barrier and resumed from its checkpoint must be
 //! bit-identical to an uninterrupted run — same memory fingerprint, same
 //! barrier and statement-instance counters (the numbers the mdf-trace
-//! counters mirror, see `trace_determinism.rs`). The supervised executor
-//! must additionally *absorb* transient worker panics at any barrier
-//! without help, and report what recovery did.
+//! counters mirror, see `trace_determinism.rs`). The interpreter is held
+//! to the same invariant on every traversal: the plan's own, descending
+//! rows, and partial-fusion clusters. The supervised executor of both
+//! engines must additionally *absorb* transient worker panics at any
+//! barrier without help, and report what recovery did.
 
 use mdfusion::chaos::{FaultKind, FaultPlan};
-use mdfusion::core::{plan_fusion, Budget, FusionPlan};
+use mdfusion::core::{fuse_partial, plan_fusion, Budget, FusionPlan};
 use mdfusion::gen::{executable_suite, random_program, ProgramGenConfig};
 use mdfusion::ir::extract::extract_mldg;
 use mdfusion::ir::{FusedSpec, Program};
 use mdfusion::kernel::{plan_mode, CompiledKernel, ExecMode};
 use mdfusion::sim::{
-    resume_fused_ordered_budgeted, resume_wavefront_budgeted, run_fused_ordered,
-    run_fused_ordered_budgeted, run_wavefront, run_wavefront_budgeted, RetryPolicy, RowOrder,
-    RunOutcome, SupervisedOutcome,
+    align_partial_to_program, run_original, run_traversal, run_traversal_budgeted,
+    run_traversal_supervised, RetryPolicy, RowOrder, RunOutcome, SupervisedOutcome, Traversal,
 };
 use proptest::prelude::*;
 
@@ -91,6 +92,54 @@ fn kernel_interrupted_at_every_barrier_resumes_bit_identically() {
     }
 }
 
+/// Interrupt the interpreter's `traversal` of `spec` with an injected
+/// deadline at every barrier in turn, resume each stop from its
+/// checkpoint under a clean meter, and demand bit-identity. Every
+/// traversal this file drives reproduces the original program.
+fn interpreter_interrupt_resume_everywhere(spec: &FusedSpec, traversal: Traversal<'_>, name: &str) {
+    let (want_mem, want_stats) = run_traversal(spec, traversal, N, M);
+    assert_eq!(
+        want_mem.fingerprint(),
+        run_original(&spec.program, N, M).0.fingerprint(),
+        "{name}: uninterrupted {traversal:?} run diverged from the original"
+    );
+    assert!(
+        want_stats.barriers > 1,
+        "{name}: needs at least two barriers"
+    );
+    for b in 1..=want_stats.barriers {
+        let guard = FaultPlan::single("sim.barrier", FaultKind::DeadlineExpiry, b).arm();
+        let mut meter = Budget::unlimited().with_chaos().meter();
+        let out = run_traversal_budgeted(spec, traversal, N, M, &mut meter, None)
+            .expect("injected deadline is a partial result, not an error");
+        let RunOutcome::Partial {
+            mem, checkpoint, ..
+        } = out
+        else {
+            panic!("{name}: deadline at barrier {b} must stop the run");
+        };
+        assert_eq!(guard.injected(), 1, "{name}");
+        assert_eq!(checkpoint.completed_barriers, b - 1, "{name}");
+        drop(guard);
+
+        let mut clean = Budget::unlimited().meter();
+        let resume = Some((mem, checkpoint));
+        let (rmem, rstats) = run_traversal_budgeted(spec, traversal, N, M, &mut clean, resume)
+            .expect("resume runs within budget")
+            .into_complete()
+            .expect("clean resume runs to completion");
+        assert_eq!(
+            rmem.fingerprint(),
+            want_mem.fingerprint(),
+            "{name}: interpreter resumed fingerprint (barrier {b})"
+        );
+        assert_eq!(
+            rstats, want_stats,
+            "{name}: interpreter counters (barrier {b})"
+        );
+    }
+}
+
 #[test]
 fn interpreter_interrupted_at_every_barrier_resumes_bit_identically() {
     for entry in executable_suite() {
@@ -98,57 +147,22 @@ fn interpreter_interrupted_at_every_barrier_resumes_bit_identically() {
         let Some((spec, plan, _, _)) = artifacts(&p) else {
             continue;
         };
-        let (want_mem, want_stats) = match &plan {
-            FusionPlan::FullParallel { .. } => run_fused_ordered(&spec, N, M, RowOrder::Ascending),
-            FusionPlan::Hyperplane { wavefront, .. } => run_wavefront(&spec, *wavefront, N, M),
-        };
-        for b in 1..=want_stats.barriers {
-            let guard = FaultPlan::single("sim.barrier", FaultKind::DeadlineExpiry, b).arm();
-            let mut meter = Budget::unlimited().with_chaos().meter();
-            let out = match &plan {
-                FusionPlan::FullParallel { .. } => {
-                    run_fused_ordered_budgeted(&spec, N, M, RowOrder::Ascending, &mut meter)
-                }
-                FusionPlan::Hyperplane { wavefront, .. } => {
-                    run_wavefront_budgeted(&spec, *wavefront, N, M, &mut meter)
-                }
-            }
-            .expect("injected deadline is a partial result, not an error");
-            let RunOutcome::Partial {
-                mem, checkpoint, ..
-            } = out
-            else {
-                panic!("{}: deadline at barrier {b} must stop the run", entry.id);
-            };
-            assert_eq!(checkpoint.completed_barriers, b - 1, "{}", entry.id);
-            drop(guard);
-
-            let mut clean = Budget::unlimited().meter();
-            let (rmem, rstats) = match &plan {
-                FusionPlan::FullParallel { .. } => resume_fused_ordered_budgeted(
-                    &spec,
-                    N,
-                    M,
-                    RowOrder::Ascending,
-                    mem,
-                    &checkpoint,
-                    &mut clean,
-                ),
-                FusionPlan::Hyperplane { wavefront, .. } => {
-                    resume_wavefront_budgeted(&spec, *wavefront, N, M, mem, &checkpoint, &mut clean)
-                }
-            }
-            .expect("resume runs within budget")
-            .into_complete()
-            .expect("clean resume runs to completion");
-            assert_eq!(
-                rmem.fingerprint(),
-                want_mem.fingerprint(),
-                "{}: interpreter resumed fingerprint (barrier {b})",
-                entry.id
-            );
-            assert_eq!(rstats, want_stats, "{}: interpreter counters", entry.id);
+        // The plan's own order, and the adversarial descending rows every
+        // full-parallel plan must also survive.
+        interpreter_interrupt_resume_everywhere(&spec, Traversal::of(&plan), entry.id);
+        if let FusionPlan::FullParallel { .. } = plan {
+            let desc = Traversal::Rows(RowOrder::Descending);
+            interpreter_interrupt_resume_everywhere(&spec, desc, entry.id);
         }
+
+        // Partial fusion's clusters: barrier `b` is one (row, cluster)
+        // step, so a multi-cluster plan (E5 has two) stops mid-row too.
+        let graph = extract_mldg(&p).expect("suite programs extract").graph;
+        let partial = fuse_partial(&graph).expect("suite programs fuse partially");
+        let partial = align_partial_to_program(&graph, &p, &partial).expect("partial plan aligns");
+        let spec = FusedSpec::new(p.clone(), partial.retiming.offsets().to_vec());
+        let clusters = Traversal::Clusters(&partial.clusters);
+        interpreter_interrupt_resume_everywhere(&spec, clusters, entry.id);
     }
 }
 
@@ -156,10 +170,47 @@ fn interpreter_interrupted_at_every_barrier_resumes_bit_identically() {
 fn supervisor_absorbs_worker_panics_at_every_barrier() {
     for entry in executable_suite() {
         let p = entry.program.expect("executable suite has programs");
-        let Some((_, _, planned, kernel)) = artifacts(&p) else {
+        let Some((spec, plan, planned, kernel)) = artifacts(&p) else {
             continue;
         };
         let policy = RetryPolicy::deterministic();
+
+        // The interpreter's supervisor, in the plan's own order.
+        let traversal = Traversal::of(&plan);
+        let (want_mem, want_stats) = run_traversal(&spec, traversal, N, M);
+        for b in 1..=want_stats.barriers {
+            let guard = FaultPlan::single("sim.barrier", FaultKind::WorkerPanic, b).arm();
+            let mut meter = Budget::unlimited().with_chaos().meter();
+            let out = run_traversal_supervised(&spec, traversal, N, M, &mut meter, &policy, None)
+                .expect("supervised run does not surface recoverable faults");
+            assert_eq!(guard.injected(), 1, "{}", entry.id);
+            drop(guard);
+            let SupervisedOutcome::Complete {
+                mem,
+                stats,
+                recovery,
+            } = out
+            else {
+                panic!(
+                    "{}: one transient interpreter panic (barrier {b}) must not end partial",
+                    entry.id
+                );
+            };
+            assert_eq!(
+                mem.fingerprint(),
+                want_mem.fingerprint(),
+                "{}: supervised interpreter fingerprint (barrier {b})",
+                entry.id
+            );
+            assert_eq!(stats, want_stats, "{}: supervised counters", entry.id);
+            assert_eq!(recovery.retries, 1, "{}", entry.id);
+            assert_eq!(
+                recovery.checkpoints_taken, want_stats.barriers,
+                "{}",
+                entry.id
+            );
+        }
+
         // Planned mode single-worker, forced multi-worker, and the serial
         // fallback all recover in place — no caller-driven resume needed.
         for (mode, threads) in [(planned, 1), (planned, 4), (ExecMode::RowsSerial, 1)] {

@@ -13,13 +13,13 @@
 //! policy so the in-place `SharedCells` paths, and (for the suites at
 //! 256²) the banded fill of the initial memory image, are exercised too.
 
-use mdfusion::core::{plan_fusion, DegradedPlan, FusionPlan};
+use mdfusion::core::{plan_fusion, DegradedPlan};
 use mdfusion::gen::{executable_suite, random_program, ProgramGenConfig};
 use mdfusion::ir::extract::extract_mldg;
 use mdfusion::ir::{FusedSpec, Program};
 use mdfusion::kernel::memory::{Layout, BANDED_FILL_CELLS};
 use mdfusion::kernel::{plan_mode, CompiledKernel, ExecMode};
-use mdfusion::sim::{align_plan_to_program, run_fused, run_original, run_wavefront, RowOrder};
+use mdfusion::sim::{align_plan_to_program, run_original, run_traversal, RowOrder, Traversal};
 use proptest::prelude::*;
 
 /// Plans `p`, executes it on all three engines at `(n, m)`, and asserts
@@ -36,10 +36,7 @@ fn assert_engines_agree(p: &Program, n: i64, m: i64) -> bool {
     let kernel = CompiledKernel::compile(&spec, n, m).expect("planned specs compile");
 
     let (omem, ostats) = run_original(p, n, m);
-    let (imem, istats) = match &plan {
-        FusionPlan::FullParallel { .. } => run_fused(&spec, n, m),
-        FusionPlan::Hyperplane { wavefront, .. } => run_wavefront(&spec, *wavefront, n, m),
-    };
+    let (imem, istats) = run_traversal(&spec, Traversal::of(&plan), n, m);
     assert_eq!(
         imem.fingerprint(),
         omem.fingerprint(),
@@ -203,8 +200,8 @@ proptest! {
         if plan_mode(&spec, &plan) != ExecMode::RowsCertified {
             return;
         }
-        let (asc, _) = mdfusion::sim::run_fused_ordered(&spec, 6, 6, RowOrder::Ascending);
-        let (desc, _) = mdfusion::sim::run_fused_ordered(&spec, 6, 6, RowOrder::Descending);
+        let (asc, _) = run_traversal(&spec, Traversal::Rows(RowOrder::Ascending), 6, 6);
+        let (desc, _) = run_traversal(&spec, Traversal::Rows(RowOrder::Descending), 6, 6);
         prop_assert_eq!(asc.fingerprint(), desc.fingerprint());
         let kernel = CompiledKernel::compile(&spec, 6, 6).expect("planned specs compile");
         let (kmem, _) = kernel.run(ExecMode::RowsCertified);

@@ -1,12 +1,13 @@
 //! Profiling must not perturb: the observability layer's core invariant.
 //!
 //! Every traced entry point (`plan_fusion_traced`, `plan_mode_traced`,
-//! `CompiledKernel::{compile,run_*}_traced`, the `mdf-sim` traced
-//! wrappers) must produce **bit-identical** results to its untraced
-//! twin — same plan report, same execution mode, same memory
-//! fingerprints, same barrier and statement-instance accounting — for
-//! every generator suite and DSL example, in the planned mode, with a
-//! forced multi-worker policy, and in the serial fallback.
+//! `CompiledKernel::{compile,run_*}_traced`, and the interpreter runs
+//! reported through `mdf_sim::traced::report`) must produce
+//! **bit-identical** results to its untraced twin — same plan report,
+//! same execution mode, same memory fingerprints, same barrier and
+//! statement-instance accounting — for every generator suite and DSL
+//! example, in the planned mode, with a forced multi-worker policy, and
+//! in the serial fallback.
 //!
 //! A second invariant rides along: single-threaded traced runs are
 //! *reproducible* — two identical invocations yield identical counter
@@ -15,14 +16,14 @@
 
 use std::sync::Arc;
 
-use mdfusion::core::{plan_fusion_budgeted, plan_fusion_traced, Budget, DegradedPlan, FusionPlan};
+use mdfusion::core::{plan_fusion_budgeted, plan_fusion_traced, Budget, DegradedPlan};
 use mdfusion::gen::{executable_suite, random_program, ProgramGenConfig};
 use mdfusion::ir::extract::extract_mldg;
 use mdfusion::ir::{FusedSpec, Program};
 use mdfusion::kernel::{plan_mode, plan_mode_traced, CompiledKernel, ExecMode};
 use mdfusion::sim::{
-    align_plan_to_program, run_fused_ordered, run_fused_ordered_traced, run_original,
-    run_original_traced, run_wavefront, run_wavefront_traced, RowOrder,
+    align_plan_to_program, run_original, run_original_budgeted, run_traversal,
+    run_traversal_budgeted, traced::report, Traversal,
 };
 use mdfusion::trace::{MemorySink, Profile, Span, Tracer};
 use proptest::prelude::*;
@@ -138,10 +139,14 @@ fn assert_tracing_is_invisible(p: &Program, n: i64, m: i64) -> bool {
         );
     }
 
-    // Stage 5: the interpreters. Original + fused/wavefront.
+    // Stage 5: the interpreters. Original + the plan's own traversal
+    // (fused rows or wavefront groups), each reporting its counters.
     let (omem, ostats) = run_original(p, n, m);
-    let ((tomem, tostats), _) =
-        traced(|s| run_original_traced(p, n, m, &mut budget.meter(), s).expect("unbudgeted"));
+    let ((tomem, tostats), profile) = traced(|s| {
+        let out = run_original_budgeted(p, n, m, &mut budget.meter()).expect("unbudgeted");
+        report(s, &out.1);
+        out
+    });
     assert_eq!(
         omem.fingerprint(),
         tomem.fingerprint(),
@@ -149,41 +154,35 @@ fn assert_tracing_is_invisible(p: &Program, n: i64, m: i64) -> bool {
         p.name
     );
     assert_eq!(ostats.stmt_instances, tostats.stmt_instances, "{}", p.name);
+    assert_eq!(
+        profile.counter_total("sim.barriers"),
+        ostats.barriers,
+        "{}: run_original sim.barriers counter",
+        p.name
+    );
 
-    match &plan {
-        FusionPlan::FullParallel { .. } => {
-            let (imem, istats) = run_fused_ordered(&spec, n, m, RowOrder::Ascending);
-            let ((tmem, tstats), _) = traced(|s| {
-                run_fused_ordered_traced(&spec, n, m, RowOrder::Ascending, &mut budget.meter(), s)
-                    .expect("unbudgeted")
-                    .into_complete()
-                    .expect("unlimited budget cannot stop early")
-            });
-            assert_eq!(
-                imem.fingerprint(),
-                tmem.fingerprint(),
-                "{}: run_fused",
-                p.name
-            );
-            assert_eq!(istats.barriers, tstats.barriers, "{}", p.name);
-        }
-        FusionPlan::Hyperplane { wavefront, .. } => {
-            let (imem, istats) = run_wavefront(&spec, *wavefront, n, m);
-            let ((tmem, tstats), _) = traced(|s| {
-                run_wavefront_traced(&spec, *wavefront, n, m, &mut budget.meter(), s)
-                    .expect("unbudgeted")
-                    .into_complete()
-                    .expect("unlimited budget cannot stop early")
-            });
-            assert_eq!(
-                imem.fingerprint(),
-                tmem.fingerprint(),
-                "{}: run_wavefront",
-                p.name
-            );
-            assert_eq!(istats.barriers, tstats.barriers, "{}", p.name);
-        }
-    }
+    let traversal = Traversal::of(&plan);
+    let (imem, istats) = run_traversal(&spec, traversal, n, m);
+    let ((tmem, tstats), profile) = traced(|s| {
+        let out = run_traversal_budgeted(&spec, traversal, n, m, &mut budget.meter(), None)
+            .expect("unbudgeted");
+        report(s, &out.stats());
+        out.into_complete()
+            .expect("unlimited budget cannot stop early")
+    });
+    assert_eq!(
+        imem.fingerprint(),
+        tmem.fingerprint(),
+        "{}: {traversal:?}",
+        p.name
+    );
+    assert_eq!(istats.barriers, tstats.barriers, "{}", p.name);
+    assert_eq!(
+        profile.counter_total("sim.instances"),
+        istats.stmt_instances,
+        "{}: sim.instances counter ({traversal:?})",
+        p.name
+    );
     true
 }
 
