@@ -42,7 +42,7 @@
 //! The cert embeds an [`image_checksum`], so a cached cert can be
 //! [`revalidate`]d against a freshly lowered kernel without re-proving.
 
-use std::fmt::Write as _;
+use mdf_trace::json::{object, Json};
 
 use crate::diag::{Diagnostic, Severity};
 
@@ -873,35 +873,27 @@ pub fn certificate_diagnostics(img: &VmImage) -> (Option<BytecodeCert>, Vec<Diag
     }
 }
 
-/// Renders a cert (or its absence) plus its diagnostics as the JSON value
-/// of the `bytecode` report section.
-pub fn section_json(cert: Option<&BytecodeCert>, diags: &[Diagnostic]) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    let _ = writeln!(out, "    \"verified\": {},", cert.is_some());
+/// A cert (or its absence) plus its diagnostics as the value of the
+/// `bytecode` report section.
+pub fn section_json(cert: Option<&BytecodeCert>, diags: &[Diagnostic]) -> Json {
+    let mut fields = vec![("verified", Json::from(cert.is_some()))];
     if let Some(c) = cert {
-        let _ = writeln!(out, "    \"mode\": \"{}\",", c.mode.as_str());
-        let _ = writeln!(out, "    \"n\": {},", c.n);
-        let _ = writeln!(out, "    \"m\": {},", c.m);
-        let _ = writeln!(out, "    \"loops\": {},", c.loops);
-        let _ = writeln!(out, "    \"instrs\": {},", c.instrs);
-        let _ = writeln!(out, "    \"loads_checked\": {},", c.loads_checked);
-        let _ = writeln!(out, "    \"pairs_checked\": {},", c.pairs_checked);
-        let _ = writeln!(out, "    \"checksum\": \"{:#x}\",", c.checksum);
+        fields.extend([
+            ("mode", Json::from(c.mode.as_str())),
+            ("n", Json::Num(c.n as f64)),
+            ("m", Json::Num(c.m as f64)),
+            ("loops", c.loops.into()),
+            ("instrs", c.instrs.into()),
+            ("loads_checked", c.loads_checked.into()),
+            ("pairs_checked", c.pairs_checked.into()),
+            ("checksum", Json::Str(format!("{:#x}", c.checksum))),
+        ]);
     }
-    out.push_str("    \"diagnostics\": [");
-    for (i, d) in diags.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("\n      ");
-        out.push_str(&crate::diag::diag_object_json(d));
-    }
-    if !diags.is_empty() {
-        out.push_str("\n    ");
-    }
-    out.push_str("]\n  }");
-    out
+    fields.push((
+        "diagnostics",
+        diags.iter().map(crate::diag::diag_json).collect(),
+    ));
+    object(fields)
 }
 
 #[cfg(test)]
@@ -1179,7 +1171,7 @@ mod tests {
         assert!(cert.is_some());
         assert_eq!(codes(&diags), ["MDF200"]);
         assert_eq!(diags[0].severity, Severity::Info);
-        let json = section_json(cert.as_ref(), &diags);
+        let json = section_json(cert.as_ref(), &diags).pretty();
         assert!(json.contains("\"verified\": true"), "{json}");
         assert!(json.contains("\"mode\": \"rows\""), "{json}");
         assert!(json.contains("MDF200"), "{json}");

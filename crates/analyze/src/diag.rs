@@ -3,10 +3,11 @@
 //! Each diagnostic carries a stable `MDF0xx`/`MDF1xx` code so that tools
 //! (and the CI artifact diff) can track individual findings across
 //! refactors. Rendering is either human-readable (`rustc`-flavoured) or a
-//! small hand-rolled JSON document — the build environment is offline, so
-//! no serialization crates are available.
+//! JSON document printed by `mdf_trace::json`'s writer.
 
 use std::fmt::Write as _;
+
+use mdf_trace::json::{object, Json};
 
 /// How serious a diagnostic is.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -101,112 +102,59 @@ pub fn render_human(diags: &[Diagnostic], source_name: &str) -> String {
             let _ = writeln!(out, "  = note: {n}");
         }
     }
-    let errors = diags
-        .iter()
-        .filter(|d| d.severity == Severity::Error)
-        .count();
-    let warnings = diags
-        .iter()
-        .filter(|d| d.severity == Severity::Warning)
-        .count();
     let _ = writeln!(
         out,
         "{} diagnostic(s): {} error(s), {} warning(s)",
         diags.len(),
-        errors,
-        warnings
+        count(diags, Severity::Error),
+        count(diags, Severity::Warning)
     );
     out
+}
+
+/// How many of `diags` have `severity`.
+fn count(diags: &[Diagnostic], severity: Severity) -> usize {
+    diags.iter().filter(|d| d.severity == severity).count()
 }
 
 /// Renders diagnostics as a single pretty-printed JSON document.
 pub fn render_json(diags: &[Diagnostic], source_name: &str) -> String {
-    render_json_with(diags, source_name, &[])
+    render_json_with(diags, source_name, Vec::new())
 }
 
-/// Like [`render_json`], with extra top-level `(key, pre-rendered JSON
-/// value)` sections inserted after the counts — used by `mdfuse analyze
-/// --json` to attach e.g. the `bytecode` certificate section.
+/// Like [`render_json`], with extra top-level `(key, value)` sections
+/// inserted after the counts — used by `mdfuse analyze --json` to attach
+/// e.g. the `bytecode` certificate section.
 pub fn render_json_with(
     diags: &[Diagnostic],
     source_name: &str,
-    sections: &[(&str, String)],
+    sections: Vec<(&str, Json)>,
 ) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    let _ = writeln!(out, "  \"source\": \"{}\",", escape(source_name));
-    let errors = diags
-        .iter()
-        .filter(|d| d.severity == Severity::Error)
-        .count();
-    let warnings = diags
-        .iter()
-        .filter(|d| d.severity == Severity::Warning)
-        .count();
-    let _ = writeln!(out, "  \"errors\": {errors},");
-    let _ = writeln!(out, "  \"warnings\": {warnings},");
-    for (key, value) in sections {
-        let _ = writeln!(out, "  \"{}\": {value},", escape(key));
-    }
-    out.push_str("  \"diagnostics\": [");
-    for (i, d) in diags.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("\n    ");
-        out.push_str(&diag_object_json(d));
-    }
-    if !diags.is_empty() {
-        out.push_str("\n  ");
-    }
-    out.push_str("]\n}\n");
-    out
+    let mut fields = vec![
+        ("source", Json::from(source_name)),
+        ("errors", count(diags, Severity::Error).into()),
+        ("warnings", count(diags, Severity::Warning).into()),
+    ];
+    fields.extend(sections);
+    fields.push(("diagnostics", diags.iter().map(diag_json).collect()));
+    object(fields).pretty()
 }
 
-/// Renders one diagnostic as a single-line JSON object.
-pub(crate) fn diag_object_json(d: &Diagnostic) -> String {
-    let mut out = String::from("{");
-    let _ = write!(
-        out,
-        "\"code\": \"{}\", \"severity\": \"{}\", \"message\": \"{}\"",
-        d.code,
-        d.severity.as_str(),
-        escape(&d.message)
-    );
+/// One diagnostic as a JSON object.
+pub(crate) fn diag_json(d: &Diagnostic) -> Json {
+    let mut fields = vec![
+        ("code", Json::from(d.code)),
+        ("severity", d.severity.as_str().into()),
+        ("message", d.message.as_str().into()),
+    ];
     if let Some(sp) = d.span {
-        let _ = write!(out, ", \"line\": {}, \"col\": {}", sp.line, sp.col);
+        fields.push(("line", sp.line.into()));
+        fields.push(("col", sp.col.into()));
     }
     if !d.notes.is_empty() {
-        out.push_str(", \"notes\": [");
-        for (j, n) in d.notes.iter().enumerate() {
-            if j > 0 {
-                out.push_str(", ");
-            }
-            let _ = write!(out, "\"{}\"", escape(n));
-        }
-        out.push(']');
+        fields.push(("notes", d.notes.iter().map(String::as_str).collect()));
     }
-    out.push('}');
-    out
-}
-
-/// Minimal JSON string escaping.
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
+    object(fields)
 }
 
 #[cfg(test)]
@@ -252,7 +200,7 @@ mod tests {
         let s = render_json_with(
             &[],
             "x",
-            &[("bytecode", "{ \"verified\": true }".to_string())],
+            vec![("bytecode", object([("verified", Json::from(true))]))],
         );
         assert!(s.contains("\"bytecode\": { \"verified\": true },"));
         let counts = s.find("\"warnings\"").unwrap();

@@ -21,9 +21,10 @@
 //! and synchronization counts direct (no-retiming) fusion would reach,
 //! against which the paper's full-fusion sync counts are judged.
 //!
-//! The report is schema-versioned JSON (`BENCH_fusion.json`, schema v4);
-//! `--check` re-parses and validates a report file with a dependency-free
-//! JSON reader so CI can gate on schema drift. Under `--deadline-ms` the
+//! The report is schema-versioned JSON (`BENCH_fusion.json`, schema v4),
+//! built as a `Json` value and checked against [`SCHEMA`]'s shape rules
+//! before it is written; `--check` and `--compare` read files through the
+//! same schema, so CI can gate on schema drift. Under `--deadline-ms` the
 //! bench degrades to a partial report (`"complete": false`) instead of
 //! hanging: whatever finished before the deadline is still emitted.
 //!
@@ -48,7 +49,7 @@
 //! and the suite gains a `barriers` accounting block distinguishing the
 //! pre-elision front count from the post-elision synchronization count:
 //! `{unfused, fused_fronts, fused_synced, elided}` with
-//! `elided = fused_fronts - fused_synced` enforced by the validator.
+//! `elided = fused_fronts - fused_synced` enforced by the schema.
 //! `speedup_vs_unfused` and `cells_per_s` are derived from the **min**
 //! wall (the least-noise estimator: preemption only ever adds time).
 //! `--compare A B [--tolerance X]` A/B-compares two reports cell by cell
@@ -58,7 +59,7 @@
 //! Reports also record the host they ran on, `"host": {"cores": N}` from
 //! `available_parallelism`, so thread-scaling rows can be read against
 //! the cores that were there. The field is optional within v4: the
-//! validator checks it only when present.
+//! schema checks it only when present.
 
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -71,7 +72,7 @@ use mdf_kernel::CompiledKernel;
 use mdf_sim::{
     align_plan_to_program, run_original_budgeted, run_traversal_budgeted, ExecStats, Traversal,
 };
-use mdf_trace::json::{escape as json_escape, parse as parse_json, Json};
+use mdf_trace::json::{object, round, Field, Json, Presence, Schema, Type as T};
 use mdf_trace::Span;
 
 use crate::CliError;
@@ -523,89 +524,74 @@ fn collect(
     Ok(report)
 }
 
-fn render_json(r: &BenchReport) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "{{");
-    let _ = writeln!(out, "  \"schema_version\": {SCHEMA_VERSION},");
-    let _ = writeln!(out, "  \"name\": \"BENCH_fusion\",");
-    let threads: Vec<String> = r.threads.iter().map(usize::to_string).collect();
-    let _ = writeln!(out, "  \"threads\": [{}],", threads.join(", "));
-    let _ = writeln!(out, "  \"host\": {{ \"cores\": {} }},", r.host_cores);
-    let _ = writeln!(out, "  \"quick\": {},", r.quick);
-    match r.deadline_ms {
-        Some(ms) => {
-            let _ = writeln!(out, "  \"deadline_ms\": {ms},");
-        }
-        None => {
-            let _ = writeln!(out, "  \"deadline_ms\": null,");
-        }
-    }
-    let _ = writeln!(out, "  \"complete\": {},", r.complete);
-    let _ = writeln!(out, "  \"suites\": [");
-    for (si, s) in r.suites.iter().enumerate() {
-        let _ = writeln!(out, "    {{");
-        let _ = writeln!(out, "      \"id\": \"{}\",", json_escape(&s.id));
-        let _ = writeln!(out, "      \"n\": {},", s.n);
-        let _ = writeln!(out, "      \"m\": {},", s.m);
-        let _ = writeln!(out, "      \"plan\": \"{}\",", json_escape(&s.plan));
-        let _ = writeln!(
-            out,
-            "      \"baseline\": {{ \"policy\": \"direct_preserve_parallelism\", \
-             \"clusters\": {}, \"syncs\": {} }},",
-            s.baseline_clusters, s.baseline_syncs
-        );
-        let _ = writeln!(out, "      \"cells\": {},", s.cells);
-        let _ = writeln!(
-            out,
-            "      \"degradation\": {{ \"serial_fallback\": {}, \
-             \"plan_degradations\": {}, \"retries\": {} }},",
-            s.degradation.serial_fallback, s.degradation.plan_degradations, s.degradation.retries
-        );
-        let _ = writeln!(
-            out,
-            "      \"phases\": {{ \"plan_ms\": {:.4}, \"certify_ms\": {:.4}, \
-             \"lower_ms\": {:.4}, \"verify_ms\": {:.4} }},",
-            s.phases.plan_ms, s.phases.certify_ms, s.phases.lower_ms, s.phases.verify_ms
-        );
-        let _ = writeln!(
-            out,
-            "      \"barriers\": {{ \"unfused\": {}, \"fused_fronts\": {}, \
-             \"fused_synced\": {}, \"elided\": {} }},",
-            s.barriers.unfused, s.barriers.fused_fronts, s.barriers.fused_synced, s.barriers.elided
-        );
-        let _ = writeln!(out, "      \"matrix\": [");
-        for (mi, row) in s.matrix.iter().enumerate() {
-            let _ = writeln!(out, "        {{");
-            let _ = writeln!(out, "          \"threads\": {},", row.threads);
-            let _ = writeln!(out, "          \"engines\": [");
-            for (ei, e) in row.engines.iter().enumerate() {
-                let _ = write!(
-                    out,
-                    "            {{ \"engine\": \"{}\", \"wall_ms\": {{ \"min\": {:.4}, \
-                     \"median\": {:.4}, \"stddev\": {:.4} }}, \"cells_per_s\": {:.0}, \
-                     \"speedup_vs_unfused\": {:.3}, \"barriers\": {}, \"fingerprint\": \"{:#x}\" }}",
-                    e.engine,
-                    e.wall.min,
-                    e.wall.median,
-                    e.wall.stddev,
-                    e.cells_per_s,
-                    e.speedup,
-                    e.barriers,
-                    e.fingerprint
-                );
-                let _ = writeln!(out, "{}", if ei + 1 < row.engines.len() { "," } else { "" });
-            }
-            let _ = writeln!(out, "          ]");
-            let _ = write!(out, "        }}");
-            let _ = writeln!(out, "{}", if mi + 1 < s.matrix.len() { "," } else { "" });
-        }
-        let _ = writeln!(out, "      ]");
-        let _ = write!(out, "    }}");
-        let _ = writeln!(out, "{}", if si + 1 < r.suites.len() { "," } else { "" });
-    }
-    let _ = writeln!(out, "  ]");
-    let _ = writeln!(out, "}}");
-    out
+/// The report as a JSON document.
+fn report_json(r: &BenchReport) -> Json {
+    let engine = |e: &EngineRow| {
+        let wall = object([
+            ("min", round(e.wall.min, 4)),
+            ("median", round(e.wall.median, 4)),
+            ("stddev", round(e.wall.stddev, 4)),
+        ]);
+        object([
+            ("engine", Json::from(e.engine)),
+            ("wall_ms", wall),
+            ("cells_per_s", round(e.cells_per_s, 0)),
+            ("speedup_vs_unfused", round(e.speedup, 3)),
+            ("barriers", e.barriers.into()),
+            ("fingerprint", Json::Str(format!("{:#x}", e.fingerprint))),
+        ])
+    };
+    let suite = |s: &SuiteRow| {
+        let (d, p, b) = (&s.degradation, &s.phases, &s.barriers);
+        let baseline = object([
+            ("policy", Json::from("direct_preserve_parallelism")),
+            ("clusters", s.baseline_clusters.into()),
+            ("syncs", Json::Num(s.baseline_syncs as f64)),
+        ]);
+        let degradation = object([
+            ("serial_fallback", Json::from(d.serial_fallback)),
+            ("plan_degradations", d.plan_degradations.into()),
+            ("retries", d.retries.into()),
+        ]);
+        let phases = object([
+            ("plan_ms", round(p.plan_ms, 4)),
+            ("certify_ms", round(p.certify_ms, 4)),
+            ("lower_ms", round(p.lower_ms, 4)),
+            ("verify_ms", round(p.verify_ms, 4)),
+        ]);
+        let barriers = object([
+            ("unfused", Json::from(b.unfused)),
+            ("fused_fronts", b.fused_fronts.into()),
+            ("fused_synced", b.fused_synced.into()),
+            ("elided", b.elided.into()),
+        ]);
+        let matrix = s.matrix.iter().map(|row| {
+            let engines = row.engines.iter().map(engine).collect();
+            object([("threads", Json::from(row.threads)), ("engines", engines)])
+        });
+        object([
+            ("id", Json::from(s.id.as_str())),
+            ("n", Json::Num(s.n as f64)),
+            ("m", Json::Num(s.m as f64)),
+            ("plan", s.plan.as_str().into()),
+            ("baseline", baseline),
+            ("cells", s.cells.into()),
+            ("degradation", degradation),
+            ("phases", phases),
+            ("barriers", barriers),
+            ("matrix", matrix.collect()),
+        ])
+    };
+    object([
+        ("schema_version", Json::from(SCHEMA_VERSION)),
+        ("name", "BENCH_fusion".into()),
+        ("threads", r.threads.iter().copied().collect()),
+        ("host", object([("cores", Json::from(r.host_cores))])),
+        ("quick", r.quick.into()),
+        ("deadline_ms", r.deadline_ms.map_or(Json::Null, Json::from)),
+        ("complete", r.complete.into()),
+        ("suites", r.suites.iter().map(suite).collect()),
+    ])
 }
 
 fn render_human(r: &BenchReport) -> String {
@@ -699,11 +685,7 @@ pub(crate) fn run(
         None => DEFAULT_THREADS.to_vec(),
     };
     let report = collect(opts.quick, &threads, deadline_ms, budget, span)?;
-    let rendered = render_json(&report);
-    if let Some(path) = &opts.out {
-        std::fs::write(path, &rendered)
-            .map_err(|e| CliError::Usage(format!("cannot write {path}: {e}")))?;
-    }
+    let rendered = crate::write_report(&report_json(&report), &SCHEMA, opts.out.as_deref())?;
     if json {
         Ok(rendered)
     } else {
@@ -717,14 +699,21 @@ pub(crate) fn run(
 
 /// Validates a report file against the schema (exit 3 on violation).
 fn check_file(path: &str) -> Result<String, CliError> {
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| CliError::Usage(format!("cannot read {path}: {e}")))?;
-    let (suites, complete) =
-        validate(&text).map_err(|m| CliError::Mdf(MdfError::invalid(format!("{path}: {m}"))))?;
+    let (suites, complete) = summary(&crate::read_report(path, &SCHEMA)?);
     Ok(format!(
         "{path}: valid BENCH_fusion schema v{SCHEMA_VERSION} ({suites} suite(s), {})\n",
         if complete { "complete" } else { "partial" }
     ))
+}
+
+/// A checked report's suite count and `complete` flag.
+fn summary(doc: &Json) -> (usize, bool) {
+    (
+        doc.get("suites")
+            .and_then(Json::arr)
+            .map_or(0, <[Json]>::len),
+        doc.get("complete").and_then(Json::bool_val) == Some(true),
+    )
 }
 
 // ---------------------------------------------------------------------
@@ -799,14 +788,8 @@ fn compare_files(a_path: &str, b_path: &str, tolerance: f64) -> Result<String, C
             "--tolerance must be within [0, 1], got {tolerance}"
         )));
     }
-    let read = |path: &str| -> Result<Json, CliError> {
-        let text = std::fs::read_to_string(path)
-            .map_err(|e| CliError::Usage(format!("cannot read {path}: {e}")))?;
-        validate(&text).map_err(|m| CliError::Mdf(MdfError::invalid(format!("{path}: {m}"))))?;
-        parse_json(&text).map_err(|m| CliError::Mdf(MdfError::invalid(format!("{path}: {m}"))))
-    };
-    let cand = read(a_path)?;
-    let base = read(b_path)?;
+    let cand = crate::read_report(a_path, &SCHEMA)?;
+    let base = crate::read_report(b_path, &SCHEMA)?;
     let cand_cells = extract_cells(&cand);
     let base_cells = extract_cells(&base);
 
@@ -866,212 +849,194 @@ fn compare_files(a_path: &str, b_path: &str, tolerance: f64) -> Result<String, C
 }
 
 // ---------------------------------------------------------------------
-// Schema validation, on top of the dependency-free JSON reader shared
-// with the profile format (`mdf_trace::json`).
+// The schema.
 
-/// Validates a `BENCH_fusion.json` document; returns (suite count,
-/// complete flag) on success, a human-readable schema violation on error.
-fn validate(text: &str) -> Result<(usize, bool), String> {
-    let doc = parse_json(text)?;
-    let field = |k: &str| doc.get(k).ok_or_else(|| format!("missing field {k:?}"));
-    match field("schema_version")?.num() {
-        Some(v) if v == SCHEMA_VERSION as f64 => {}
-        Some(v) => {
-            return Err(format!(
-                "unknown schema_version {v} (expected {SCHEMA_VERSION})"
-            ))
-        }
-        None => return Err("schema_version must be a number".into()),
-    }
-    if field("name")?.str_val() != Some("BENCH_fusion") {
-        return Err("name is not \"BENCH_fusion\"".into());
-    }
-    let threads = field("threads")?
-        .arr()
-        .ok_or("threads must be an array of worker counts")?;
-    let mut thread_list = Vec::new();
-    for t in threads {
-        let v = t
-            .num()
-            .filter(|v| *v >= 1.0)
-            .ok_or("threads entries must be numbers >= 1")?;
-        thread_list.push(v);
-    }
-    if thread_list.is_empty() {
-        return Err("threads must be non-empty".into());
-    }
-    if thread_list.windows(2).any(|w| w[0] >= w[1]) {
+/// The engine rows of every matrix cell, in order.
+const ENGINES: [&str; 4] = ["unfused", "interp", "kernel", "verified"];
+
+/// `BENCH_fusion.json`: every field once, then the books that must
+/// balance. The host block is optional within v4: reports written before
+/// it existed (the committed baseline among them) stay valid.
+static SCHEMA: Schema = Schema {
+    version: Some(SCHEMA_VERSION),
+    fields: &[
+        Field::req("name", T::Tag(&["BENCH_fusion"])),
+        Field::req("threads", T::Arr).min(1.0),
+        Field::req("threads[]", T::Int).min(1.0),
+        Field::req("host", T::Obj).presence(Presence::Optional),
+        Field::req("host.cores", T::Int).min(1.0),
+        Field::req("{quick,complete}", T::Bool),
+        Field::req("deadline_ms", T::Num).presence(Presence::Nullable),
+        Field::req("suites", T::Arr),
+        Field::req("suites[]", T::Obj),
+        Field::req("suites[].id", T::Str).min(1.0),
+        Field::req("suites[].{n,m,cells}", T::Num),
+        Field::req("suites[].plan", T::Str),
+        Field::req("suites[].{baseline,degradation,phases,barriers}", T::Obj),
+        Field::req("suites[].baseline.policy", T::Str),
+        Field::req("suites[].baseline.{clusters,syncs}", T::Num),
+        Field::req("suites[].degradation.serial_fallback", T::Bool),
+        Field::req("suites[].degradation.{plan_degradations,retries}", T::Num).min(0.0),
+        Field::req(
+            "suites[].phases.{plan_ms,certify_ms,lower_ms,verify_ms}",
+            T::Num,
+        )
+        .min(0.0),
+        Field::req(
+            "suites[].barriers.{unfused,fused_fronts,fused_synced,elided}",
+            T::Num,
+        )
+        .min(0.0),
+        Field::req("suites[].matrix", T::Arr),
+        Field::req("suites[].matrix[]", T::Obj),
+        Field::req("suites[].matrix[].threads", T::Num),
+        Field::req("suites[].matrix[].engines", T::Arr),
+        Field::req("suites[].matrix[].engines[]", T::Obj),
+        Field::req("suites[].matrix[].engines[].engine", T::Tag(&ENGINES)),
+        Field::req("suites[].matrix[].engines[].wall_ms", T::Obj),
+        Field::req(
+            "suites[].matrix[].engines[].wall_ms.{min,median,stddev}",
+            T::Num,
+        )
+        .min(0.0),
+        Field::req(
+            "suites[].matrix[].engines[].{cells_per_s,speedup_vs_unfused,barriers}",
+            T::Num,
+        )
+        .min(0.0),
+        Field::req("suites[].matrix[].engines[].fingerprint", T::Str),
+    ],
+    shape: &[matrix_follows_threads, barrier_books, cells_agree],
+    gates: &[],
+};
+
+fn num(v: &Json, key: &str) -> f64 {
+    v.get(key).and_then(Json::num).unwrap_or_default()
+}
+
+fn items<'a>(v: &'a Json, key: &str) -> &'a [Json] {
+    v.get(key).and_then(Json::arr).unwrap_or_default()
+}
+
+/// Every suite with its id.
+fn suites(doc: &Json) -> impl Iterator<Item = (&str, &Json)> {
+    items(doc, "suites")
+        .iter()
+        .map(|s| (s.get("id").and_then(Json::str_val).unwrap_or_default(), s))
+}
+
+/// The worker counts increase, and a complete report holds at least one
+/// suite, each with one matrix row per worker count, in order, and every
+/// engine in each row.
+fn matrix_follows_threads(doc: &Json) -> Result<(), String> {
+    let threads = items(doc, "threads");
+    if threads.windows(2).any(|w| w[0].num() >= w[1].num()) {
         return Err("threads must be strictly increasing".into());
     }
-    // Optional within v4: reports written before it existed stay valid.
-    if let Some(host) = doc.get("host") {
-        host.get("cores")
-            .and_then(Json::num)
-            .filter(|v| *v >= 1.0 && v.fract() == 0.0)
-            .ok_or("host.cores must be a positive integer")?;
+    if doc.get("complete").and_then(Json::bool_val) != Some(true) {
+        return Ok(());
     }
-    field("quick")?
-        .bool_val()
-        .ok_or("quick must be a boolean")?;
-    match field("deadline_ms")? {
-        Json::Null | Json::Num(_) => {}
-        _ => return Err("deadline_ms must be a number or null".into()),
-    }
-    let complete = field("complete")?
-        .bool_val()
-        .ok_or("complete must be a boolean")?;
-    let suites = field("suites")?.arr().ok_or("suites must be an array")?;
-    if complete && suites.is_empty() {
+    if items(doc, "suites").is_empty() {
         return Err("a complete report must contain at least one suite".into());
     }
-    for s in suites {
-        let sid = s
-            .get("id")
-            .and_then(Json::str_val)
-            .filter(|v| !v.is_empty())
-            .ok_or("suite id must be a non-empty string")?;
-        let ctx = |m: &str| format!("suite {sid}: {m}");
-        for k in ["n", "m", "cells"] {
-            s.get(k)
-                .and_then(Json::num)
-                .ok_or_else(|| ctx(&format!("{k} must be a number")))?;
-        }
-        s.get("plan")
-            .and_then(Json::str_val)
-            .ok_or_else(|| ctx("plan must be a string"))?;
-        let phases = s.get("phases").ok_or_else(|| ctx("missing phases"))?;
-        for k in ["plan_ms", "certify_ms", "lower_ms", "verify_ms"] {
-            if !phases.get(k).and_then(Json::num).is_some_and(|v| v >= 0.0) {
-                return Err(ctx(&format!("phases.{k} must be a number >= 0")));
-            }
-        }
-        let b = s.get("baseline").ok_or_else(|| ctx("missing baseline"))?;
-        for k in ["clusters", "syncs"] {
-            b.get(k)
-                .and_then(Json::num)
-                .ok_or_else(|| ctx(&format!("baseline.{k} must be a number")))?;
-        }
-        let d = s
-            .get("degradation")
-            .ok_or_else(|| ctx("missing degradation"))?;
-        d.get("serial_fallback")
-            .and_then(Json::bool_val)
-            .ok_or_else(|| ctx("degradation.serial_fallback must be a boolean"))?;
-        for k in ["plan_degradations", "retries"] {
-            if !d.get(k).and_then(Json::num).is_some_and(|v| v >= 0.0) {
-                return Err(ctx(&format!("degradation.{k} must be a number >= 0")));
-            }
-        }
-        // Schema v4: the barrier accounting block is mandatory and must
-        // be internally consistent — post-elision syncs can only be a
-        // subset of the pre-elision fronts, and the difference is
-        // exactly what was elided.
-        let bl = s.get("barriers").ok_or_else(|| ctx("missing barriers"))?;
-        let bget = |k: &str| -> Result<f64, String> {
-            bl.get(k)
-                .and_then(Json::num)
-                .filter(|v| *v >= 0.0)
-                .ok_or_else(|| ctx(&format!("barriers.{k} must be a number >= 0")))
-        };
-        let fronts = bget("fused_fronts")?;
-        let synced = bget("fused_synced")?;
-        let elided = bget("elided")?;
-        bget("unfused")?;
-        if synced > fronts {
-            return Err(ctx(
-                "barriers.fused_synced must not exceed barriers.fused_fronts",
-            ));
-        }
-        if elided != fronts - synced {
-            return Err(ctx(
-                "barriers.elided must equal fused_fronts - fused_synced",
-            ));
-        }
-        // Schema v4: one matrix row per thread-count entry, in order.
-        let matrix = s
-            .get("matrix")
-            .and_then(Json::arr)
-            .ok_or_else(|| ctx("matrix must be an array"))?;
-        if complete && matrix.len() != thread_list.len() {
-            return Err(ctx(&format!(
-                "matrix must contain one row per threads entry ({} row(s), {} thread count(s))",
+    for (id, s) in suites(doc) {
+        let matrix = items(s, "matrix");
+        if matrix.len() != threads.len() {
+            return Err(format!(
+                "suite {id}: matrix must contain one row per threads entry \
+                 ({} row(s), {} thread count(s))",
                 matrix.len(),
-                thread_list.len()
-            )));
+                threads.len()
+            ));
         }
-        let mut fps = Vec::new();
-        for (ri, row) in matrix.iter().enumerate() {
-            let rt = row
-                .get("threads")
-                .and_then(Json::num)
-                .ok_or_else(|| ctx("matrix row threads must be a number"))?;
-            if complete && rt != thread_list[ri] {
-                return Err(ctx(&format!(
-                    "matrix row {ri} has threads {rt}, expected {} from the threads list",
-                    thread_list[ri]
-                )));
-            }
-            let engines = row
-                .get("engines")
-                .and_then(Json::arr)
-                .ok_or_else(|| ctx("engines must be an array"))?;
-            if complete && engines.len() != 4 {
-                return Err(ctx(
-                    "a complete report needs exactly 4 engine rows per cell",
+        for (ri, (row, want)) in matrix.iter().zip(threads).enumerate() {
+            let (rt, want) = (num(row, "threads"), want.num().unwrap_or_default());
+            if rt != want {
+                return Err(format!(
+                    "suite {id}: matrix row {ri} has threads {rt}, expected {want} from the threads list"
                 ));
             }
-            for e in engines {
-                let name = e
-                    .get("engine")
-                    .and_then(Json::str_val)
-                    .ok_or_else(|| ctx("engine must be a string"))?;
-                if !["unfused", "interp", "kernel", "verified"].contains(&name) {
-                    return Err(ctx(&format!("unknown engine {name:?}")));
-                }
-                let wall = e
-                    .get("wall_ms")
-                    .ok_or_else(|| ctx(&format!("{name}.wall_ms must be a statistics record")))?;
-                let wget = |k: &str| -> Result<f64, String> {
-                    wall.get(k)
-                        .and_then(Json::num)
-                        .filter(|v| *v >= 0.0)
-                        .ok_or_else(|| ctx(&format!("{name}.wall_ms.{k} must be a number >= 0")))
-                };
-                let min = wget("min")?;
-                let median = wget("median")?;
-                wget("stddev")?;
-                if min > median {
-                    return Err(ctx(&format!(
-                        "{name}.wall_ms.min must not exceed the median"
-                    )));
-                }
-                for k in ["cells_per_s", "speedup_vs_unfused", "barriers"] {
-                    if !e.get(k).and_then(Json::num).is_some_and(|v| v >= 0.0) {
-                        return Err(ctx(&format!("{name}.{k} must be a number >= 0")));
-                    }
-                }
-                let fp = e
-                    .get("fingerprint")
-                    .and_then(Json::str_val)
-                    .filter(|v| v.starts_with("0x"))
-                    .ok_or_else(|| ctx("fingerprint must be a hex string"))?;
-                fps.push(fp);
+            if items(row, "engines").len() != ENGINES.len() {
+                return Err(format!(
+                    "suite {id}: a complete report needs exactly 4 engine rows per cell"
+                ));
             }
         }
-        // One fingerprint per suite across ALL engines and ALL worker
-        // counts: a stale cell (re-benched at a different shape or from
-        // an older run) shows up as a disagreement here.
-        if fps.windows(2).any(|w| w[0] != w[1]) {
-            return Err(ctx("engine fingerprints disagree"));
+    }
+    Ok(())
+}
+
+/// Elision only removes synchronizations: the post-elision syncs are a
+/// subset of the pre-elision fronts, and the difference is exactly what
+/// was elided.
+fn barrier_books(doc: &Json) -> Result<(), String> {
+    for (id, s) in suites(doc) {
+        let b = s.get("barriers").unwrap_or(&Json::Null);
+        let (fronts, synced) = (num(b, "fused_fronts"), num(b, "fused_synced"));
+        if synced > fronts {
+            return Err(format!(
+                "suite {id}: barriers.fused_synced must not exceed barriers.fused_fronts"
+            ));
+        }
+        if num(b, "elided") != fronts - synced {
+            return Err(format!(
+                "suite {id}: barriers.elided must equal fused_fronts - fused_synced"
+            ));
         }
     }
-    Ok((suites.len(), complete))
+    Ok(())
+}
+
+/// Every cell's wall minimum is at most its median, and a suite has one
+/// fingerprint across every engine and worker count: a stale cell
+/// (re-benched at another shape, or from an older run) shows up as a
+/// disagreement.
+fn cells_agree(doc: &Json) -> Result<(), String> {
+    for (id, s) in suites(doc) {
+        let cells = items(s, "matrix")
+            .iter()
+            .flat_map(|row| items(row, "engines"));
+        let mut fps = Vec::new();
+        for e in cells {
+            let wall = e.get("wall_ms").unwrap_or(&Json::Null);
+            if num(wall, "min") > num(wall, "median") {
+                let name = e.get("engine").and_then(Json::str_val).unwrap_or_default();
+                return Err(format!(
+                    "suite {id}: {name}.wall_ms.min must not exceed the median"
+                ));
+            }
+            let fp = e
+                .get("fingerprint")
+                .and_then(Json::str_val)
+                .unwrap_or_default();
+            if !fp.starts_with("0x") {
+                return Err(format!("suite {id}: fingerprint must be a hex string"));
+            }
+            fps.push(fp);
+        }
+        if fps.windows(2).any(|w| w[0] != w[1]) {
+            return Err(format!("suite {id}: engine fingerprints disagree"));
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mdf_trace::json::parse;
     use std::time::Duration;
+
+    fn render_json(r: &BenchReport) -> String {
+        report_json(r).pretty()
+    }
+
+    /// Parses `text` and runs the whole schema on it, as `--check` does.
+    fn validate(text: &str) -> Result<(usize, bool), String> {
+        let doc = parse(text)?;
+        SCHEMA.check(&doc)?;
+        Ok(summary(&doc))
+    }
 
     #[test]
     fn quick_bench_covers_every_executable_suite_and_validates() {
@@ -1405,15 +1370,5 @@ mod tests {
         std::fs::write(cand_path, render_json(&reshaped)).unwrap();
         let err = compare_files(cand_path, base_path, 0.15).unwrap_err();
         assert!(err.to_string().contains("no comparable cells"), "{err}");
-    }
-
-    #[test]
-    fn json_reader_handles_escapes_and_nesting() {
-        let v = parse_json(r#"{"a": [1, -2.5e1, "x\n\"yA"], "b": null}"#).unwrap();
-        let a = v.get("a").and_then(Json::arr).unwrap();
-        assert_eq!(a[1].num(), Some(-25.0));
-        assert_eq!(a[2].str_val(), Some("x\n\"yA"));
-        assert!(matches!(v.get("b"), Some(Json::Null)));
-        assert!(parse_json("{\"a\": 1} trailing").is_err());
     }
 }

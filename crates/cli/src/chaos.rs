@@ -17,10 +17,11 @@
 //!
 //! Anything else — a divergent result (**wrong answer**) or a panic
 //! escaping the supervised executor (**unhandled panic**) — fails the
-//! sweep with exit code 1 and a per-case diagnosis. `mdfuse chaos
-//! --check FILE` re-validates a written report with the same
-//! dependency-free JSON parser that backs `profile-check`, so CI can
-//! gate on the artifact without trusting the producer.
+//! sweep with exit code 1 and a per-case diagnosis. The report is a
+//! `Json` value checked against [`SCHEMA`]'s shape rules before it is
+//! written; `mdfuse chaos --check FILE` runs the same schema, gate rules
+//! included, on a written report, so CI can gate on the artifact without
+//! trusting the producer.
 //!
 //! A second phase sweeps the **daemon** fault sites (`service.accept`,
 //! `service.read`, `service.write`, `service.cache`): each case boots an
@@ -73,7 +74,7 @@ use mdf_sim::{
     run_original, run_traversal, run_traversal_supervised, ExecStats, RecoveryStats, RetryPolicy,
     SupervisedOutcome, Traversal,
 };
-use mdf_trace::json::{escape as json_escape, parse as parse_json};
+use mdf_trace::json::{object, Field, Json, Schema, Type as T};
 use mdf_trace::Span;
 
 use crate::CliError;
@@ -144,6 +145,14 @@ impl Class {
     fn is_failure(&self) -> bool {
         matches!(self, Class::WrongAnswer(_) | Class::UnhandledPanic(_))
     }
+
+    /// What went wrong, for failures; empty otherwise.
+    fn detail(&self) -> &str {
+        match self {
+            Class::WrongAnswer(d) | Class::UnhandledPanic(d) => d,
+            _ => "",
+        }
+    }
 }
 
 /// One finished case, with its observability counters.
@@ -169,6 +178,18 @@ struct Tally {
 }
 
 impl Tally {
+    /// The counts, in report order.
+    fn fields(self) -> [(&'static str, Json); 6] {
+        [
+            ("cases", self.cases.into()),
+            ("recovered", self.recovered.into()),
+            ("detected", self.detected.into()),
+            ("partial", self.partial.into()),
+            ("wrong_answer", self.wrong_answer.into()),
+            ("unhandled_panic", self.unhandled_panic.into()),
+        ]
+    }
+
     fn add(&mut self, class: &Class) {
         self.cases += 1;
         match class {
@@ -450,10 +471,6 @@ fn partial_class<M>(
     }
 }
 
-/// Requests per service case: enough that every daemon site is reachable
-/// at trigger 2 (the cache site needs one populating miss first).
-const SERVICE_REQUESTS: u64 = 3;
-
 /// What one client-observed submission attempt produced.
 enum SubmitOutcome {
     /// `Done` with this fingerprint.
@@ -464,9 +481,44 @@ enum SubmitOutcome {
     Transport(String),
 }
 
-/// One connect-submit-close round trip against a live daemon.
-fn one_submit(socket: &std::path::Path, source: &str, i: u64) -> SubmitOutcome {
-    let mut client = match Client::connect(socket) {
+/// How a phase's client drives its live endpoint.
+struct Drive {
+    /// Submissions per case.
+    requests: u64,
+    /// Attempts per submission before the case is classified.
+    attempts: u32,
+    /// The pause before each retry.
+    pause: Duration,
+    /// What answers at the endpoint, for messages.
+    noun: &'static str,
+}
+
+/// The daemon and persistence phases: enough requests that every daemon
+/// site is reachable at trigger 2 (the cache site needs one populating
+/// miss first). Faults are one-shot, so one retry is the recovery
+/// contract.
+const DAEMON: Drive = Drive {
+    requests: 3,
+    attempts: 2,
+    pause: Duration::ZERO,
+    noun: "daemon",
+};
+
+/// The fleet phase: enough requests that both sampled triggers of every
+/// `router.*` site land mid-traffic. The router's failover is internal
+/// (a killed shard reroutes within one submission), so the client budget
+/// is a few paced retries for the typed `Overloaded` and `Draining`
+/// windows around a shard death.
+const FLEET: Drive = Drive {
+    requests: 6,
+    attempts: 4,
+    pause: Duration::from_millis(50),
+    noun: "router",
+};
+
+/// One connect-submit-close round trip against a live daemon or router.
+fn submit_once(endpoint: &Endpoint, source: &str, i: u64) -> SubmitOutcome {
+    let mut client = match Client::connect_endpoint(endpoint) {
         Ok(c) => c,
         Err(e) => return SubmitOutcome::Transport(format!("connect: {e}")),
     };
@@ -490,20 +542,20 @@ fn one_submit(socket: &std::path::Path, source: &str, i: u64) -> SubmitOutcome {
     }
 }
 
-/// Drives `SERVICE_REQUESTS` submissions with retry-once semantics and
-/// classifies what the client observed. `retries` counts the retries the
-/// client needed (folded into the sweep's recovery counters).
-fn drive_service(socket: &std::path::Path, source: &str, want: u64, retries: &mut u64) -> Class {
-    for i in 0..SERVICE_REQUESTS {
+/// Drives `how.requests` submissions, each retried up to `how.attempts`
+/// times, and classifies what the client observed. `retries` counts the
+/// retries the client needed (folded into the sweep's recovery counters).
+fn drive(endpoint: &Endpoint, source: &str, want: u64, how: &Drive, retries: &mut u64) -> Class {
+    for i in 0..how.requests {
         let mut last_typed: Option<ErrCode> = None;
         let mut last_transport: Option<String> = None;
         let mut landed = false;
-        // Faults are one-shot, so one retry is the recovery contract.
-        for attempt in 0..2 {
+        for attempt in 0..how.attempts {
             if attempt > 0 {
                 *retries += 1;
+                std::thread::sleep(how.pause);
             }
-            match one_submit(socket, source, i) {
+            match submit_once(endpoint, source, i) {
                 SubmitOutcome::Done(fp) if fp == want => {
                     landed = true;
                     break;
@@ -520,12 +572,13 @@ fn drive_service(socket: &std::path::Path, source: &str, want: u64, retries: &mu
         if landed {
             continue;
         }
-        // Both attempts failed. The daemon must still be answering —
-        // otherwise the fault took the whole service down.
-        let alive = Client::connect(socket).is_ok_and(|mut c| c.ping().is_ok());
+        // Every attempt failed. The endpoint must still be answering —
+        // otherwise the fault took the whole service or fleet down.
+        let alive = Client::connect_endpoint(endpoint).is_ok_and(|mut c| c.ping().is_ok());
         if !alive {
             return Class::UnhandledPanic(format!(
-                "request {i}: daemon stopped answering after {}",
+                "request {i}: {} stopped answering after {}",
+                how.noun,
                 last_transport
                     .or_else(|| last_typed.map(|c| c.name().to_string()))
                     .unwrap_or_else(|| "an injected fault".into())
@@ -558,6 +611,7 @@ fn service_case(
         site.replace('.', "-"),
         kind.name(),
     ));
+    let endpoint = Endpoint::unix(&socket);
     let mut config = ServiceConfig::new(&socket);
     config.chaos = true;
     config.workers = 2;
@@ -569,7 +623,7 @@ fn service_case(
         ),
         Ok(server) => {
             let guard = FaultPlan::single(site, kind, trigger).arm();
-            let mut class = drive_service(&socket, source, want, &mut recovery.retries);
+            let mut class = drive(&endpoint, source, want, &DAEMON, &mut recovery.retries);
             // A cache poison that fired must have been *observed* as a
             // rejected entry — silently surviving revalidation would mean
             // the oracle is blind, even though the answer was right.
@@ -644,6 +698,7 @@ fn persist_case(
     let dir = std::env::temp_dir().join(format!("{tag}.store"));
     let _ = std::fs::remove_dir_all(&dir);
     let socket = std::env::temp_dir().join(format!("{tag}.sock"));
+    let endpoint = Endpoint::unix(&socket);
     let mut recovery = RecoveryStats::default();
     let mut config = ServiceConfig::new(&socket);
     config.workers = 2;
@@ -656,7 +711,7 @@ fn persist_case(
         let populated = match Server::start(config.clone()) {
             Err(e) => Class::UnhandledPanic(format!("clean populate boot failed: {e}")),
             Ok(server) => {
-                let class = drive_service(&socket, source, want, &mut recovery.retries);
+                let class = drive(&endpoint, source, want, &DAEMON, &mut recovery.retries);
                 server.drain();
                 class
             }
@@ -681,7 +736,7 @@ fn persist_case(
     let mut class = match Server::start(config) {
         Err(e) => Class::UnhandledPanic(format!("chaos boot from store failed: {e}")),
         Ok(server) => {
-            let class = drive_service(&socket, source, want, &mut recovery.retries);
+            let class = drive(&endpoint, source, want, &DAEMON, &mut recovery.retries);
             // The compaction fault fires inside drain's final fold (after
             // every thread has joined), simulating a kill between the
             // snapshot tmp-write and its rename. Anywhere else a drain
@@ -715,7 +770,7 @@ fn persist_case(
                 class = Class::UnhandledPanic(format!("reboot from damaged store failed: {e}"));
             }
             Ok(server) => {
-                let rebooted = drive_service(&socket, source, want, &mut recovery.retries);
+                let rebooted = drive(&endpoint, source, want, &DAEMON, &mut recovery.retries);
                 server.drain();
                 if rebooted != Class::Recovered {
                     class = rebooted;
@@ -762,89 +817,6 @@ fn persist_sweep(
         }
     }
     names.push(format!("mdfstore:{name}"));
-}
-
-/// Requests per router case: enough that both sampled triggers of every
-/// `router.*` site land mid-traffic.
-const ROUTER_REQUESTS: u64 = 6;
-
-/// One connect-submit-close round trip through a router endpoint.
-fn router_submit(endpoint: &Endpoint, source: &str, i: u64) -> SubmitOutcome {
-    let mut client = match Client::connect_endpoint(endpoint) {
-        Ok(c) => c,
-        Err(e) => return SubmitOutcome::Transport(format!("connect: {e}")),
-    };
-    let engine = if i.is_multiple_of(2) {
-        Engine::Kernel
-    } else {
-        Engine::Interp
-    };
-    match client.submit(Submit {
-        engine,
-        n: SWEEP_N,
-        m: SWEEP_M,
-        deadline_ms: 30_000,
-        client: String::new(),
-        source: source.to_string(),
-    }) {
-        Ok(Response::Done(done)) => SubmitOutcome::Done(done.fingerprint),
-        Ok(Response::Err(e)) => SubmitOutcome::Typed(e.code),
-        Ok(other) => SubmitOutcome::Transport(format!("unexpected response: {other:?}")),
-        Err(e) => SubmitOutcome::Transport(e.to_string()),
-    }
-}
-
-/// Drives `ROUTER_REQUESTS` submissions through the router. The router's
-/// failover is internal (a killed shard reroutes within one submission),
-/// so the client budget is a few retries for the typed `Overloaded` and
-/// `Draining` windows around a shard death.
-fn drive_router(endpoint: &Endpoint, source: &str, want: u64, retries: &mut u64) -> Class {
-    for i in 0..ROUTER_REQUESTS {
-        let mut last_typed: Option<ErrCode> = None;
-        let mut last_transport: Option<String> = None;
-        let mut landed = false;
-        for attempt in 0..4 {
-            if attempt > 0 {
-                *retries += 1;
-                std::thread::sleep(Duration::from_millis(50));
-            }
-            match router_submit(endpoint, source, i) {
-                SubmitOutcome::Done(fp) if fp == want => {
-                    landed = true;
-                    break;
-                }
-                SubmitOutcome::Done(fp) => {
-                    return Class::WrongAnswer(format!(
-                        "request {i}: fingerprint {fp:#x} != original {want:#x}"
-                    ));
-                }
-                SubmitOutcome::Typed(code) => last_typed = Some(code),
-                SubmitOutcome::Transport(detail) => last_transport = Some(detail),
-            }
-        }
-        if landed {
-            continue;
-        }
-        // Retries exhausted. The router must still be answering —
-        // otherwise the fault took the whole fleet front door down.
-        let alive = Client::connect_endpoint(endpoint).is_ok_and(|mut c| c.ping().is_ok());
-        if !alive {
-            return Class::UnhandledPanic(format!(
-                "request {i}: router stopped answering after {}",
-                last_transport
-                    .or_else(|| last_typed.map(|c| c.name().to_string()))
-                    .unwrap_or_else(|| "an injected fault".into())
-            ));
-        }
-        if last_typed.is_some() {
-            return Class::Detected;
-        }
-        return Class::WrongAnswer(format!(
-            "request {i}: retry exhausted without a typed error: {}",
-            last_transport.unwrap_or_default()
-        ));
-    }
-    Class::Recovered
 }
 
 /// After a fired fault and a clean drive, holds the fleet to the site's
@@ -901,7 +873,7 @@ fn router_case(
         Ok(router) => {
             let endpoint = router.endpoint().clone();
             let guard = FaultPlan::single(site, kind, trigger).arm();
-            let mut class = drive_router(&endpoint, source, want, &mut recovery.retries);
+            let mut class = drive(&endpoint, source, want, &FLEET, &mut recovery.retries);
             if class == Class::Recovered && guard.injected() > 0 {
                 class = confirm_router_recovery(&endpoint, site);
             }
@@ -1031,28 +1003,22 @@ pub(crate) fn run(opts: &ChaosOpts, json: bool, span: &Span) -> Result<String, C
     span.add("chaos.resumes", counters.resumes);
     span.add("chaos.failures", failures.len() as u64);
 
-    let doc = render_json(
+    let doc = report_json(
         opts.seed, &names, &per, totals, &counters, injected, &failures,
     );
-    if let Some(path) = &opts.out {
-        std::fs::write(path, &doc)
-            .map_err(|e| CliError::Usage(format!("cannot write {path}: {e}")))?;
-    }
+    let doc = crate::write_report(&doc, &SCHEMA, opts.out.as_deref())?;
     if !failures.is_empty() {
         let mut msg = format!("chaos sweep failed: {} case(s)\n", failures.len());
         for f in &failures {
-            let detail = match &f.class {
-                Class::WrongAnswer(d) | Class::UnhandledPanic(d) => d.as_str(),
-                _ => "",
-            };
             let _ = writeln!(
                 msg,
-                "  {} @ {} [{} x{}]: {} — {detail}",
+                "  {} @ {} [{} x{}]: {} — {}",
                 f.workload,
                 f.site,
                 f.kind.name(),
                 f.trigger,
-                f.class.name()
+                f.class.name(),
+                f.class.detail()
             );
         }
         return Err(CliError::Internal(msg));
@@ -1154,7 +1120,8 @@ fn render_human(
     out
 }
 
-fn render_json(
+/// The sweep report as a JSON document.
+fn report_json(
     seed: u64,
     names: &[String],
     per: &BTreeMap<&str, Tally>,
@@ -1162,154 +1129,150 @@ fn render_json(
     counters: &RecoveryStats,
     injected: u64,
     failures: &[&CaseResult],
-) -> String {
-    fn tally(out: &mut String, indent: &str, t: Tally) {
-        let _ = write!(
-            out,
-            "{indent}\"cases\": {},\n\
-             {indent}\"recovered\": {},\n\
-             {indent}\"detected\": {},\n\
-             {indent}\"partial\": {},\n\
-             {indent}\"wrong_answer\": {},\n\
-             {indent}\"unhandled_panic\": {}\n",
-            t.cases, t.recovered, t.detected, t.partial, t.wrong_answer, t.unhandled_panic
-        );
-    }
-    let mut out = String::new();
-    out.push_str("{\n");
-    let _ = writeln!(out, "  \"schema_version\": {SCHEMA_VERSION},");
-    out.push_str("  \"report\": \"CHAOS_sweep\",\n");
-    let _ = writeln!(out, "  \"seed\": {seed},");
-    let _ = writeln!(out, "  \"grid\": {{ \"n\": {SWEEP_N}, \"m\": {SWEEP_M} }},");
-    out.push_str("  \"workloads\": [\n");
-    for (i, name) in names.iter().enumerate() {
+) -> Json {
+    let workload = |name: &String| {
         let t = per.get(name.as_str()).copied().unwrap_or_default();
-        let _ = writeln!(out, "    {{");
-        let _ = writeln!(out, "      \"name\": \"{}\",", json_escape(name));
-        tally(&mut out, "      ", t);
-        let _ = write!(out, "    }}");
-        out.push_str(if i + 1 < names.len() { ",\n" } else { "\n" });
-    }
-    out.push_str("  ],\n");
-    out.push_str("  \"totals\": {\n");
-    tally(&mut out, "    ", totals);
-    out.push_str("  },\n");
-    out.push_str("  \"counters\": {\n");
-    let _ = writeln!(out, "    \"faults_injected\": {injected},");
-    let _ = writeln!(out, "    \"retries\": {},", counters.retries);
-    let _ = writeln!(
-        out,
-        "    \"checkpoints_taken\": {},",
-        counters.checkpoints_taken
-    );
-    let _ = writeln!(out, "    \"resumes\": {}", counters.resumes);
-    out.push_str("  },\n");
-    out.push_str("  \"failures\": [\n");
-    for (i, f) in failures.iter().enumerate() {
-        let detail = match &f.class {
-            Class::WrongAnswer(d) | Class::UnhandledPanic(d) => d.as_str(),
-            _ => "",
-        };
-        let _ = write!(
-            out,
-            "    {{ \"workload\": \"{}\", \"site\": \"{}\", \"kind\": \"{}\", \
-             \"trigger\": {}, \"class\": \"{}\", \"detail\": \"{}\" }}",
-            json_escape(&f.workload),
-            f.site,
-            f.kind.name(),
-            f.trigger,
-            f.class.name(),
-            json_escape(detail)
-        );
-        out.push_str(if i + 1 < failures.len() { ",\n" } else { "\n" });
-    }
-    out.push_str("  ]\n");
-    out.push_str("}\n");
-    out
+        object(
+            [("name", Json::from(name.as_str()))]
+                .into_iter()
+                .chain(t.fields()),
+        )
+    };
+    let grid = [("n", SWEEP_N), ("m", SWEEP_M)].map(|(k, v)| (k, Json::Num(v as f64)));
+    let counters = object([
+        ("faults_injected", Json::from(injected)),
+        ("retries", counters.retries.into()),
+        ("checkpoints_taken", counters.checkpoints_taken.into()),
+        ("resumes", counters.resumes.into()),
+    ]);
+    let failure = |f: &&CaseResult| {
+        object([
+            ("workload", Json::from(f.workload.as_str())),
+            ("site", f.site.into()),
+            ("kind", f.kind.name().into()),
+            ("trigger", f.trigger.into()),
+            ("class", f.class.name().into()),
+            ("detail", f.class.detail().into()),
+        ])
+    };
+    object([
+        ("schema_version", Json::from(SCHEMA_VERSION)),
+        ("report", "CHAOS_sweep".into()),
+        ("seed", seed.into()),
+        ("grid", object(grid)),
+        ("workloads", names.iter().map(workload).collect()),
+        ("totals", object(totals.fields())),
+        ("counters", counters),
+        ("failures", failures.iter().map(failure).collect()),
+    ])
 }
 
-/// `mdfuse chaos --check FILE`: dependency-free validation of a written
-/// sweep report. Schema violations and recorded failures both exit 3, so
-/// CI can gate on the artifact exactly like `profile-check`.
+/// `mdfuse chaos --check FILE`: validates a written sweep report. Schema
+/// violations and recorded failures both exit 3, so CI can gate on the
+/// artifact exactly like `profile-check`.
 fn check_file(path: &str) -> Result<String, CliError> {
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| CliError::Usage(format!("cannot read {path}: {e}")))?;
-    let invalid = |m: String| CliError::Mdf(MdfError::invalid(format!("{path}: {m}")));
-    let doc = parse_json(&text).map_err(|m| invalid(format!("malformed JSON: {m}")))?;
-    let version = doc
-        .get("schema_version")
-        .and_then(|v| v.num())
-        .ok_or_else(|| invalid("missing schema_version".into()))?;
-    if version != SCHEMA_VERSION as f64 {
-        return Err(invalid(format!(
-            "unknown schema_version {version} (expected {SCHEMA_VERSION})"
-        )));
-    }
-    if doc.get("report").and_then(|v| v.str_val()) != Some("CHAOS_sweep") {
-        return Err(invalid("report field is not \"CHAOS_sweep\"".into()));
-    }
-    let totals = doc
-        .get("totals")
-        .ok_or_else(|| invalid("missing totals".into()))?;
-    let field = |k: &str| -> Result<u64, CliError> {
-        let v = totals
-            .get(k)
-            .and_then(|v| v.num())
-            .ok_or_else(|| invalid(format!("totals.{k} missing or non-numeric")))?;
-        if v < 0.0 || v.fract() != 0.0 {
-            return Err(invalid(format!("totals.{k} is not a count: {v}")));
-        }
-        Ok(v as u64)
+    let doc = crate::read_report(path, &SCHEMA)?;
+    let count = |block: &str, key: &str| {
+        doc.get(block)
+            .and_then(|b| b.get(key))
+            .and_then(Json::num)
+            .unwrap_or_default()
     };
-    let cases = field("cases")?;
-    let sum = field("recovered")?
-        + field("detected")?
-        + field("partial")?
-        + field("wrong_answer")?
-        + field("unhandled_panic")?;
-    if cases != sum {
-        return Err(invalid(format!(
-            "totals.cases ({cases}) != sum of classes ({sum})"
-        )));
-    }
-    let counters = doc
-        .get("counters")
-        .ok_or_else(|| invalid("missing counters".into()))?;
-    let mut injected = 0.0;
-    for k in ["faults_injected", "retries", "checkpoints_taken", "resumes"] {
-        let v = counters
-            .get(k)
-            .and_then(|v| v.num())
-            .ok_or_else(|| invalid(format!("counters.{k} missing or non-numeric")))?;
-        if v < 0.0 {
-            return Err(invalid(format!("counters.{k} is negative: {v}")));
-        }
-        if k == "faults_injected" {
-            injected = v;
-        }
-    }
-    let failures = doc
-        .get("failures")
-        .and_then(|v| v.arr())
-        .ok_or_else(|| invalid("missing failures array".into()))?;
-    if field("wrong_answer")? != 0 || field("unhandled_panic")? != 0 || !failures.is_empty() {
-        return Err(invalid(format!(
-            "sweep recorded failures: {} wrong answer(s), {} unhandled panic(s), \
-             {} failure record(s)",
-            field("wrong_answer")?,
-            field("unhandled_panic")?,
-            failures.len()
-        )));
-    }
     Ok(format!(
-        "valid CHAOS_sweep schema v{SCHEMA_VERSION}: {cases} case(s), {injected} fault(s) injected\n"
+        "valid CHAOS_sweep schema v{SCHEMA_VERSION}: {} case(s), {} fault(s) injected\n",
+        count("totals", "cases"),
+        count("counters", "faults_injected")
     ))
+}
+
+/// `CHAOS_sweep.json`. Recorded failures are a gate, not shape: a failing
+/// sweep still writes its report, and `--check` rejects it.
+static SCHEMA: Schema = Schema {
+    version: Some(SCHEMA_VERSION),
+    fields: &[
+        Field::req("report", T::Tag(&["CHAOS_sweep"])),
+        Field::req("seed", T::Num).min(0.0),
+        Field::req("{grid,totals,counters}", T::Obj),
+        Field::req("grid.{n,m}", T::Int),
+        Field::req("{workloads,failures}", T::Arr),
+        Field::req("{workloads[],failures[]}", T::Obj),
+        Field::req("workloads[].name", T::Str).min(1.0),
+        Field::req(
+            "workloads[].{cases,recovered,detected,partial,wrong_answer,unhandled_panic}",
+            T::Int,
+        )
+        .min(0.0),
+        Field::req(
+            "totals.{cases,recovered,detected,partial,wrong_answer,unhandled_panic}",
+            T::Int,
+        )
+        .min(0.0),
+        Field::req(
+            "counters.{faults_injected,retries,checkpoints_taken,resumes}",
+            T::Num,
+        )
+        .min(0.0),
+        Field::req("failures[].{workload,site,kind,class,detail}", T::Str),
+        Field::req("failures[].trigger", T::Int).min(0.0),
+    ],
+    shape: &[classes_sum_to_cases],
+    gates: &[no_recorded_failures],
+};
+
+fn count(tally: &Json, key: &str) -> f64 {
+    tally.get(key).and_then(Json::num).unwrap_or_default()
+}
+
+/// Every case ends in exactly one class, in the totals and per workload.
+fn classes_sum_to_cases(doc: &Json) -> Result<(), String> {
+    let workloads = doc.get("workloads").and_then(Json::arr).unwrap_or_default();
+    let tallies = std::iter::once(("totals", doc.get("totals").unwrap_or(&Json::Null)));
+    let per = workloads.iter().map(|w| {
+        let name = w.get("name").and_then(Json::str_val).unwrap_or_default();
+        (name, w)
+    });
+    for (name, t) in tallies.chain(per) {
+        let cases = count(t, "cases");
+        let sum: f64 = [
+            "recovered",
+            "detected",
+            "partial",
+            "wrong_answer",
+            "unhandled_panic",
+        ]
+        .iter()
+        .map(|k| count(t, k))
+        .sum();
+        if cases != sum {
+            return Err(format!("{name}: cases ({cases}) != sum of classes ({sum})"));
+        }
+    }
+    Ok(())
+}
+
+fn no_recorded_failures(doc: &Json) -> Result<(), String> {
+    let totals = doc.get("totals").unwrap_or(&Json::Null);
+    let (wrong, panics) = (
+        count(totals, "wrong_answer"),
+        count(totals, "unhandled_panic"),
+    );
+    let records = doc
+        .get("failures")
+        .and_then(Json::arr)
+        .map_or(0, <[Json]>::len);
+    if wrong != 0.0 || panics != 0.0 || records != 0 {
+        return Err(format!(
+            "sweep recorded failures: {wrong} wrong answer(s), {panics} unhandled panic(s), \
+             {records} failure record(s)"
+        ));
+    }
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mdf_trace::json::Json;
+    use mdf_trace::json::parse as parse_json;
 
     fn sweep_opts(dir: &std::path::Path) -> ChaosOpts {
         ChaosOpts {
@@ -1437,6 +1400,7 @@ mod tests {
   "schema_version": 1,
   "report": "CHAOS_sweep",
   "seed": 0,
+  "grid": { "n": 12, "m": 10 },
   "workloads": [],
   "totals": { "cases": 1, "recovered": 0, "detected": 0, "partial": 0,
               "wrong_answer": 1, "unhandled_panic": 0 },

@@ -34,6 +34,7 @@ use mdf_ir::ast::Program;
 use mdf_ir::extract::extract_mldg;
 use mdf_ir::retgen::FusedSpec;
 use mdf_sim::{check_partial_budgeted, check_plan_budgeted};
+use mdf_trace::json::{parse, Json, Schema};
 use mdf_trace::Span;
 
 mod analysis;
@@ -96,6 +97,32 @@ impl From<MdfError> for CliError {
     fn from(e: MdfError) -> Self {
         CliError::Mdf(e)
     }
+}
+
+/// Checks a report against its schema's shape rules and prints it with
+/// the one JSON writer, writing it to `out` when given. A document that
+/// breaks its own schema is a bug on our side (exit 1), and nothing is
+/// written.
+fn write_report(doc: &Json, schema: &Schema, out: Option<&str>) -> Result<String, CliError> {
+    schema
+        .check_shape(doc)
+        .map_err(|m| CliError::Internal(format!("report failed its own schema: {m}")))?;
+    let text = doc.pretty();
+    if let Some(path) = out {
+        std::fs::write(path, &text)
+            .map_err(|e| CliError::Usage(format!("cannot write {path}: {e}")))?;
+    }
+    Ok(text)
+}
+
+/// `--check`: reads a report file and runs its whole schema on it, gate
+/// rules included. Any violation exits 3.
+fn read_report(path: &str, schema: &Schema) -> Result<Json, CliError> {
+    let text = std::fs::read_to_string(path)
+        .map_err(|e| CliError::Usage(format!("cannot read {path}: {e}")))?;
+    parse(&text)
+        .and_then(|doc| schema.check(&doc).map(|()| doc))
+        .map_err(|m| CliError::Mdf(MdfError::invalid(format!("{path}: {m}"))))
 }
 
 /// Best-effort extraction of a human-readable message from a panic payload.
@@ -222,7 +249,7 @@ fn cmd_verify(
         mdf_analyze::render_json_with(
             &diags,
             &input.name,
-            &[(
+            vec![(
                 "bytecode",
                 mdf_analyze::bytecode::section_json(cert.as_ref(), &diags),
             )],
@@ -263,7 +290,7 @@ fn cmd_analyze(
             )],
             None => Vec::new(),
         };
-        mdf_analyze::render_json_with(&diags, &input.name, &sections)
+        mdf_analyze::render_json_with(&diags, &input.name, sections)
     } else {
         let mut out = analyze(&input.graph, &input.name).render(Some(&input.graph));
         out.push_str("certificates:\n");

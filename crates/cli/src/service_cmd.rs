@@ -17,8 +17,9 @@
 //!   throughput, cache hit rate, per-shard rows, batching and reroute
 //!   counters). Every completed request's fingerprint is checked against
 //!   a direct `run_original` of the same workload, so the load test
-//!   doubles as a correctness oracle. `--check` re-validates a committed
-//!   report with the dependency-free JSON reader.
+//!   doubles as a correctness oracle. The report is a `Json` value
+//!   checked against [`SCHEMA`]'s shape rules before it is written;
+//!   `--check` runs the same schema, gate rules included, on a file.
 
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -27,10 +28,10 @@ use std::time::{Duration, Instant};
 
 use mdf_graph::MdfError;
 use mdf_router::{InProcessBackend, Router, RouterConfig};
-use mdf_service::proto::{ErrCode, FleetStats, Response, ServiceStats, Submit};
+use mdf_service::proto::{ErrCode, FleetStats, Response, ServiceStats, ShardRow, Submit};
 use mdf_service::transport::Endpoint;
 use mdf_service::{CacheSync, Client, Engine, Server, ServiceConfig};
-use mdf_trace::json::{escape as json_escape, parse as parse_json, Json};
+use mdf_trace::json::{object, round, Field, Json, Schema, Type as T};
 
 use crate::CliError;
 
@@ -750,11 +751,7 @@ pub(crate) fn loadgen(opts: &ServiceOpts, json: bool) -> Result<String, CliError
         workload_names: workloads.iter().map(|w| w.name.clone()).collect(),
     };
 
-    let rendered = render_json(&report);
-    if let Some(path) = &opts.out {
-        std::fs::write(path, &rendered)
-            .map_err(|e| CliError::Usage(format!("cannot write {path}: {e}")))?;
-    }
+    let rendered = crate::write_report(&report_json(&report), &SCHEMA, opts.out.as_deref())?;
     if report.mismatches > 0 {
         return Err(CliError::Internal(format!(
             "{} fingerprint mismatch(es): service results diverged from run_original",
@@ -833,126 +830,93 @@ fn warm_hit_rate(s: &ServiceStats) -> f64 {
     }
 }
 
-fn render_json(r: &LoadReport) -> String {
-    let p50 = percentile(&r.latencies_ms, 0.50);
-    let p99 = percentile(&r.latencies_ms, 0.99);
-    let max = r.latencies_ms.last().copied().unwrap_or(0.0);
-    let rps = r.completed as f64 / r.wall_s.max(1e-9);
-    let mut out = String::new();
-    let _ = writeln!(out, "{{");
-    let _ = writeln!(out, "  \"schema_version\": {SCHEMA_VERSION},");
-    let _ = writeln!(out, "  \"name\": \"BENCH_service\",");
-    let _ = writeln!(out, "  \"requests\": {},", r.requests);
-    let _ = writeln!(out, "  \"concurrency\": {},", r.concurrency);
-    let _ = writeln!(out, "  \"mode\": \"{}\",", json_escape(&r.mode));
-    let _ = writeln!(out, "  \"seed\": {},", r.seed);
-    let _ = writeln!(out, "  \"completed\": {},", r.completed);
-    let _ = writeln!(out, "  \"mismatches\": {},", r.mismatches);
-    let _ = writeln!(out, "  \"typed_rejections\": {},", r.typed_rejections);
-    let _ = writeln!(out, "  \"transport_errors\": {},", r.transport_errors);
-    let _ = writeln!(out, "  \"retries\": {},", r.retries);
-    let _ = writeln!(out, "  \"throughput_rps\": {rps:.2},");
-    let _ = writeln!(
-        out,
-        "  \"latency_ms\": {{ \"p50\": {p50:.3}, \"p99\": {p99:.3}, \"max\": {max:.3} }},"
-    );
-    let _ = writeln!(out, "  \"cache_hit_rate\": {:.4},", hit_rate(&r.stats));
-    let _ = writeln!(out, "  \"cache_hits\": {},", r.stats.cache_hits);
-    let _ = writeln!(out, "  \"cache_misses\": {},", r.stats.cache_misses);
-    let _ = writeln!(out, "  \"cache_rejected\": {},", r.stats.cache_rejected);
-    let _ = writeln!(
-        out,
-        "  \"overload_rejections\": {},",
-        r.stats.overload_rejections
-    );
-    let _ = writeln!(out, "  \"drain_rejections\": {},", r.stats.drain_rejections);
-    let _ = writeln!(
-        out,
-        "  \"deadline_expiries\": {},",
-        r.stats.deadline_expiries
-    );
-    let _ = writeln!(out, "  \"recoveries\": {},", r.stats.recoveries);
-    let _ = writeln!(out, "  \"proto_errors\": {},", r.stats.proto_errors);
-    let _ = writeln!(out, "  \"panics_isolated\": {},", r.stats.panics_isolated);
-    let _ = writeln!(out, "  \"cache_warm_hits\": {},", r.stats.cache_warm_hits);
-    let _ = writeln!(
-        out,
-        "  \"cache_warm_loaded\": {},",
-        r.stats.cache_warm_loaded
-    );
-    let _ = writeln!(out, "  \"warm_hit_rate\": {:.4},", warm_hit_rate(&r.stats));
+/// The report as a JSON document.
+fn report_json(r: &LoadReport) -> Json {
+    let latency = [0.50, 0.99, 1.0].map(|p| percentile(&r.latencies_ms, p));
+    let percentiles = |[p50, p99, max]: [f64; 3]| {
+        [
+            ("p50", round(p50, 3)),
+            ("p99", round(p99, 3)),
+            ("max", round(max, 3)),
+        ]
+    };
+    let wall_s = r.wall_s.max(1e-9);
     // Like the router block below, chaos_latency is always present
     // (all-zero when `--chaos` was off) so v3 consumers never branch on
     // field existence. Under chaos the whole measured window runs with
     // the injector live, so the percentiles are the chaos percentiles.
-    let (cp50, cp99, cmax) = if r.chaos {
-        (p50, p99, max)
-    } else {
-        (0.0, 0.0, 0.0)
-    };
-    let _ = writeln!(out, "  \"chaos_latency\": {{");
-    let _ = writeln!(out, "    \"active\": {},", r.chaos);
-    let _ = writeln!(
-        out,
-        "    \"p50\": {cp50:.3}, \"p99\": {cp99:.3}, \"max\": {cmax:.3},"
-    );
-    let _ = writeln!(out, "    \"recoveries\": {},", r.chaos_recoveries);
-    let _ = writeln!(out, "    \"reroutes\": {}", r.chaos_reroutes);
-    let _ = writeln!(out, "  }},");
+    let chaos = [("active", Json::from(r.chaos))]
+        .into_iter()
+        .chain(percentiles(if r.chaos { latency } else { [0.0; 3] }))
+        .chain([
+            ("recoveries", r.chaos_recoveries.into()),
+            ("reroutes", r.chaos_reroutes.into()),
+        ]);
     // The router block is always present (all-zero for a single daemon)
     // so v2 consumers never branch on field existence.
     let zero = FleetStats::default();
     let f = r.fleet.as_ref().unwrap_or(&zero);
-    let _ = writeln!(out, "  \"router\": {{");
-    let _ = writeln!(out, "    \"routed\": {},", f.routed);
-    let _ = writeln!(out, "    \"batched_groups\": {},", f.batched_groups);
-    let _ = writeln!(out, "    \"batched_submits\": {},", f.batched_submits);
-    let _ = writeln!(out, "    \"reroutes\": {},", f.reroutes);
-    let _ = writeln!(out, "    \"shard_deaths\": {},", f.shard_deaths);
-    let _ = writeln!(out, "    \"respawns\": {},", f.respawns);
-    let _ = writeln!(out, "    \"fair_rejections\": {}", f.fair_rejections);
-    let _ = writeln!(out, "  }},");
-    let rows: Vec<String> = f
-        .shards
-        .iter()
-        .map(|row| {
-            let shard_rps = row.routed as f64 / r.wall_s.max(1e-9);
-            format!(
-                "    {{ \"id\": {}, \"generation\": {}, \"healthy\": {}, \
-                 \"routed\": {}, \"batched\": {}, \"reroutes\": {}, \
-                 \"requests\": {}, \"completed\": {}, \"req_s\": {:.2}, \
-                 \"cache_hit_rate\": {:.4}, \"warm_hit_rate\": {:.4}, \
-                 \"warm_loaded\": {} }}",
-                row.id,
-                row.generation,
-                row.healthy,
-                row.routed,
-                row.batched,
-                row.reroutes,
-                row.stats.requests,
-                row.stats.completed,
-                shard_rps,
-                hit_rate(&row.stats),
-                warm_hit_rate(&row.stats),
-                row.stats.cache_warm_loaded,
-            )
-        })
-        .collect();
-    if rows.is_empty() {
-        let _ = writeln!(out, "  \"shards\": [],");
-    } else {
-        let _ = writeln!(out, "  \"shards\": [");
-        let _ = writeln!(out, "{}", rows.join(",\n"));
-        let _ = writeln!(out, "  ],");
-    }
-    let names: Vec<String> = r
-        .workload_names
-        .iter()
-        .map(|n| format!("\"{}\"", json_escape(n)))
-        .collect();
-    let _ = writeln!(out, "  \"workloads\": [{}]", names.join(", "));
-    let _ = writeln!(out, "}}");
-    out
+    let router = object([
+        ("routed", Json::from(f.routed)),
+        ("batched_groups", f.batched_groups.into()),
+        ("batched_submits", f.batched_submits.into()),
+        ("reroutes", f.reroutes.into()),
+        ("shard_deaths", f.shard_deaths.into()),
+        ("respawns", f.respawns.into()),
+        ("fair_rejections", f.fair_rejections.into()),
+    ]);
+    let shard = |row: &ShardRow| {
+        object([
+            ("id", Json::from(u64::from(row.id))),
+            ("generation", row.generation.into()),
+            ("healthy", row.healthy.into()),
+            ("routed", row.routed.into()),
+            ("batched", row.batched.into()),
+            ("reroutes", row.reroutes.into()),
+            ("requests", row.stats.requests.into()),
+            ("completed", row.stats.completed.into()),
+            ("req_s", round(row.routed as f64 / wall_s, 2)),
+            ("cache_hit_rate", round(hit_rate(&row.stats), 4)),
+            ("warm_hit_rate", round(warm_hit_rate(&row.stats), 4)),
+            ("warm_loaded", row.stats.cache_warm_loaded.into()),
+        ])
+    };
+    let st = &r.stats;
+    object([
+        ("schema_version", Json::from(SCHEMA_VERSION)),
+        ("name", "BENCH_service".into()),
+        ("requests", r.requests.into()),
+        ("concurrency", r.concurrency.into()),
+        ("mode", r.mode.as_str().into()),
+        ("seed", r.seed.into()),
+        ("completed", r.completed.into()),
+        ("mismatches", r.mismatches.into()),
+        ("typed_rejections", r.typed_rejections.into()),
+        ("transport_errors", r.transport_errors.into()),
+        ("retries", r.retries.into()),
+        ("throughput_rps", round(r.completed as f64 / wall_s, 2)),
+        ("latency_ms", object(percentiles(latency))),
+        ("cache_hit_rate", round(hit_rate(st), 4)),
+        ("cache_hits", st.cache_hits.into()),
+        ("cache_misses", st.cache_misses.into()),
+        ("cache_rejected", st.cache_rejected.into()),
+        ("overload_rejections", st.overload_rejections.into()),
+        ("drain_rejections", st.drain_rejections.into()),
+        ("deadline_expiries", st.deadline_expiries.into()),
+        ("recoveries", st.recoveries.into()),
+        ("proto_errors", st.proto_errors.into()),
+        ("panics_isolated", st.panics_isolated.into()),
+        ("cache_warm_hits", st.cache_warm_hits.into()),
+        ("cache_warm_loaded", st.cache_warm_loaded.into()),
+        ("warm_hit_rate", round(warm_hit_rate(st), 4)),
+        ("chaos_latency", object(chaos)),
+        ("router", router),
+        ("shards", f.shards.iter().map(shard).collect()),
+        (
+            "workloads",
+            r.workload_names.iter().map(String::as_str).collect(),
+        ),
+    ])
 }
 
 fn render_human(r: &LoadReport) -> String {
@@ -1006,159 +970,117 @@ fn render_human(r: &LoadReport) -> String {
     out
 }
 
-/// Validates a `BENCH_service.json` file against the schema (exit 3 on
-/// violation). Dependency-free: built on `mdf_trace::json`.
+/// Validates a `BENCH_service.json` file against the schema, gate rules
+/// included (exit 3 on violation).
 pub(crate) fn check_file(path: &str) -> Result<String, CliError> {
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| CliError::Usage(format!("cannot read {path}: {e}")))?;
-    let completed =
-        validate(&text).map_err(|m| CliError::Mdf(MdfError::invalid(format!("{path}: {m}"))))?;
+    let doc = crate::read_report(path, &SCHEMA)?;
+    let completed = doc.get("completed").and_then(Json::num).unwrap_or_default();
     Ok(format!(
         "{path}: valid BENCH_service schema v{SCHEMA_VERSION} ({completed} completed request(s))\n"
     ))
 }
 
-/// Returns the completed-request count on success.
-fn validate(text: &str) -> Result<u64, String> {
-    let doc = parse_json(text)?;
-    let field = |k: &str| doc.get(k).ok_or_else(|| format!("missing field {k:?}"));
-    match field("schema_version")?.num() {
-        Some(v) if v == SCHEMA_VERSION as f64 => {}
-        Some(v) => {
-            return Err(format!(
-                "unknown schema_version {v} (expected {SCHEMA_VERSION})"
-            ))
-        }
-        None => return Err("schema_version must be a number".into()),
-    }
-    if field("name")?.str_val() != Some("BENCH_service") {
-        return Err("name is not \"BENCH_service\"".into());
-    }
-    for k in [
-        "requests",
-        "concurrency",
-        "seed",
-        "completed",
-        "mismatches",
-        "typed_rejections",
-        "transport_errors",
-        "retries",
-        "throughput_rps",
-        "cache_hits",
-        "cache_misses",
-        "cache_rejected",
-        "overload_rejections",
-        "drain_rejections",
-        "deadline_expiries",
-        "recoveries",
-        "proto_errors",
-        "panics_isolated",
-        "cache_warm_hits",
-        "cache_warm_loaded",
-    ] {
-        if !field(k)?.num().is_some_and(|v| v >= 0.0) {
-            return Err(format!("{k} must be a non-negative number"));
-        }
-    }
-    let completed = field("completed")?.num().unwrap_or(0.0);
-    if completed < 1.0 {
+/// `BENCH_service.json`. The gate rules judge the run, so a loadgen run
+/// that fails one still writes its report for `--check` to reject.
+static SCHEMA: Schema = Schema {
+    version: Some(SCHEMA_VERSION),
+    fields: &[
+        Field::req("name", T::Tag(&["BENCH_service"])),
+        Field::req("mode", T::Str),
+        Field::req(
+            "{requests,concurrency,seed,completed,mismatches,typed_rejections,\
+             transport_errors,retries,throughput_rps,cache_hits,cache_misses,\
+             cache_rejected,overload_rejections,drain_rejections,deadline_expiries,\
+             recoveries,proto_errors,panics_isolated,cache_warm_hits,cache_warm_loaded}",
+            T::Num,
+        )
+        .min(0.0),
+        Field::req("{cache_hit_rate,warm_hit_rate}", T::Num).within(0.0, 1.0),
+        Field::req("{latency_ms,chaos_latency,router}", T::Obj),
+        Field::req("latency_ms.{p50,p99,max}", T::Num).min(0.0),
+        Field::req("chaos_latency.active", T::Bool),
+        Field::req("chaos_latency.{p50,p99,max,recoveries,reroutes}", T::Num).min(0.0),
+        Field::req(
+            "router.{routed,batched_groups,batched_submits,reroutes,shard_deaths,respawns,\
+             fair_rejections}",
+            T::Num,
+        )
+        .min(0.0),
+        Field::req("shards", T::Arr),
+        Field::req("shards[]", T::Obj),
+        Field::req(
+            "shards[].{id,generation,routed,batched,reroutes,requests,completed,req_s,\
+             cache_hit_rate,warm_hit_rate,warm_loaded}",
+            T::Num,
+        )
+        .min(0.0),
+        Field::req("shards[].healthy", T::Bool),
+        Field::req("workloads", T::Arr).min(1.0),
+        Field::req("workloads[]", T::Str).min(1.0),
+    ],
+    shape: &[],
+    gates: &[
+        completed_some,
+        no_mismatches,
+        cache_hit_floor,
+        fleet_rows_routed,
+    ],
+};
+
+fn num(doc: &Json, key: &str) -> f64 {
+    doc.get(key).and_then(Json::num).unwrap_or_default()
+}
+
+fn completed_some(doc: &Json) -> Result<(), String> {
+    if num(doc, "completed") < 1.0 {
         return Err("a valid report must complete at least one request".into());
     }
-    if field("mismatches")?.num() != Some(0.0) {
+    Ok(())
+}
+
+fn no_mismatches(doc: &Json) -> Result<(), String> {
+    if num(doc, "mismatches") != 0.0 {
         return Err("mismatches must be 0: the service diverged from run_original".into());
     }
-    let lat = field("latency_ms")?;
-    for k in ["p50", "p99", "max"] {
-        if !lat.get(k).and_then(Json::num).is_some_and(|v| v >= 0.0) {
-            return Err(format!("latency_ms.{k} must be a non-negative number"));
-        }
-    }
-    let hit_rate = field("cache_hit_rate")?
-        .num()
-        .ok_or("cache_hit_rate must be a number")?;
-    if !(0.0..=1.0).contains(&hit_rate) {
-        return Err("cache_hit_rate must be within [0, 1]".into());
-    }
-    if hit_rate < 0.9 {
+    Ok(())
+}
+
+fn cache_hit_floor(doc: &Json) -> Result<(), String> {
+    let rate = num(doc, "cache_hit_rate");
+    if rate < 0.9 {
         return Err(format!(
-            "cache_hit_rate {hit_rate} below the 0.9 floor: repeat traffic is not hitting the plan cache"
+            "cache_hit_rate {rate} below the 0.9 floor: repeat traffic is not hitting the plan cache"
         ));
     }
-    let warm_rate = field("warm_hit_rate")?
-        .num()
-        .ok_or("warm_hit_rate must be a number")?;
-    if !(0.0..=1.0).contains(&warm_rate) {
-        return Err("warm_hit_rate must be within [0, 1]".into());
-    }
-    let chaos = field("chaos_latency")?;
-    if chaos.get("active").and_then(Json::bool_val).is_none() {
-        return Err("chaos_latency.active must be a boolean".into());
-    }
-    for k in ["p50", "p99", "max", "recoveries", "reroutes"] {
-        if !chaos.get(k).and_then(Json::num).is_some_and(|v| v >= 0.0) {
-            return Err(format!("chaos_latency.{k} must be a non-negative number"));
-        }
-    }
-    let router = field("router")?;
-    for k in [
-        "routed",
-        "batched_groups",
-        "batched_submits",
-        "reroutes",
-        "shard_deaths",
-        "respawns",
-        "fair_rejections",
-    ] {
-        if !router.get(k).and_then(Json::num).is_some_and(|v| v >= 0.0) {
-            return Err(format!("router.{k} must be a non-negative number"));
-        }
-    }
-    let shards = field("shards")?.arr().ok_or("shards must be an array")?;
-    for (i, row) in shards.iter().enumerate() {
-        for k in [
-            "id",
-            "generation",
-            "routed",
-            "batched",
-            "reroutes",
-            "requests",
-            "completed",
-            "req_s",
-            "cache_hit_rate",
-            "warm_hit_rate",
-            "warm_loaded",
-        ] {
-            if !row.get(k).and_then(Json::num).is_some_and(|v| v >= 0.0) {
-                return Err(format!("shards[{i}].{k} must be a non-negative number"));
-            }
-        }
-        if row.get("healthy").and_then(Json::bool_val).is_none() {
-            return Err(format!("shards[{i}].healthy must be a boolean"));
-        }
-    }
-    // A fleet run must show routing consistent with its rows.
-    let routed = router.get("routed").and_then(Json::num).unwrap_or(0.0);
-    if !shards.is_empty() && routed < 1.0 {
+    Ok(())
+}
+
+/// A fleet run must show routing consistent with its rows.
+fn fleet_rows_routed(doc: &Json) -> Result<(), String> {
+    let rows = doc.get("shards").and_then(Json::arr).unwrap_or_default();
+    let routed = doc.get("router").map_or(0.0, |r| num(r, "routed"));
+    if !rows.is_empty() && routed < 1.0 {
         return Err("a fleet report with shard rows must have routed >= 1".into());
     }
-    let workloads = field("workloads")?
-        .arr()
-        .ok_or("workloads must be an array")?;
-    if workloads.is_empty() {
-        return Err("workloads must be non-empty".into());
-    }
-    for w in workloads {
-        if w.str_val().is_none_or(str::is_empty) {
-            return Err("workloads entries must be non-empty strings".into());
-        }
-    }
-    Ok(completed as u64)
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mdf_service::proto::ShardRow;
+    use mdf_trace::json::parse;
+
+    fn render_json(r: &LoadReport) -> String {
+        report_json(r).pretty()
+    }
+
+    /// Parses `text` and runs the whole schema on it, as `--check` does;
+    /// returns the completed-request count.
+    fn validate(text: &str) -> Result<u64, String> {
+        let doc = parse(text)?;
+        SCHEMA.check(&doc)?;
+        Ok(num(&doc, "completed") as u64)
+    }
 
     fn report() -> LoadReport {
         LoadReport {
@@ -1279,9 +1201,11 @@ mod tests {
         let mut r = report();
         r.mismatches = 1;
         assert!(validate(&render_json(&r)).is_err());
+        // Warm hits are a subset of hits: a cold run has none of either.
         let mut r = report();
         r.stats.cache_hits = 1;
         r.stats.cache_misses = 9;
+        r.stats.cache_warm_hits = 0;
         let err = validate(&render_json(&r)).unwrap_err();
         assert!(err.contains("cache_hit_rate"), "{err}");
     }

@@ -13,7 +13,7 @@
 //! * [`shortest_paths_from`] — single-source variant with unreachable
 //!   vertices reported as `None`.
 
-use mdf_graph::budget::BudgetMeter;
+use mdf_graph::budget::{Budget, BudgetMeter};
 use mdf_graph::error::MdfError;
 use mdf_trace::Span;
 
@@ -52,70 +52,19 @@ impl<W: Weight> Solution<W> {
     }
 }
 
-/// Relaxation statistics (exposed for the complexity benchmarks; the
-/// `O(|V||E|)` bound of Section 2.4 shows up directly in `relaxation_rounds`).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct SolveStats {
-    /// Number of full passes over the edge list actually executed.
-    pub rounds: usize,
-    /// Number of successful relaxations.
-    pub relaxations: usize,
-}
-
 /// Solves `x_dst - x_src <= w` for all edges, with every vertex implicitly
-/// reachable from a zero-weight virtual source.
+/// reachable from a zero-weight virtual source: the metered solve on an
+/// unlimited meter.
 pub fn solve_difference_constraints<W: Weight>(g: &ConstraintGraph<W>) -> Solution<W> {
-    solve_difference_constraints_with_stats(g).0
-}
-
-/// As [`solve_difference_constraints`], also returning relaxation counters.
-pub fn solve_difference_constraints_with_stats<W: Weight>(
-    g: &ConstraintGraph<W>,
-) -> (Solution<W>, SolveStats) {
-    let n = g.vertex_count();
-    // Virtual source: dist starts at ZERO everywhere, exactly as if v0 had a
-    // zero-weight edge to every vertex (LLOFRA's construction).
-    let mut dist: Vec<W> = vec![W::ZERO; n];
-    let mut pred: Vec<Option<usize>> = vec![None; n];
-    let mut stats = SolveStats::default();
-
-    for _round in 0..n {
-        stats.rounds += 1;
-        let mut changed = false;
-        for (eid, e) in g.edges().iter().enumerate() {
-            let candidate = dist[e.src] + e.weight;
-            if candidate < dist[e.dst] {
-                dist[e.dst] = candidate;
-                pred[e.dst] = Some(eid);
-                stats.relaxations += 1;
-                changed = true;
-            }
-        }
-        if !changed {
-            return (Solution::Feasible { dist }, stats);
-        }
+    match solve_difference_constraints_traced(
+        g,
+        &mut Budget::unlimited().meter(),
+        &Span::disabled(),
+    ) {
+        Ok(solution) => solution,
+        // No cap, no deadline and no chaos: nothing can trip.
+        Err(e) => unreachable!("an unlimited meter tripped: {e}"),
     }
-    // A relaxation occurred in the n-th pass: a negative cycle exists. Run
-    // one more full pass, *applying* the relaxations, and walk back from a
-    // vertex updated in it: such a vertex's predecessor chain is current
-    // all the way (a vertex can only be re-improved via predecessors that
-    // were themselves improved after round one), so following it n steps
-    // provably lands on the cycle.
-    let mut witness = None;
-    for (eid, e) in g.edges().iter().enumerate() {
-        let candidate = dist[e.src] + e.weight;
-        if candidate < dist[e.dst] {
-            dist[e.dst] = candidate;
-            pred[e.dst] = Some(eid);
-            witness = Some(e.dst);
-        }
-    }
-    // An n-th relaxation pass only runs because an edge improved, so a
-    // witness was recorded.
-    #[allow(clippy::expect_used)]
-    let start = witness.expect("relaxation in pass n but no improvable edge found");
-    let cycle = extract_cycle(g, &pred, start);
-    (Solution::Infeasible { cycle }, stats)
 }
 
 /// As [`solve_difference_constraints`], but metered: every full pass over
@@ -142,6 +91,8 @@ pub fn solve_difference_constraints_traced<W: Weight>(
     span: &Span,
 ) -> Result<Solution<W>, MdfError> {
     let n = g.vertex_count();
+    // Virtual source: dist starts at ZERO everywhere, exactly as if v0 had a
+    // zero-weight edge to every vertex (LLOFRA's construction).
     let mut dist: Vec<W> = vec![W::ZERO; n];
     let mut pred: Vec<Option<usize>> = vec![None; n];
     let mut rounds: u64 = 0;
@@ -174,9 +125,12 @@ pub fn solve_difference_constraints_traced<W: Weight>(
             return Ok(Solution::Feasible { dist });
         }
     }
-    // Negative cycle: one more applying pass yields a witness vertex whose
-    // predecessor chain provably reaches the cycle (see the unbudgeted
-    // solver for the argument).
+    // A relaxation occurred in the n-th pass: a negative cycle exists. Run
+    // one more full pass, *applying* the relaxations, and walk back from a
+    // vertex updated in it: such a vertex's predecessor chain is current
+    // all the way (a vertex can only be re-improved via predecessors that
+    // were themselves improved after round one), so following it n steps
+    // provably lands on the cycle.
     meter.chaos_site("constraint.solve.round")?;
     meter.charge_rounds(1)?;
     rounds += 1;
@@ -400,10 +354,15 @@ mod tests {
         for v in 0..4 {
             g.add_edge(v, v + 1, -1);
         }
-        let (sol, stats) = solve_difference_constraints_with_stats(&g);
+        let sink = std::sync::Arc::new(mdf_trace::MemorySink::new());
+        let span = mdf_trace::Tracer::new(sink.clone()).span("solve");
+        let sol = solve_difference_constraints_traced(&g, &mut Budget::unlimited().meter(), &span)
+            .unwrap();
+        span.finish();
         assert!(sol.is_feasible());
-        assert!(stats.rounds <= 5);
-        assert!(stats.relaxations >= 4);
+        let profile = sink.profile().unwrap();
+        assert!(profile.counter_total("constraint.rounds") <= 5);
+        assert!(profile.counter_total("constraint.relaxations") >= 4);
     }
 
     #[test]

@@ -33,8 +33,7 @@ pub mod weight;
 
 pub use bellman_ford::{
     shortest_paths_from, solve_difference_constraints, solve_difference_constraints_budgeted,
-    solve_difference_constraints_traced, solve_difference_constraints_with_stats, Solution,
-    SolveStats,
+    solve_difference_constraints_traced, Solution,
 };
 pub use graph::{CEdge, ConstraintGraph, NegativeCycle};
 pub use system::{DifferenceSystem, Engine, Infeasible};

@@ -9,17 +9,22 @@
 //!   parallel without cross-talk.
 //! * Named counters — [`Span::add`] attaches `&'static str`-named deltas
 //!   to the enclosing span; sinks aggregate them per span.
-//! * [`sink::Sink`] — the thread-safe event consumer trait, with three
-//!   implementations: [`sink::NoopSink`] (discard), [`sink::MemorySink`]
-//!   (in-memory event log, the substrate for [`profile::Profile`]), and
-//!   [`sink::JsonLinesSink`] (streaming JSON lines).
+//! * [`sink::Sink`] — the thread-safe event consumer trait, with two
+//!   implementations: [`sink::NoopSink`] (discard) and
+//!   [`sink::MemorySink`] (in-memory event log, the substrate for
+//!   [`profile::Profile`]).
 //! * [`profile::Profile`] — the span tree reassembled from events, with
 //!   the schema-v1 JSON-lines serialization (`to_jsonl`), a human phase
 //!   summary (`summary`), and a timing-free structural rendering
 //!   (`structure`) for golden tests.
-//! * [`validate::validate_trace`] — a dependency-free validator for the
-//!   emitted profile format (the `mdfuse profile-check` engine), built on
-//!   the minimal JSON reader in [`json`].
+//! * [`validate::validate_trace`] — the checker for the emitted profile
+//!   format (the `mdfuse profile-check` engine): the header and span
+//!   schemas, then the span tree's structure.
+//! * [`json`] — the workspace's one JSON layer, shared by every report
+//!   the workspace writes: the [`json::Json`] value, a reader, one writer
+//!   (indented report files, one-line JSON-lines records) and a small
+//!   declarative [`json::Schema`] whose checker backs `profile-check`
+//!   and every report's `--check`.
 //!
 //! ## The profiling-must-not-perturb invariant
 //!
@@ -56,7 +61,7 @@ pub mod sink;
 pub mod validate;
 
 pub use profile::{Profile, ProfileSpan};
-pub use sink::{Event, JsonLinesSink, MemorySink, NoopSink, Sink};
+pub use sink::{Event, MemorySink, NoopSink, Sink};
 pub use validate::{validate_trace, TraceSummary};
 
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -4,7 +4,7 @@
 
 use std::collections::BTreeMap;
 
-use crate::json::escape;
+use crate::json::{object, Json};
 use crate::sink::Event;
 use crate::SCHEMA_VERSION;
 
@@ -130,37 +130,30 @@ impl Profile {
     /// parents before children. Validated by
     /// [`crate::validate::validate_trace`].
     pub fn to_jsonl(&self, tool: &str, command: &str) -> String {
-        let mut out = String::new();
-        out.push_str(&format!(
-            "{{\"kind\":\"header\",\"schema_version\":{SCHEMA_VERSION},\
-             \"name\":\"mdf-trace\",\"tool\":\"{}\",\"command\":\"{}\",\
-             \"span_count\":{}}}\n",
-            escape(tool),
-            escape(command),
-            self.spans.len()
-        ));
-        for s in &self.spans {
-            let parent = match s.parent {
-                Some(p) => p.to_string(),
-                None => "null".to_string(),
-            };
-            let counters = s
-                .counters
-                .iter()
-                .map(|(k, v)| format!("\"{}\":{v}", escape(k)))
-                .collect::<Vec<_>>()
-                .join(",");
-            out.push_str(&format!(
-                "{{\"kind\":\"span\",\"id\":{},\"parent\":{parent},\
-                 \"name\":\"{}\",\"start_ns\":{},\"dur_ns\":{},\
-                 \"counters\":{{{counters}}}}}\n",
-                s.id,
-                escape(&s.name),
-                s.start_ns,
-                s.dur_ns
-            ));
-        }
-        out
+        let header = object([
+            ("kind", Json::from("header")),
+            ("schema_version", SCHEMA_VERSION.into()),
+            ("name", "mdf-trace".into()),
+            ("tool", tool.into()),
+            ("command", command.into()),
+            ("span_count", self.spans.len().into()),
+        ]);
+        let spans = self.spans.iter().map(|s| {
+            let counters = s.counters.iter().map(|(k, v)| (k.as_str(), Json::from(*v)));
+            object([
+                ("kind", Json::from("span")),
+                ("id", s.id.into()),
+                ("parent", s.parent.map_or(Json::Null, Json::from)),
+                ("name", s.name.as_str().into()),
+                ("start_ns", s.start_ns.into()),
+                ("dur_ns", s.dur_ns.into()),
+                ("counters", object(counters)),
+            ])
+        });
+        std::iter::once(header)
+            .chain(spans)
+            .map(|record| record.line() + "\n")
+            .collect()
     }
 
     /// A human-readable phase table: the span tree indented, with

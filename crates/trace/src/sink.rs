@@ -6,7 +6,6 @@
 //! only *reports aggregated counters* from the coordinating thread today,
 //! the contract keeps that an implementation detail.
 
-use std::io::Write;
 use std::sync::Mutex;
 
 use crate::profile::Profile;
@@ -99,66 +98,6 @@ impl Sink for MemorySink {
     }
 }
 
-/// Streams events as JSON lines to a writer, one object per event, as
-/// they happen. This is the low-level streaming form (useful for
-/// post-mortem analysis of a crashed run); the *profile* format written
-/// by `mdfuse --profile` is the assembled per-span form from
-/// [`Profile::to_jsonl`].
-pub struct JsonLinesSink<W: Write + Send> {
-    out: Mutex<W>,
-}
-
-impl<W: Write + Send> JsonLinesSink<W> {
-    /// Wraps a writer.
-    pub fn new(out: W) -> JsonLinesSink<W> {
-        JsonLinesSink {
-            out: Mutex::new(out),
-        }
-    }
-
-    /// Unwraps the writer, flushing nothing extra.
-    pub fn into_inner(self) -> W {
-        match self.out.into_inner() {
-            Ok(w) => w,
-            Err(poisoned) => poisoned.into_inner(),
-        }
-    }
-}
-
-impl<W: Write + Send> Sink for JsonLinesSink<W> {
-    fn record(&self, event: &Event) {
-        let line = match event {
-            Event::SpanStart {
-                id,
-                parent,
-                name,
-                start_ns,
-            } => {
-                let parent = match parent {
-                    Some(p) => p.to_string(),
-                    None => "null".to_string(),
-                };
-                format!(
-                    "{{\"event\":\"start\",\"id\":{id},\"parent\":{parent},\
-                     \"name\":\"{name}\",\"start_ns\":{start_ns}}}"
-                )
-            }
-            Event::SpanEnd { id, end_ns } => {
-                format!("{{\"event\":\"end\",\"id\":{id},\"end_ns\":{end_ns}}}")
-            }
-            Event::Counter { span, name, delta } => {
-                format!(
-                    "{{\"event\":\"counter\",\"span\":{span},\"name\":\"{name}\",\
-                     \"delta\":{delta}}}"
-                )
-            }
-        };
-        if let Ok(mut g) = self.out.lock() {
-            let _ = writeln!(g, "{line}");
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -185,32 +124,5 @@ mod tests {
             }
         ));
         assert!(matches!(ev[2], Event::SpanEnd { id: 0, .. }));
-    }
-
-    #[test]
-    fn jsonl_sink_streams_lines() {
-        let sink = JsonLinesSink::new(Vec::new());
-        sink.record(&Event::SpanStart {
-            id: 0,
-            parent: None,
-            name: "root",
-            start_ns: 5,
-        });
-        sink.record(&Event::Counter {
-            span: 0,
-            name: "k",
-            delta: 2,
-        });
-        sink.record(&Event::SpanEnd { id: 0, end_ns: 9 });
-        let text = String::from_utf8(sink.into_inner()).unwrap();
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 3);
-        assert!(lines[0].contains("\"parent\":null"), "{}", lines[0]);
-        assert!(lines[1].contains("\"delta\":2"), "{}", lines[1]);
-        assert!(lines[2].contains("\"end_ns\":9"), "{}", lines[2]);
-        // Every line parses as standalone JSON.
-        for l in lines {
-            crate::json::parse(l).unwrap();
-        }
     }
 }

@@ -1,15 +1,56 @@
-//! Dependency-free validator for the schema-v1 profile format emitted by
-//! [`crate::profile::Profile::to_jsonl`] — the engine behind
-//! `mdfuse profile-check`. Checks structural well-formedness, not
-//! semantics: header first, known schema version, unique span ids,
-//! parents emitted before children, child intervals nested inside their
-//! parent's, sibling intervals non-overlapping, and an honest
+//! The schema-v1 profile format emitted by
+//! [`crate::profile::Profile::to_jsonl`] and its checker, the engine
+//! behind `mdfuse profile-check`. The header line and the span records
+//! each have a [`Schema`]; [`validate_trace`] checks every line against
+//! its schema, then the structure the lines form together: unique span
+//! ids, parents emitted before children, child intervals nested inside
+//! their parent's, sibling intervals non-overlapping, and an honest
 //! `span_count`.
 
 use std::collections::BTreeMap;
 
-use crate::json::{parse, Json};
+use crate::json::{parse, Field, Json, Presence, Schema, Type};
 use crate::SCHEMA_VERSION;
+
+/// The header line.
+static HEADER: Schema = Schema {
+    version: Some(SCHEMA_VERSION),
+    fields: &[
+        Field::req("kind", Type::Tag(&["header"])),
+        Field::req("name", Type::Tag(&["mdf-trace"])),
+        Field::req("{tool,command}", Type::Str),
+        Field::req("span_count", Type::Int).min(0.0),
+    ],
+    shape: &[],
+    gates: &[],
+};
+
+/// One span record.
+static SPAN: Schema = Schema {
+    version: None,
+    fields: &[
+        Field::req("kind", Type::Tag(&["span"])),
+        Field::req("{id,start_ns,dur_ns}", Type::Int).min(0.0),
+        Field::req("parent", Type::Int)
+            .min(0.0)
+            .presence(Presence::Nullable),
+        Field::req("name", Type::Str),
+        Field::req("counters", Type::Obj),
+    ],
+    shape: &[counters_are_counts],
+    gates: &[],
+};
+
+/// Every counter value is a whole number of events.
+fn counters_are_counts(span: &Json) -> Result<(), String> {
+    let counters = span.get("counters").and_then(Json::obj).unwrap_or_default();
+    for (k, v) in counters {
+        if !v.num().is_some_and(|n| n >= 0.0 && n.fract() == 0.0) {
+            return Err(format!("counter {k:?} is not a non-negative integer"));
+        }
+    }
+    Ok(())
+}
 
 /// What a valid trace contained, for one-line reporting.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -22,16 +63,6 @@ pub struct TraceSummary {
     pub roots: usize,
 }
 
-fn uint(v: &Json, what: &str, line: usize) -> Result<u64, String> {
-    let n = v
-        .num()
-        .ok_or_else(|| format!("line {line}: {what} is not a number"))?;
-    if n < 0.0 || n.fract() != 0.0 || n > 9_007_199_254_740_992.0 {
-        return Err(format!("line {line}: {what} is not a non-negative integer"));
-    }
-    Ok(n as u64)
-}
-
 /// Validates one profile document. Returns a [`TraceSummary`] on success,
 /// a human-readable schema violation on error.
 pub fn validate_trace(text: &str) -> Result<TraceSummary, String> {
@@ -42,108 +73,48 @@ pub fn validate_trace(text: &str) -> Result<TraceSummary, String> {
 
     let (_, header_line) = lines.next().ok_or("empty trace file")?;
     let header = parse(header_line).map_err(|e| format!("line 1: {e}"))?;
-    if header.get("kind").and_then(Json::str_val) != Some("header") {
-        return Err("line 1: first line is not a header record".into());
-    }
-    let version = uint(
-        header
-            .get("schema_version")
-            .ok_or("line 1: header is missing schema_version")?,
-        "schema_version",
-        1,
-    )?;
-    if version != SCHEMA_VERSION {
-        return Err(format!(
-            "unknown schema_version {version} (expected {SCHEMA_VERSION})"
-        ));
-    }
-    if header.get("name").and_then(Json::str_val) != Some("mdf-trace") {
-        return Err("line 1: header name is not \"mdf-trace\"".into());
-    }
+    HEADER.check(&header)?;
+    let int = |v: &Json, k: &str| v.get(k).and_then(Json::num).unwrap_or(0.0) as u64;
     let command = header
         .get("command")
         .and_then(Json::str_val)
-        .ok_or("line 1: header is missing command")?
+        .unwrap_or_default()
         .to_string();
-    let declared = uint(
-        header
-            .get("span_count")
-            .ok_or("line 1: header is missing span_count")?,
-        "span_count",
-        1,
-    )? as usize;
+    let declared = int(&header, "span_count") as usize;
 
     // id -> emitted interval, for the parent-nesting check.
-    struct Seen {
-        start: u64,
-        end: u64,
-    }
-    let mut seen: BTreeMap<u64, Seen> = BTreeMap::new();
-    // Last-emitted interval per parent, for the sibling-overlap check.
-    let mut last_sibling: BTreeMap<Option<u64>, (u64, u64)> = BTreeMap::new();
+    let mut seen: BTreeMap<u64, (u64, u64)> = BTreeMap::new();
+    // Last-emitted interval end per parent, for the sibling-overlap check.
+    let mut last_sibling: BTreeMap<Option<u64>, u64> = BTreeMap::new();
     let mut roots = 0usize;
     let mut count = 0usize;
 
     for (idx, line) in lines {
         let ln = idx + 1;
         let v = parse(line).map_err(|e| format!("line {ln}: {e}"))?;
-        if v.get("kind").and_then(Json::str_val) != Some("span") {
-            return Err(format!("line {ln}: record kind is not \"span\""));
-        }
-        let id = uint(
-            v.get("id").ok_or(format!("line {ln}: missing id"))?,
-            "id",
-            ln,
-        )?;
+        SPAN.check(&v).map_err(|e| format!("line {ln}: {e}"))?;
+        let id = int(&v, "id");
         if seen.contains_key(&id) {
             return Err(format!("line {ln}: duplicate span id {id}"));
         }
-        if v.get("name").and_then(Json::str_val).is_none() {
-            return Err(format!("line {ln}: missing span name"));
-        }
-        let parent = match v.get("parent") {
-            Some(Json::Null) => None,
-            Some(p) => Some(uint(p, "parent", ln)?),
-            None => return Err(format!("line {ln}: missing parent")),
-        };
-        let start = uint(
-            v.get("start_ns")
-                .ok_or(format!("line {ln}: missing start_ns"))?,
-            "start_ns",
-            ln,
-        )?;
-        let dur = uint(
-            v.get("dur_ns")
-                .ok_or(format!("line {ln}: missing dur_ns"))?,
-            "dur_ns",
-            ln,
-        )?;
-        let end = start.saturating_add(dur);
-        let counters = v
-            .get("counters")
-            .ok_or(format!("line {ln}: missing counters"))?;
-        for (k, val) in counters
-            .obj()
-            .ok_or(format!("line {ln}: counters is not an object"))?
-        {
-            uint(val, &format!("counter {k:?}"), ln)?;
-        }
+        let parent = v.get("parent").and_then(Json::num).map(|p| p as u64);
+        let start = int(&v, "start_ns");
+        let end = start.saturating_add(int(&v, "dur_ns"));
         match parent {
             None => roots += 1,
             Some(p) => {
-                let pspan = seen.get(&p).ok_or(format!(
+                let &(pstart, pend) = seen.get(&p).ok_or(format!(
                     "line {ln}: span {id} references parent {p} not yet emitted (orphan)"
                 ))?;
-                if start < pspan.start || end > pspan.end {
+                if start < pstart || end > pend {
                     return Err(format!(
                         "line {ln}: span {id} [{start}, {end}] escapes its \
-                         parent {p} [{}, {}]",
-                        pspan.start, pspan.end
+                         parent {p} [{pstart}, {pend}]"
                     ));
                 }
             }
         }
-        if let Some(&(_, prev_end)) = last_sibling.get(&parent) {
+        if let Some(&prev_end) = last_sibling.get(&parent) {
             if start < prev_end {
                 return Err(format!(
                     "line {ln}: span {id} starts at {start}, overlapping its \
@@ -151,8 +122,8 @@ pub fn validate_trace(text: &str) -> Result<TraceSummary, String> {
                 ));
             }
         }
-        last_sibling.insert(parent, (start, end));
-        seen.insert(id, Seen { start, end });
+        last_sibling.insert(parent, end);
+        seen.insert(id, (start, end));
         count += 1;
     }
 

@@ -42,30 +42,33 @@ echo "==> fuzz oracle (500 cases at seeds 1 and 7)"
 ./target/release/mdfuse fuzz --cases 500 --seed 1
 ./target/release/mdfuse fuzz --cases 500 --seed 7
 
+# Every report a smoke below writes and validates is kept here (target/ is
+# git-ignored), so CI uploads these files instead of writing its own.
+reports=target/check-reports
+rm -rf "$reports"
+mkdir -p "$reports/bench" "$reports/profile" "$reports/service" "$reports/chaos"
+
 echo "==> bench matrix smoke (threads 1,2, schema-validated, vs committed baseline)"
-bench_out=$(mktemp -d)
 ./target/release/mdfuse bench --check BENCH_fusion.json
 # Full bench shape so the smoke cells are comparable against the
 # committed baseline (quick runs a different shape and would not match).
 ./target/release/mdfuse bench --threads 1,2 --json --deadline-ms 300000 \
-  --out "$bench_out/BENCH_smoke.json" >/dev/null
-./target/release/mdfuse bench --check "$bench_out/BENCH_smoke.json"
+  --out "$reports/bench/BENCH_smoke.json" >/dev/null
+./target/release/mdfuse bench --check "$reports/bench/BENCH_smoke.json"
 # 0.30, not the tool's 0.15 default: smoke runs on shared/1-core hosts
 # see ±20% speedup drift from CPU-steal epochs even with the paired-rep
 # estimator, while the regressions this gate exists for (elision or
 # certification silently off) cost 40%+.
-./scripts/compare_bench.sh "$bench_out/BENCH_smoke.json" BENCH_fusion.json 0.30
-rm -rf "$bench_out"
+./scripts/compare_bench.sh "$reports/bench/BENCH_smoke.json" BENCH_fusion.json 0.30 \
+  | tee "$reports/bench/compare.txt"
 
 echo "==> profile smoke (run/bench --profile, schema-validated)"
-profile_out=$(mktemp -d)
 ./target/release/mdfuse run examples/dsl/figure2.mdf 16 16 --engine kernel \
-  --profile="$profile_out/run.trace.jsonl" >/dev/null 2>&1
-./target/release/mdfuse profile-check "$profile_out/run.trace.jsonl"
+  --profile="$reports/profile/run.trace.jsonl" >/dev/null 2>&1
+./target/release/mdfuse profile-check "$reports/profile/run.trace.jsonl"
 ./target/release/mdfuse bench --quick --threads 1,2 --deadline-ms 60000 \
-  --profile="$profile_out/bench.trace.jsonl" >/dev/null 2>&1
-./target/release/mdfuse profile-check "$profile_out/bench.trace.jsonl"
-rm -rf "$profile_out"
+  --profile="$reports/profile/bench.trace.jsonl" >/dev/null 2>&1
+./target/release/mdfuse profile-check "$reports/profile/bench.trace.jsonl"
 
 echo "==> fuzz self-test (fault injection must be caught)"
 ./target/release/mdfuse fuzz --cases 50 --seed 1 --inject-broken-retiming >/dev/null
@@ -73,8 +76,8 @@ echo "==> fuzz self-test (fault injection must be caught)"
 echo "==> service smoke (daemon boot, loadgen burst, graceful drain)"
 svc_out=$(mktemp -d)
 ./target/release/mdfuse loadgen --requests 60 --concurrency 4 --seed 1 \
-  --out "$svc_out/BENCH_service.json" >/dev/null
-./target/release/mdfuse loadgen --check "$svc_out/BENCH_service.json"
+  --out "$reports/service/BENCH_service.json" >/dev/null
+./target/release/mdfuse loadgen --check "$reports/service/BENCH_service.json"
 ./target/release/mdfuse serve "$svc_out/mdfused.sock" >/dev/null &
 svc_pid=$!
 for _ in $(seq 50); do
@@ -89,12 +92,11 @@ wait "$svc_pid"
 rm -rf "$svc_out"
 
 echo "==> router smoke (2-shard TCP fleet, shard kill, recovery, drain)"
-fleet_out=$(mktemp -d)
 # 120 requests, not 60: each shard warms its own plan cache, so a
 # 2-shard run needs twice the traffic to clear the 0.9 hit-rate floor.
 ./target/release/mdfuse loadgen --shards 2 --batch --requests 120 --concurrency 8 \
-  --seed 1 --out "$fleet_out/BENCH_fleet.json" >/dev/null
-./target/release/mdfuse loadgen --check "$fleet_out/BENCH_fleet.json"
+  --seed 1 --out "$reports/service/BENCH_fleet.json" >/dev/null
+./target/release/mdfuse loadgen --check "$reports/service/BENCH_fleet.json"
 ./target/release/mdfuse route tcp:127.0.0.1:17071 --shards 2 --batch >/dev/null &
 fleet_pid=$!
 for _ in $(seq 50); do
@@ -117,7 +119,6 @@ echo "$fleet_report" | grep -q "respawns: 1"
 ! echo "$fleet_report" | grep -q ", dead)"
 ./target/release/mdfuse client tcp:127.0.0.1:17071 shutdown >/dev/null
 wait "$fleet_pid"
-rm -rf "$fleet_out"
 
 echo "==> persistence smoke (populate, kill -9, warm restart, validate)"
 persist_out=$(mktemp -d)
@@ -147,10 +148,10 @@ done
   | grep -q "warm-loaded"
 ./target/release/mdfuse loadgen --socket "$persist_out/mdfused.sock" \
   --requests 40 --concurrency 4 --seed 1 --json \
-  --out "$persist_out/BENCH_warm.json" >/dev/null
-./target/release/mdfuse loadgen --check "$persist_out/BENCH_warm.json"
-grep -q '"mismatches": 0' "$persist_out/BENCH_warm.json"
-warm_rate=$(grep -m1 '^  "warm_hit_rate"' "$persist_out/BENCH_warm.json" | tr -dc '0-9.')
+  --out "$reports/service/BENCH_warm.json" >/dev/null
+./target/release/mdfuse loadgen --check "$reports/service/BENCH_warm.json"
+grep -q '"mismatches": 0' "$reports/service/BENCH_warm.json"
+warm_rate=$(grep -m1 '^  "warm_hit_rate"' "$reports/service/BENCH_warm.json" | tr -dc '0-9.')
 awk -v r="$warm_rate" 'BEGIN { exit !(r >= 0.8) }'
 ./target/release/mdfuse client "$persist_out/mdfused.sock" shutdown >/dev/null
 wait "$persist_pid"
@@ -160,17 +161,15 @@ echo "==> latency-under-chaos smoke (loadgen --chaos, schema-validated)"
 lchaos_out=$(mktemp -d)
 ./target/release/mdfuse loadgen --shards 2 --chaos --requests 120 \
   --concurrency 8 --seed 1 --cache-dir "$lchaos_out/store" \
-  --out "$lchaos_out/BENCH_chaos.json" >/dev/null 2>&1
-./target/release/mdfuse loadgen --check "$lchaos_out/BENCH_chaos.json"
-grep -q '"active": true' "$lchaos_out/BENCH_chaos.json"
-grep -q '"mismatches": 0' "$lchaos_out/BENCH_chaos.json"
+  --out "$reports/service/BENCH_chaos.json" >/dev/null 2>&1
+./target/release/mdfuse loadgen --check "$reports/service/BENCH_chaos.json"
+grep -q '"active": true' "$reports/service/BENCH_chaos.json"
+grep -q '"mismatches": 0' "$reports/service/BENCH_chaos.json"
 rm -rf "$lchaos_out"
 
 echo "==> chaos smoke (fixed-seed fault sweep, schema-validated)"
-chaos_out=$(mktemp -d)
 ./target/release/mdfuse chaos --seed 1 \
-  --out "$chaos_out/CHAOS_sweep.json" >/dev/null
-./target/release/mdfuse chaos --check "$chaos_out/CHAOS_sweep.json"
-rm -rf "$chaos_out"
+  --out "$reports/chaos/CHAOS_sweep.json" >/dev/null
+./target/release/mdfuse chaos --check "$reports/chaos/CHAOS_sweep.json"
 
 echo "All checks passed."
