@@ -9,21 +9,21 @@
 //! instruction semantics that do not affect safety (constant values and
 //! operator identities are deliberately absent):
 //!
-//! 1. **Register discipline** ([`MDF201`]): every slot is written before
+//! 1. **Register discipline** (`MDF201`): every slot is written before
 //!    it is read, and every slot index stays inside the executor's
 //!    register file, for the postfix stack discipline the lowering emits
 //!    (`Bin` reads `dst` and `dst + 1`).
-//! 2. **Cursor window** ([`MDF206`]): every iteration coordinate the
+//! 2. **Cursor window** (`MDF206`): every iteration coordinate the
 //!    drivers pass to `Layout::cursor` stays inside the halo-extended
 //!    plane, over the *entire* retimed iteration space — prologue,
 //!    guard-free kernel, and epilogue rows alike.
-//! 3. **Segment bounds** ([`MDF202`]/[`MDF203`]): every load and store
+//! 3. **Segment bounds** (`MDF202`/`MDF203`): every load and store
 //!    address — cursor plus delta — stays inside the flat buffer *and*
 //!    inside a single array plane, evaluated exactly at the rectangular
 //!    corners of each loop's active range (the address is affine in
 //!    `(fi, fj)` with positive coefficients, so corner evaluation is an
 //!    exact interval analysis, not an approximation).
-//! 4. **Step disjointness** ([`MDF204`]/[`MDF205`]): for a parallel mode,
+//! 4. **Step disjointness** (`MDF204`/`MDF205`): for a parallel mode,
 //!    no write of one iteration can alias any access of a *distinct*
 //!    iteration in the same parallel step (same fused row, or same
 //!    hyperplane `s · (fi, fj)`). The aliasing condition over the flat
@@ -31,7 +31,7 @@
 //!    (write, access) pair — a machine-level cross-check of the
 //!    source-level race certificate ([`crate::race`]), trusting only the
 //!    deltas that will actually execute.
-//! 5. **Elision order** ([`MDF208`]): for the tiled wavefront mode, every
+//! 5. **Elision order** (`MDF208`): for the tiled wavefront mode, every
 //!    collision between *different* fronts must point forward along the
 //!    fused rows (and the schedule must have `s.y >= 1`), so the barriers
 //!    elided inside a tile wave cannot reorder a dependence — the
@@ -145,9 +145,9 @@ pub enum VmMode {
     /// anti-diagonal tile *waves* run with barriers only between waves.
     /// Tiles of one wave run concurrently; each tile sweeps its cells
     /// row-major (`fi` ascending, then `fj` ascending). Licensing this
-    /// mode proves the hyperplane disjointness ([`MDF205`]: iterations
+    /// mode proves the hyperplane disjointness (`MDF205`: iterations
     /// with equal `s · (fi, fj)` never collide) and the sweep order
-    /// ([`MDF208`]).
+    /// (`MDF208`).
     WavefrontTiled {
         /// The schedule vector `s` as `(x, y)`.
         schedule: (i64, i64),

@@ -12,7 +12,7 @@
 //! number of peeled iterations exceeds the number of iterations per
 //! processor, this method is not efficient."
 
-use mdf_constraint::{DifferenceSystem, Engine};
+use mdf_constraint::DifferenceSystem;
 use mdf_graph::legality::textual_order;
 use mdf_graph::mldg::Mldg;
 
@@ -59,7 +59,7 @@ pub fn shift_and_peel(g: &Mldg) -> Option<ShiftPeelPlan> {
             }
         }
     }
-    let shifts = sys.solve(Engine::BellmanFord).ok()?;
+    let shifts = sys.solve().ok()?;
 
     let peel = match (shifts.iter().max(), shifts.iter().min()) {
         (Some(&hi), Some(&lo)) => hi - lo,

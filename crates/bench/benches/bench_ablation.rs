@@ -1,17 +1,14 @@
-//! Ablation benchmarks for the design choices DESIGN.md calls out:
-//!
-//! * constraint engine inside LLOFRA: classic Bellman–Ford vs SPFA vs
-//!   DAG-sweep-with-fallback;
-//! * Definition 2.2's minimal-vector reduction (`δ_L = min D_L`) vs
-//!   keeping one constraint per dependence vector (same solutions, more
-//!   edges — quantifies what the reduction buys).
+//! Ablation benchmark for a design choice DESIGN.md calls out:
+//! Definition 2.2's minimal-vector reduction (`δ_L = min D_L`) vs keeping
+//! one constraint per dependence vector (same solutions, more edges —
+//! quantifies what the reduction buys).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
-use mdf_constraint::{DifferenceSystem, Engine};
-use mdf_core::llofra::llofra_with_engine;
-use mdf_gen::{random_acyclic_mldg, random_legal_mldg, GenConfig};
+use mdf_constraint::DifferenceSystem;
+use mdf_core::llofra;
+use mdf_gen::{random_legal_mldg, GenConfig};
 use mdf_graph::mldg::Mldg;
 use mdf_graph::vec2::IVec2;
 
@@ -22,30 +19,6 @@ fn cfg(nodes: usize) -> GenConfig {
         hard_probability: 0.6, // plenty of multi-vector edges
         ..GenConfig::default()
     }
-}
-
-fn bench_engines(c: &mut Criterion) {
-    let mut group = c.benchmark_group("llofra_engine");
-    group.sample_size(30);
-    for &n in &[32usize, 256] {
-        let cyclic = random_legal_mldg(3, &cfg(n));
-        let acyclic = random_acyclic_mldg(3, &cfg(n));
-        for (label, g) in [("cyclic", &cyclic), ("acyclic", &acyclic)] {
-            for (ename, engine) in [
-                ("bellman_ford", Engine::BellmanFord),
-                ("spfa", Engine::Spfa),
-                ("dag_fallback", Engine::DagOrBellmanFord),
-                ("scc_decomposed", Engine::SccDecomposed),
-            ] {
-                group.bench_with_input(
-                    BenchmarkId::new(format!("{label}_{ename}"), n),
-                    g,
-                    |b, g| b.iter(|| llofra_with_engine(black_box(g), engine).unwrap()),
-                );
-            }
-        }
-    }
-    group.finish();
 }
 
 /// LLOFRA with one constraint per *dependence vector* instead of one per
@@ -59,8 +32,7 @@ fn llofra_all_vectors(g: &Mldg) -> Vec<IVec2> {
             sys.add_le(ed.dst.index(), ed.src.index(), d);
         }
     }
-    sys.solve(Engine::BellmanFord)
-        .expect("legal by construction")
+    sys.solve().expect("legal by construction")
 }
 
 fn bench_min_vector_reduction(c: &mut Criterion) {
@@ -69,12 +41,12 @@ fn bench_min_vector_reduction(c: &mut Criterion) {
     for &n in &[32usize, 256] {
         let g = random_legal_mldg(5, &cfg(n));
         // Sanity: both formulations agree.
-        let reduced = llofra_with_engine(&g, Engine::BellmanFord).unwrap();
+        let reduced = llofra(&g).unwrap();
         let full = llofra_all_vectors(&g);
         assert_eq!(reduced.offsets(), &full[..]);
 
         group.bench_with_input(BenchmarkId::new("min_vector", n), &g, |b, g| {
-            b.iter(|| llofra_with_engine(black_box(g), Engine::BellmanFord).unwrap())
+            b.iter(|| llofra(black_box(g)).unwrap())
         });
         group.bench_with_input(BenchmarkId::new("all_vectors", n), &g, |b, g| {
             b.iter(|| llofra_all_vectors(black_box(g)))
@@ -83,5 +55,5 @@ fn bench_min_vector_reduction(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_engines, bench_min_vector_reduction);
+criterion_group!(benches, bench_min_vector_reduction);
 criterion_main!(benches);

@@ -22,7 +22,7 @@ fn main() {
             e.weight
         );
     }
-    let rx = xs.solve(mdf_constraint::Engine::BellmanFord).unwrap();
+    let rx = xs.solve().unwrap();
     println!("  solution: {:?}\n", rx);
 
     println!("== Figure 11(b): constraint graph in y (equalities for zero-x edges) ==");
@@ -35,7 +35,7 @@ fn main() {
             e.weight
         );
     }
-    let ry = ys.solve(mdf_constraint::Engine::BellmanFord).unwrap();
+    let ry = ys.solve().unwrap();
     println!("  solution: {:?}\n", ry);
 
     let r = fuse_cyclic(&g).unwrap();

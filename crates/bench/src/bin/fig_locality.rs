@@ -1,5 +1,5 @@
 //! Experiment FX4 — the data-locality motivation (Section 2: "because of
-//! array reuse, [fusion] reduces the references to main memory"): cache
+//! array reuse, \[fusion\] reduces the references to main memory"): cache
 //! miss counts of the original vs fused executions on the suite kernels,
 //! swept over row width and cache associativity.
 

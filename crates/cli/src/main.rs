@@ -150,8 +150,9 @@ fn load(source: &str) -> Result<Input, CliError> {
     load_traced(source, &Span::disabled())
 }
 
-/// As [`load`], timing the two front-end stages as `parse` and `graph`
-/// child spans of `span`.
+/// Parses `source` as a loop program (text starting with `program`) or as
+/// MLDG text, timing the two front-end stages as `parse` and `graph` child
+/// spans of `span`.
 fn load_traced(source: &str, span: &Span) -> Result<Input, CliError> {
     let trimmed = source.trim_start();
     if trimmed.starts_with("program") {

@@ -4,14 +4,12 @@
 //! ("the two-dimensional Bellman–Ford algorithm"); at `W = i64` it is the
 //! classic algorithm used by phases one and two of Algorithm 4.
 //!
-//! Two entry points:
-//! * [`solve_difference_constraints`] — shortest paths from an *implicit*
-//!   virtual source `v0` connected to every vertex with zero weight
-//!   (Theorem 2.2/2.3). The returned distances are a feasible solution of
-//!   the difference-constraint system, or a [`NegativeCycle`] certificate
-//!   is produced.
-//! * [`shortest_paths_from`] — single-source variant with unreachable
-//!   vertices reported as `None`.
+//! [`solve_difference_constraints_traced`] computes shortest paths from an
+//! *implicit* virtual source `v0` connected to every vertex with zero
+//! weight (Theorem 2.2/2.3), metered by a budget. The returned distances
+//! are a feasible solution of the difference-constraint system, or a
+//! [`NegativeCycle`] certificate is produced.
+//! [`solve_difference_constraints`] runs it on an unlimited meter.
 
 use mdf_graph::budget::{Budget, BudgetMeter};
 use mdf_graph::error::MdfError;
@@ -72,19 +70,12 @@ pub fn solve_difference_constraints<W: Weight>(g: &ConstraintGraph<W>) -> Soluti
 /// re-checks the wall-clock deadline. Adversarially large systems
 /// (Bellman–Ford is `O(|V||E|)`) therefore fail fast with
 /// [`MdfError::BudgetExceeded`] instead of stalling the pipeline.
-pub fn solve_difference_constraints_budgeted<W: Weight>(
-    g: &ConstraintGraph<W>,
-    meter: &mut BudgetMeter,
-) -> Result<Solution<W>, MdfError> {
-    solve_difference_constraints_traced(g, meter, &Span::disabled())
-}
-
-/// As [`solve_difference_constraints_budgeted`], also reporting relaxation
-/// counters onto `span`: `constraint.rounds` (full passes over the edge
-/// list), `constraint.relaxations` (successful distance improvements) and
-/// `constraint.negative-cycles` (1 when infeasible). Counters accumulate
-/// in locals and are reported once at the end, so the hot loop is
-/// identical whether tracing is enabled or not.
+///
+/// Relaxation counters are reported onto `span`: `constraint.rounds` (full
+/// passes over the edge list), `constraint.relaxations` (successful
+/// distance improvements) and `constraint.negative-cycles` (1 when
+/// infeasible). Counters accumulate in locals and are reported once at the
+/// end, so the hot loop is identical whether tracing is enabled or not.
 pub fn solve_difference_constraints_traced<W: Weight>(
     g: &ConstraintGraph<W>,
     meter: &mut BudgetMeter,
@@ -152,50 +143,6 @@ pub fn solve_difference_constraints_traced<W: Weight>(
     Ok(Solution::Infeasible {
         cycle: extract_cycle(g, &pred, start),
     })
-}
-
-/// Single-source shortest paths; `None` marks unreachable vertices.
-pub fn shortest_paths_from<W: Weight>(
-    g: &ConstraintGraph<W>,
-    source: usize,
-) -> Result<Vec<Option<W>>, NegativeCycle<W>> {
-    let n = g.vertex_count();
-    let mut dist: Vec<Option<W>> = vec![None; n];
-    let mut pred: Vec<Option<usize>> = vec![None; n];
-    dist[source] = Some(W::ZERO);
-
-    for _ in 0..n {
-        let mut changed = false;
-        for (eid, e) in g.edges().iter().enumerate() {
-            let Some(ds) = dist[e.src] else { continue };
-            let candidate = ds + e.weight;
-            if dist[e.dst].is_none_or(|d| candidate < d) {
-                dist[e.dst] = Some(candidate);
-                pred[e.dst] = Some(eid);
-                changed = true;
-            }
-        }
-        if !changed {
-            return Ok(dist);
-        }
-    }
-    // Same witness strategy as the virtual-source solver: apply one more
-    // full pass and extract from a vertex updated in it.
-    let mut witness = None;
-    for (eid, e) in g.edges().iter().enumerate() {
-        let Some(ds) = dist[e.src] else { continue };
-        let candidate = ds + e.weight;
-        if dist[e.dst].is_none_or(|d| candidate < d) {
-            dist[e.dst] = Some(candidate);
-            pred[e.dst] = Some(eid);
-            witness = Some(e.dst);
-        }
-    }
-    // An n-th relaxation pass only runs because an edge improved, so a
-    // witness was recorded.
-    #[allow(clippy::expect_used)]
-    let start = witness.expect("relaxation in pass n but no improvable edge found");
-    Err(extract_cycle(g, &pred, start))
 }
 
 /// Walks predecessor links back from `start` (known to be reachable from a
@@ -316,35 +263,13 @@ mod tests {
     }
 
     #[test]
-    fn single_source_unreachable_is_none() {
-        let mut g: ConstraintGraph<i64> = ConstraintGraph::new(3);
-        g.add_edge(0, 1, 7);
-        let d = shortest_paths_from(&g, 0).unwrap();
-        assert_eq!(d, vec![Some(0), Some(7), None]);
-    }
-
-    #[test]
-    fn single_source_negative_cycle() {
-        let mut g: ConstraintGraph<i64> = ConstraintGraph::new(3);
-        g.add_edge(0, 1, 1);
-        g.add_edge(1, 2, -2);
-        g.add_edge(2, 1, 1);
-        let err = shortest_paths_from(&g, 0).unwrap_err();
-        assert!(err.verify(&g));
-        assert_eq!(err.total, -1);
-    }
-
-    #[test]
     fn negative_cycle_not_reachable_from_source_is_ignored() {
         let mut g: ConstraintGraph<i64> = ConstraintGraph::new(4);
         g.add_edge(0, 1, 5);
         g.add_edge(2, 3, -1);
         g.add_edge(3, 2, 0);
-        // From source 0 the negative cycle {2,3} is unreachable.
-        let d = shortest_paths_from(&g, 0).unwrap();
-        assert_eq!(d[1], Some(5));
-        assert_eq!(d[2], None);
-        // But the virtual-source solve must reject it.
+        // Vertex 0 cannot reach the negative cycle {2,3}, but the virtual
+        // source reaches every vertex, so the solve must reject it.
         assert!(!solve_difference_constraints(&g).is_feasible());
     }
 

@@ -3,10 +3,11 @@
 //!
 //! A [`DifferenceSystem`] accumulates constraints of the form
 //! `x_j - x_i <= w` (and equalities, encoded as opposing inequalities),
-//! lowers them onto a [`ConstraintGraph`] and solves with a selectable
-//! engine. Feasibility follows Theorems 2.2/2.3: the system has a solution
-//! iff the constraint graph has no cycle of (lexicographically) negative
-//! weight, and shortest distances from the virtual source are a solution.
+//! lowers them onto a [`ConstraintGraph`] and solves it with the paper's
+//! Algorithm 1 (Bellman–Ford). Feasibility follows Theorems 2.2/2.3: the
+//! system has a solution iff the constraint graph has no cycle of
+//! (lexicographically) negative weight, and shortest distances from the
+//! virtual source are a solution.
 
 use mdf_graph::budget::BudgetMeter;
 use mdf_graph::error::MdfError;
@@ -15,39 +16,20 @@ use mdf_trace::Span;
 use crate::bellman_ford::{
     solve_difference_constraints, solve_difference_constraints_traced, Solution,
 };
-use crate::dag::solve_difference_constraints_dag;
 use crate::graph::{ConstraintGraph, NegativeCycle};
-use crate::scc::solve_difference_constraints_scc;
-use crate::spfa::solve_difference_constraints_spfa;
 use crate::weight::Weight;
-
-/// Which shortest-path engine to run.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum Engine {
-    /// Classic edge-list Bellman–Ford (the paper's Algorithm 1).
-    #[default]
-    BellmanFord,
-    /// Queue-based Bellman–Ford.
-    Spfa,
-    /// Topological-order sweep; falls back to Bellman–Ford when the
-    /// constraint graph turns out to be cyclic.
-    DagOrBellmanFord,
-    /// Strongly-connected-component decomposition: Bellman–Ford per SCC in
-    /// topological order.
-    SccDecomposed,
-}
 
 /// A system of difference constraints over `n` variables.
 ///
 /// ```
-/// use mdf_constraint::{DifferenceSystem, Engine};
+/// use mdf_constraint::DifferenceSystem;
 /// use mdf_graph::v2;
 ///
 /// // The paper's 2-ILP: vector unknowns under the lexicographic order.
 /// let mut sys = DifferenceSystem::new(2);
 /// sys.add_le(1, 0, v2(0, -2)); // r1 - r0 <= (0,-2)
 /// sys.add_le(0, 1, v2(1, 0));  // r0 - r1 <= (1,0)
-/// let r = sys.solve(Engine::BellmanFord).unwrap();
+/// let r = sys.solve().unwrap();
 /// assert!(r[1] - r[0] <= v2(0, -2));
 /// ```
 #[derive(Clone, Debug)]
@@ -97,46 +79,20 @@ impl<W: Weight> DifferenceSystem<W> {
         &self.graph
     }
 
-    /// Solves the system with the requested engine. On success the returned
-    /// assignment satisfies every constraint (asserted in debug builds).
-    pub fn solve(&self, engine: Engine) -> Result<Vec<W>, Infeasible<W>> {
-        let solution = match engine {
-            Engine::BellmanFord => solve_difference_constraints(&self.graph),
-            Engine::Spfa => solve_difference_constraints_spfa(&self.graph),
-            Engine::DagOrBellmanFord => match solve_difference_constraints_dag(&self.graph) {
-                Some(dist) => Solution::Feasible { dist },
-                None => solve_difference_constraints(&self.graph),
-            },
-            Engine::SccDecomposed => solve_difference_constraints_scc(&self.graph),
-        };
-        match solution {
-            Solution::Feasible { dist } => {
-                debug_assert!(self.check(&dist), "engine produced an invalid solution");
-                Ok(dist)
-            }
-            Solution::Infeasible { cycle } => Err(Infeasible { cycle }),
-        }
+    /// Solves the system with Bellman–Ford on an unlimited meter. On
+    /// success the returned assignment satisfies every constraint
+    /// (asserted in debug builds).
+    pub fn solve(&self) -> Result<Vec<W>, Infeasible<W>> {
+        self.feasibility(solve_difference_constraints(&self.graph))
     }
 
-    /// Solves the system under a resource budget. The outer `Result`
-    /// reports abnormal termination (`MdfError::BudgetExceeded` when the
-    /// meter's solver-round or wall-clock limit trips); the inner one is
-    /// ordinary feasibility, as in [`DifferenceSystem::solve`]. Budgeted
-    /// solving always runs the metered Bellman–Ford engine — it is the
-    /// canonical engine, and the only one whose `O(|V||E|)` round
-    /// structure maps directly onto the budget's unit of account.
-    #[allow(clippy::type_complexity)]
-    pub fn solve_budgeted(
-        &self,
-        meter: &mut BudgetMeter,
-    ) -> Result<Result<Vec<W>, Infeasible<W>>, MdfError> {
-        self.solve_traced(meter, &Span::disabled())
-    }
-
-    /// As [`DifferenceSystem::solve_budgeted`], also reporting system shape
-    /// (`constraint.systems`, `constraint.variables`,
+    /// Solves the system under `meter`. The outer `Result` reports abnormal
+    /// termination (`MdfError::BudgetExceeded` when the meter's
+    /// solver-round or wall-clock limit trips); the inner one is ordinary
+    /// feasibility, as in [`DifferenceSystem::solve`]. Also reports system
+    /// shape (`constraint.systems`, `constraint.variables`,
     /// `constraint.constraints`) and the relaxation counters of the
-    /// underlying Bellman–Ford run onto `span`.
+    /// Bellman–Ford run onto `span`.
     #[allow(clippy::type_complexity)]
     pub fn solve_traced(
         &self,
@@ -146,12 +102,17 @@ impl<W: Weight> DifferenceSystem<W> {
         span.add("constraint.systems", 1);
         span.add("constraint.variables", self.variables() as u64);
         span.add("constraint.constraints", self.constraints() as u64);
-        match solve_difference_constraints_traced(&self.graph, meter, span)? {
+        let solution = solve_difference_constraints_traced(&self.graph, meter, span)?;
+        Ok(self.feasibility(solution))
+    }
+
+    fn feasibility(&self, solution: Solution<W>) -> Result<Vec<W>, Infeasible<W>> {
+        match solution {
             Solution::Feasible { dist } => {
-                debug_assert!(self.check(&dist), "engine produced an invalid solution");
-                Ok(Ok(dist))
+                debug_assert!(self.check(&dist), "solver produced an invalid solution");
+                Ok(dist)
             }
-            Solution::Infeasible { cycle } => Ok(Err(Infeasible { cycle })),
+            Solution::Infeasible { cycle } => Err(Infeasible { cycle }),
         }
     }
 
@@ -178,7 +139,7 @@ mod tests {
         let mut sys: DifferenceSystem<i64> = DifferenceSystem::new(3);
         sys.add_eq(1, 0, 4);
         sys.add_le(2, 1, -1);
-        let x = sys.solve(Engine::BellmanFord).unwrap();
+        let x = sys.solve().unwrap();
         assert_eq!(x[1] - x[0], 4);
         assert!(x[2] - x[1] <= -1);
         assert!(sys.check(&x));
@@ -189,24 +150,8 @@ mod tests {
         let mut sys: DifferenceSystem<i64> = DifferenceSystem::new(2);
         sys.add_eq(1, 0, 4);
         sys.add_eq(1, 0, 5);
-        let err = sys.solve(Engine::Spfa).unwrap_err();
+        let err = sys.solve().unwrap_err();
         assert!(err.cycle.verify(sys.graph()));
-    }
-
-    #[test]
-    fn all_engines_agree_on_2ilp() {
-        let mut sys: DifferenceSystem<IVec2> = DifferenceSystem::new(4);
-        sys.add_le(1, 0, v2(1, 1));
-        sys.add_le(2, 1, v2(0, -2));
-        sys.add_le(3, 2, v2(0, -1));
-        sys.add_le(2, 0, v2(0, 1));
-        sys.add_le(0, 3, v2(2, 1));
-        let bf = sys.solve(Engine::BellmanFord).unwrap();
-        let spfa = sys.solve(Engine::Spfa).unwrap();
-        let dag = sys.solve(Engine::DagOrBellmanFord).unwrap();
-        assert_eq!(bf, spfa);
-        // The system is cyclic, so DagOrBellmanFord falls back and agrees.
-        assert_eq!(bf, dag);
     }
 
     #[test]
@@ -218,8 +163,11 @@ mod tests {
         sys.add_le(3, 2, v2(0, -1));
         sys.add_le(0, 3, v2(2, 1));
         let mut meter = Budget::unlimited().meter();
-        let budgeted = sys.solve_budgeted(&mut meter).unwrap().unwrap();
-        let plain = sys.solve(Engine::BellmanFord).unwrap();
+        let budgeted = sys
+            .solve_traced(&mut meter, &Span::disabled())
+            .unwrap()
+            .unwrap();
+        let plain = sys.solve().unwrap();
         assert_eq!(budgeted, plain);
     }
 
@@ -234,7 +182,7 @@ mod tests {
             sys.add_le(v + 1, v, -1);
         }
         let mut meter = Budget::unlimited().with_max_solver_rounds(3).meter();
-        match sys.solve_budgeted(&mut meter) {
+        match sys.solve_traced(&mut meter, &Span::disabled()) {
             Err(MdfError::BudgetExceeded {
                 resource: BudgetResource::SolverRounds,
                 limit: 3,
@@ -251,13 +199,16 @@ mod tests {
         sys.add_eq(1, 0, 4);
         sys.add_eq(1, 0, 5);
         let mut meter = Budget::unlimited().meter();
-        let inf = sys.solve_budgeted(&mut meter).unwrap().unwrap_err();
+        let inf = sys
+            .solve_traced(&mut meter, &Span::disabled())
+            .unwrap()
+            .unwrap_err();
         assert!(inf.cycle.verify(sys.graph()));
     }
 
     proptest! {
-        /// Random scalar systems: engines agree on feasibility, and any
-        /// feasible solution passes `check`.
+        /// Random scalar systems: any feasible solution passes `check`, and
+        /// every infeasibility certificate verifies.
         #[test]
         fn engines_agree_on_random_systems(
             n in 1usize..8,
@@ -267,27 +218,9 @@ mod tests {
             for (i, j, w) in edges {
                 sys.add_le(j % n, i % n, w);
             }
-            let bf = sys.solve(Engine::BellmanFord);
-            let spfa = sys.solve(Engine::Spfa);
-            let dag = sys.solve(Engine::DagOrBellmanFord);
-            let scc = sys.solve(Engine::SccDecomposed);
-            prop_assert_eq!(bf.is_ok(), spfa.is_ok());
-            prop_assert_eq!(bf.is_ok(), dag.is_ok());
-            prop_assert_eq!(bf.is_ok(), scc.is_ok());
-            if let (Ok(a), Ok(b)) = (&bf, &scc) {
-                prop_assert_eq!(a, b);
-            }
-            if let Ok(x) = &bf {
-                prop_assert!(sys.check(x));
-            }
-            if let Ok(x) = &spfa {
-                prop_assert!(sys.check(x));
-            }
-            if let Ok(x) = &dag {
-                prop_assert!(sys.check(x));
-            }
-            if let Err(inf) = &bf {
-                prop_assert!(inf.cycle.verify(sys.graph()));
+            match sys.solve() {
+                Ok(x) => prop_assert!(sys.check(&x)),
+                Err(inf) => prop_assert!(inf.cycle.verify(sys.graph())),
             }
         }
 
@@ -302,7 +235,7 @@ mod tests {
             for (i, j, x, y) in edges {
                 sys.add_le(j % n, i % n, v2(x, y));
             }
-            let bf = sys.solve(Engine::BellmanFord);
+            let bf = sys.solve();
             let fw = crate::floyd::solve_difference_constraints_floyd(sys.graph());
             prop_assert_eq!(bf.is_ok(), fw.is_ok());
             if let (Ok(a), Ok(b)) = (bf, fw) {

@@ -10,8 +10,8 @@
 //! the first component is needed for the DOALL property, and dropping the
 //! second avoids inner-dimension prologue shifts.
 
-use mdf_constraint::{DifferenceSystem, Engine};
-use mdf_graph::budget::BudgetMeter;
+use mdf_constraint::DifferenceSystem;
+use mdf_graph::budget::{Budget, BudgetMeter};
 use mdf_graph::cycles::is_acyclic;
 use mdf_graph::error::MdfError;
 use mdf_graph::mldg::Mldg;
@@ -19,10 +19,11 @@ use mdf_graph::vec2::IVec2;
 use mdf_retime::Retiming;
 use mdf_trace::Span;
 
-/// Runs Algorithm 3 with the default engine (a topological sweep, since the
-/// constraint graph is a DAG; `O(|V| + |E|)`).
+/// Runs Algorithm 3: [`fuse_acyclic_traced`] on an unlimited meter. The
+/// constraint system of an acyclic 2LDG is always feasible (Theorem 4.1),
+/// so the only failure is [`MdfError::NotAcyclic`].
 pub fn fuse_acyclic(g: &Mldg) -> Result<Retiming, MdfError> {
-    fuse_acyclic_with_engine(g, Engine::DagOrBellmanFord)
+    fuse_acyclic_traced(g, &mut Budget::unlimited().meter(), &Span::disabled())
 }
 
 fn build_acyclic_system(g: &Mldg) -> DifferenceSystem<IVec2> {
@@ -43,27 +44,9 @@ fn zero_y(offsets: Vec<IVec2>) -> Retiming {
     Retiming::from_offsets(offsets.into_iter().map(|v| IVec2::new(v.x, 0)).collect())
 }
 
-/// Runs Algorithm 3 with a caller-selected engine.
-pub fn fuse_acyclic_with_engine(g: &Mldg, engine: Engine) -> Result<Retiming, MdfError> {
-    if !is_acyclic(g) {
-        return Err(MdfError::NotAcyclic);
-    }
-    let offsets = build_acyclic_system(g).solve(engine).map_err(|_| {
-        MdfError::invalid("acyclic constraint system infeasible, contradicting Theorem 4.1")
-    })?;
-    Ok(zero_y(offsets))
-}
-
-/// Runs Algorithm 3 under a resource budget (the solve is metered). The
-/// constraint system of an acyclic 2LDG is always feasible (Theorem 4.1),
-/// so the only failure modes are [`MdfError::NotAcyclic`] and
-/// [`MdfError::BudgetExceeded`].
-pub fn fuse_acyclic_budgeted(g: &Mldg, meter: &mut BudgetMeter) -> Result<Retiming, MdfError> {
-    fuse_acyclic_traced(g, meter, &Span::disabled())
-}
-
-/// As [`fuse_acyclic_budgeted`], reporting the constraint solve's shape
-/// and relaxation counters onto a `solve` child of `span`.
+/// Runs Algorithm 3 under `meter`, reporting the constraint solve's shape
+/// and relaxation counters onto a `solve` child of `span`. Besides
+/// [`MdfError::NotAcyclic`], fails only with [`MdfError::BudgetExceeded`].
 pub fn fuse_acyclic_traced(
     g: &Mldg,
     meter: &mut BudgetMeter,
@@ -135,32 +118,11 @@ mod tests {
     }
 
     #[test]
-    fn budgeted_acyclic_matches_plain() {
-        use mdf_graph::budget::Budget;
-        let g = figure8();
-        let mut meter = Budget::unlimited().meter();
-        assert_eq!(
-            fuse_acyclic_budgeted(&g, &mut meter).unwrap(),
-            fuse_acyclic(&g).unwrap()
-        );
-    }
-
-    #[test]
     fn single_node_graph() {
         let mut g = Mldg::new();
         g.add_node("A");
         let r = fuse_acyclic(&g).unwrap();
         assert!(r.is_identity());
-    }
-
-    #[test]
-    fn engines_agree() {
-        let g = figure8();
-        let a = fuse_acyclic_with_engine(&g, Engine::BellmanFord).unwrap();
-        let b = fuse_acyclic_with_engine(&g, Engine::Spfa).unwrap();
-        let c = fuse_acyclic_with_engine(&g, Engine::DagOrBellmanFord).unwrap();
-        assert_eq!(a, b);
-        assert_eq!(a, c);
     }
 
     #[test]

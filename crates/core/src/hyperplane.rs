@@ -11,13 +11,13 @@
 //! 3. returns the hyperplane `h ⟂ s` along which all iterations are
 //!    independent (wavefront execution).
 
-use mdf_graph::budget::BudgetMeter;
+use mdf_graph::budget::{Budget, BudgetMeter};
 use mdf_graph::error::MdfError;
 use mdf_graph::mldg::Mldg;
 use mdf_retime::{apply_retiming, wavefront_for, Retiming, Wavefront};
 use mdf_trace::Span;
 
-use crate::llofra::{llofra, llofra_traced};
+use crate::llofra::llofra_traced;
 
 /// The result of Algorithm 5: a fusion-legalizing retiming plus a wavefront
 /// along which the fused loop is fully parallel.
@@ -29,23 +29,16 @@ pub struct HyperplanePlan {
     pub wavefront: Wavefront,
 }
 
-/// Runs Algorithm 5. Fails only when LLOFRA itself is infeasible, i.e. the
-/// 2LDG has a cycle of lexicographically negative weight (such a graph is
-/// not a legal nested loop at all).
+/// Runs Algorithm 5: [`fuse_hyperplane_traced`] on an unlimited meter.
+/// Fails only when LLOFRA itself is infeasible, i.e. the 2LDG has a cycle
+/// of lexicographically negative weight (such a graph is not a legal
+/// nested loop at all).
 pub fn fuse_hyperplane(g: &Mldg) -> Result<HyperplanePlan, MdfError> {
-    finish(g, llofra(g)?)
+    fuse_hyperplane_traced(g, &mut Budget::unlimited().meter(), &Span::disabled())
 }
 
-/// Runs Algorithm 5 under a resource budget (the LLOFRA solve is metered).
-pub fn fuse_hyperplane_budgeted(
-    g: &Mldg,
-    meter: &mut BudgetMeter,
-) -> Result<HyperplanePlan, MdfError> {
-    fuse_hyperplane_traced(g, meter, &Span::disabled())
-}
-
-/// As [`fuse_hyperplane_budgeted`], reporting the LLOFRA solve onto a
-/// `solve` child of `span`.
+/// Runs Algorithm 5 under `meter`, reporting the metered LLOFRA solve onto
+/// a `solve` child of `span`.
 pub fn fuse_hyperplane_traced(
     g: &Mldg,
     meter: &mut BudgetMeter,
@@ -109,16 +102,5 @@ mod tests {
             fuse_hyperplane(&g),
             Err(MdfError::Infeasible { .. })
         ));
-    }
-
-    #[test]
-    fn budgeted_hyperplane_matches_plain() {
-        use mdf_graph::budget::Budget;
-        let g = figure14();
-        let mut meter = Budget::unlimited().meter();
-        assert_eq!(
-            fuse_hyperplane_budgeted(&g, &mut meter).unwrap(),
-            fuse_hyperplane(&g).unwrap()
-        );
     }
 }

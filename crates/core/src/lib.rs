@@ -5,7 +5,8 @@
 //! "Efficient Polynomial-Time Nested Loop Fusion with Full Parallelism"
 //! (Sha, O'Neil, Passos; ICPP 1996):
 //!
-//! * [`llofra`] — Algorithm 2 (legal loop fusion retiming, Theorem 3.2);
+//! * [`llofra`](mod@llofra) — Algorithm 2 (legal loop fusion retiming,
+//!   Theorem 3.2);
 //! * [`acyclic`] — Algorithm 3 (full parallelism on acyclic 2LDGs,
 //!   Theorem 4.1);
 //! * [`cyclic`] — Algorithm 4 (full parallelism on cyclic 2LDGs,
@@ -22,6 +23,11 @@
 //! Bellman–Ford (`mdf-constraint`), are `O(|V| |E|)`, and return canonical
 //! (shortest-path) retimings — which is why they reproduce the paper's
 //! worked examples coefficient for coefficient.
+//!
+//! Each algorithm has one metered body, `*_traced`, which takes a
+//! [`BudgetMeter`] and a trace span. The plain names ([`fuse_acyclic`],
+//! [`fuse_cyclic`], [`llofra()`], [`fuse_hyperplane`], [`fuse_partial`],
+//! [`plan_fusion`]) run that body on an unlimited meter with tracing off.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -36,16 +42,12 @@ pub mod partial;
 pub mod planner;
 pub mod report;
 
-pub use acyclic::{fuse_acyclic, fuse_acyclic_budgeted, fuse_acyclic_traced};
-pub use cyclic::{fuse_cyclic, fuse_cyclic_budgeted, fuse_cyclic_traced};
+pub use acyclic::{fuse_acyclic, fuse_acyclic_traced};
+pub use cyclic::{fuse_cyclic, fuse_cyclic_traced};
 pub use explain::{explain_fusion, Explanation};
-pub use hyperplane::{
-    fuse_hyperplane, fuse_hyperplane_budgeted, fuse_hyperplane_traced, HyperplanePlan,
-};
-pub use llofra::{llofra, llofra_budgeted, llofra_traced};
-pub use partial::{
-    fuse_partial, fuse_partial_budgeted, fuse_partial_traced, verify_partial, PartialFusionPlan,
-};
+pub use hyperplane::{fuse_hyperplane, fuse_hyperplane_traced, HyperplanePlan};
+pub use llofra::{llofra, llofra_traced};
+pub use partial::{fuse_partial, fuse_partial_traced, verify_partial, PartialFusionPlan};
 pub use planner::{
     plan_fusion, plan_fusion_budgeted, plan_fusion_traced, verify_plan, DegradedPlan,
     FullParallelMethod, FusionPlan, PlanReport, Rung, RungAttempt,

@@ -10,12 +10,13 @@
 //! 4. if even LLOFRA is infeasible the graph has a lexicographically
 //!    negative cycle and is rejected with the witness.
 //!
-//! [`plan_fusion_budgeted`] additionally runs the case analysis as a
+//! [`plan_fusion_budgeted`] runs the case analysis as a
 //! *graceful-degradation ladder* under a [`Budget`]: each rung is
 //! attempted with the (cumulative) meter, a rung that runs over budget or
 //! fails degrades to the next one — Algorithm 3/4 → Algorithm 5 →
 //! partial fusion — and the returned [`PlanReport`] records every rung
-//! attempted and which one finally succeeded.
+//! attempted and which one finally succeeded. [`plan_fusion`] is the same
+//! ladder on an unlimited budget.
 
 use mdf_graph::budget::{Budget, BudgetMeter};
 use mdf_graph::cycles::is_acyclic;
@@ -27,9 +28,9 @@ use mdf_retime::{
 };
 use mdf_trace::Span;
 
-use crate::acyclic::{fuse_acyclic, fuse_acyclic_traced};
-use crate::cyclic::{fuse_cyclic, fuse_cyclic_traced};
-use crate::hyperplane::{fuse_hyperplane, fuse_hyperplane_traced};
+use crate::acyclic::fuse_acyclic_traced;
+use crate::cyclic::fuse_cyclic_traced;
+use crate::hyperplane::fuse_hyperplane_traced;
 use crate::partial::{fuse_partial_traced, verify_partial, PartialFusionPlan};
 
 /// Which algorithm produced a full-parallel plan.
@@ -85,8 +86,11 @@ impl FusionPlan {
     }
 }
 
-/// Plans fusion for `g`. Only fails when the graph has a lexicographically
-/// negative cycle (not a legal nested loop).
+/// Plans fusion for `g`: the ladder of [`plan_fusion_budgeted`] on an
+/// unlimited budget. Only fails when the graph has a lexicographically
+/// negative cycle (not a legal nested loop), or when Algorithm 5 cannot
+/// derive a wavefront; then it returns that rung's error rather than a
+/// partial plan.
 ///
 /// ```
 /// use mdf_core::{plan_fusion, verify_plan};
@@ -102,24 +106,16 @@ impl FusionPlan {
 /// assert_eq!(plan.wavefront().unwrap().schedule, mdf_graph::v2(5, 1));
 /// ```
 pub fn plan_fusion(g: &Mldg) -> Result<FusionPlan, MdfError> {
-    if is_acyclic(g) {
-        let retiming = fuse_acyclic(g)?;
-        return Ok(FusionPlan::FullParallel {
-            retiming,
-            method: FullParallelMethod::Acyclic,
-        });
+    let report = plan_fusion_budgeted(g, &Budget::unlimited())?;
+    match report.plan {
+        DegradedPlan::Fused(plan) => Ok(plan),
+        // The ladder reaches partial fusion only after recording Algorithm
+        // 5's failure, which is this planner's error.
+        DegradedPlan::Partial(_) => Err(last_error(
+            report.attempts,
+            MdfError::invalid("the ladder fell to partial fusion without a recorded failure"),
+        )),
     }
-    if let Ok(retiming) = fuse_cyclic(g) {
-        return Ok(FusionPlan::FullParallel {
-            retiming,
-            method: FullParallelMethod::Cyclic,
-        });
-    }
-    let hp = fuse_hyperplane(g)?;
-    Ok(FusionPlan::Hyperplane {
-        retiming: hp.retiming,
-        wavefront: hp.wavefront,
-    })
 }
 
 /// One rung of the budgeted planner's degradation ladder.

@@ -29,7 +29,7 @@ pub struct NodeId(pub u32);
 pub struct EdgeId(pub u32);
 
 impl NodeId {
-    /// The node's position in [`Mldg::nodes`] iteration order.
+    /// The node's position in [`Mldg::node_ids`] iteration order.
     #[inline]
     pub fn index(self) -> usize {
         self.0 as usize
@@ -37,7 +37,7 @@ impl NodeId {
 }
 
 impl EdgeId {
-    /// The edge's position in [`Mldg::edges`] iteration order.
+    /// The edge's position in [`Mldg::edge_ids`] iteration order.
     #[inline]
     pub fn index(self) -> usize {
         self.0 as usize

@@ -57,7 +57,7 @@ fn emit_expr(e: &Expr, rx: i64, ry: i64, out: &mut String) {
 /// executing the fused loop nest. `arrays[k]` must be a flat buffer of
 /// `(n + 2*halo + 1) * (m + 2*halo + 1)` elements covering
 /// `[-halo, n+halo] x [-halo, m+halo]` row-major; `halo` must be at least
-/// the program's [`Program::max_offset`].
+/// the program's [`Program::max_offset`](crate::ast::Program::max_offset).
 pub fn emit_rust_fn(spec: &FusedSpec, name: &str) -> String {
     let p = &spec.program;
     // Executability of `spec` is a documented precondition of this API.

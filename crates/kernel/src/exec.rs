@@ -11,7 +11,7 @@
 //!   exactly what the row-DOALL certificate licenses: no dependence binds
 //!   two distinct iterations of a row, and same-iteration statement order
 //!   is preserved. Long rows additionally split into column tiles executed
-//!   on worker threads, writing **in place** through [`SharedCells`].
+//!   on worker threads, writing **in place** through `SharedCells`.
 //! * [`ExecMode::RowsSerial`] — the canonical cell-major serialization,
 //!   sequential and in place (a single thread cannot race itself). The
 //!   fallback for every uncertified plan, rows or hyperplane: it is
@@ -24,7 +24,7 @@
 //!   survive only between waves, every in-wave front barrier is elided,
 //!   and each tile sweeps its cells row-major — the order the certificate
 //!   proves equivalent. Waves too small to amortize a dispatch run
-//!   serially by a deterministic cost model ([`SERIAL_WAVE_CELLS`]). A
+//!   serially by a deterministic cost model (`SERIAL_WAVE_CELLS`). A
 //!   wavefront that cannot tile (an empty space, or a hand-built schedule
 //!   with `s.y < 1`) runs the serial sweep instead.
 //!
@@ -163,7 +163,7 @@ impl TilePlan {
 
     /// Whether wave `w` runs serially under `threads` workers: single
     /// worker, a single tile, or too few estimated cells
-    /// ([`SERIAL_WAVE_CELLS`]) to amortize the dispatch.
+    /// (`SERIAL_WAVE_CELLS`) to amortize the dispatch.
     pub fn wave_serial(&self, w: i64, threads: usize) -> bool {
         let (lo, hi) = self.wave_bands(w);
         let tiles = hi - lo + 1;
@@ -505,7 +505,7 @@ impl CompiledKernel {
     }
 
     /// [`CompiledKernel::run`] with an explicit worker count driving the
-    /// step policy (whether certified steps take the tiled [`SharedCells`]
+    /// step policy (whether certified steps take the tiled `SharedCells`
     /// path, and whether a large image fills in bands, see
     /// [`KernelMemory::with_threads`]); actual parallelism is still the
     /// runtime's to grant. Exposed so tests and benches can force either

@@ -16,7 +16,7 @@
 //! follows the frame protocol's discipline exactly ([`crate::proto`]):
 //! length prefixes are validated against a hard cap **before** any
 //! allocation, embedded counts and string lengths are checked against the
-//! bytes actually present, and every failure is a typed [`StoreError`] —
+//! bytes actually present, and every failure is a typed `StoreError` —
 //! never a panic.
 //!
 //! **Crash consistency.** The only mutation the log ever sees is an
@@ -28,8 +28,8 @@
 //! ends the scan and discards the tail (a torn write costs the suffix).
 //! Either way load always terminates with some valid prefix of history.
 //!
-//! **Trust.** A decoded record is still only a *hint*. [`load`] hands
-//! each surviving entry to [`PlanCache::restore`], which refuses any
+//! **Trust.** A decoded record is still only a *hint*. `CacheStore::load`
+//! hands each surviving entry to `PlanCache::restore`, which refuses any
 //! entry whose stored integrity checksum does not refold from its
 //! content; and a restored entry is never served without passing the
 //! per-hit gauntlet (rebuild against the requesting graph, `verify_plan`,

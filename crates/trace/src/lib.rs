@@ -9,10 +9,9 @@
 //!   parallel without cross-talk.
 //! * Named counters — [`Span::add`] attaches `&'static str`-named deltas
 //!   to the enclosing span; sinks aggregate them per span.
-//! * [`sink::Sink`] — the thread-safe event consumer trait, with two
-//!   implementations: [`sink::NoopSink`] (discard) and
-//!   [`sink::MemorySink`] (in-memory event log, the substrate for
-//!   [`profile::Profile`]).
+//! * [`sink::Sink`] — the thread-safe event consumer trait, implemented
+//!   by [`sink::MemorySink`] (in-memory event log, the substrate for
+//!   [`profile::Profile`]). A disabled [`Tracer`] reaches no sink at all.
 //! * [`profile::Profile`] — the span tree reassembled from events, with
 //!   the schema-v1 JSON-lines serialization (`to_jsonl`), a human phase
 //!   summary (`summary`), and a timing-free structural rendering
@@ -61,7 +60,7 @@ pub mod sink;
 pub mod validate;
 
 pub use profile::{Profile, ProfileSpan};
-pub use sink::{Event, MemorySink, NoopSink, Sink};
+pub use sink::{Event, MemorySink, Sink};
 pub use validate::{validate_trace, TraceSummary};
 
 use std::sync::atomic::{AtomicU64, Ordering};

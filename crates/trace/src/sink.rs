@@ -51,16 +51,6 @@ pub trait Sink: Send + Sync {
     fn record(&self, event: &Event);
 }
 
-/// Discards everything. [`crate::Tracer::disabled`] never even reaches a
-/// sink; `NoopSink` exists for callers that need a `Sink` value
-/// unconditionally.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct NoopSink;
-
-impl Sink for NoopSink {
-    fn record(&self, _event: &Event) {}
-}
-
 /// Buffers events in memory; the substrate for [`Profile`] assembly.
 #[derive(Default)]
 pub struct MemorySink {

@@ -47,6 +47,28 @@ proptest! {
         prop_assert!(fusion_preventing_edges(&gr).is_empty());
     }
 
+    /// Algorithm 3 returns the canonical solution of Theorem 4.1's system
+    /// `r(v) - r(u) <= δ_L(e) - (1,-1)`: its x offsets equal those of the
+    /// system built here from the raw dependence vectors and solved by the
+    /// Floyd–Warshall oracle.
+    #[test]
+    fn acyclic_fusion_matches_floyd_oracle(seed in 0u64..10_000, cfg in gen_config()) {
+        use mdfusion::constraint::{floyd::solve_difference_constraints_floyd, DifferenceSystem};
+        let g = random_acyclic_mldg(seed, &cfg);
+        let mut sys: DifferenceSystem<IVec2> = DifferenceSystem::new(g.node_count());
+        for e in g.edge_ids() {
+            let ed = g.edge(e);
+            let delta_l = g.deps(e).iter().min().expect("every edge carries a vector");
+            sys.add_le(ed.dst.index(), ed.src.index(), delta_l - v2(1, -1));
+        }
+        let oracle = solve_difference_constraints_floyd(sys.graph())
+            .expect("Theorem 4.1: the system of an acyclic graph is feasible");
+        let r = fuse_acyclic(&g).expect("Theorem 4.1");
+        let xs: Vec<i64> = r.offsets().iter().map(|o| o.x).collect();
+        let oracle_xs: Vec<i64> = oracle.iter().map(|o| o.x).collect();
+        prop_assert_eq!(xs, oracle_xs);
+    }
+
     /// Theorem 4.2 (one direction): whenever Algorithm 4 succeeds, the
     /// retimed graph is fusion-legal and row-DOALL.
     #[test]
