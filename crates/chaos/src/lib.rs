@@ -1,7 +1,7 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 //! # `mdf-chaos` — deterministic fault injection
 //!
-//! A seeded [`FaultPlan`] describes faults as *(site, kind, trigger-count)*
+//! A [`FaultPlan`] describes faults as *(site, kind, trigger-count)*
 //! triples: "the third time execution passes the named site, fire this
 //! fault". Host crates consult the plan at named **sites** threaded through
 //! the pipeline (`constraint.solve.round`, `planner.retiming`,
@@ -14,8 +14,7 @@
 //!    a plain `bool` on their budget, so unrelated runs in the same
 //!    process never even reach that load.
 //! 2. **Deterministic.** A plan fires on exact hit counts, never on time
-//!    or randomness at fire-time. [`FaultPlan::seeded`] derives a plan
-//!    from a seed with a splitmix64 chain, so fuzzing is reproducible.
+//!    or randomness at fire-time.
 //! 3. **Process-wide exclusivity.** Arming returns a [`ChaosGuard`] that
 //!    holds a global gate mutex: concurrent chaos users serialize instead
 //!    of observing each other's faults. The guard disarms on drop — also
@@ -128,9 +127,10 @@ pub const SITES: &[SiteInfo] = &[
         name: "service.cache",
         kinds: &[FaultKind::CorruptRetiming],
     },
-    // Router-layer sites (`mdf-router`). `router.shard` kills a worker
-    // shard outright (the health loop must detect the death and respawn
-    // it); `router.ring` spuriously marks a live shard dead on the hash
+    // Router-layer sites (`mdf-router`). `router.shard` stops the owner
+    // shard just before a request is forwarded to it (the forward fails,
+    // the request reroutes, and the health loop must respawn the shard);
+    // `router.ring` spuriously marks a live shard dead on the hash
     // ring (requests reroute, the health loop revives it in place);
     // `router.batch` stalls a batch-coalescing window past its bound
     // (the batch must still flush — late, never never).
@@ -176,29 +176,20 @@ pub fn site_info(name: &str) -> Option<&'static SiteInfo> {
 /// One scheduled fault: fire `kind` on the `trigger`-th hit of `site`
 /// (1-based), then stay spent — so a retried chunk passes the site clean,
 /// modelling a transient failure.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Fault {
+#[derive(Clone, Copy, Debug)]
+struct Fault {
     /// Site name from [`SITES`].
-    pub site: &'static str,
+    site: &'static str,
     /// What to simulate.
-    pub kind: FaultKind,
+    kind: FaultKind,
     /// 1-based hit count at which the fault fires.
-    pub trigger: u64,
+    trigger: u64,
 }
 
 /// A deterministic schedule of faults. Inert until [`FaultPlan::arm`]ed.
 #[derive(Clone, Debug, Default)]
 pub struct FaultPlan {
     faults: Vec<Fault>,
-}
-
-/// splitmix64: the workspace-standard seed-derivation chain.
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 impl FaultPlan {
@@ -228,21 +219,6 @@ impl FaultPlan {
                 trigger,
             }],
         }
-    }
-
-    /// Derives a random single-fault plan from `seed`: uniform site from
-    /// [`SITES`], uniform sound kind, trigger in `1..=max_trigger`.
-    pub fn seeded(seed: u64, max_trigger: u64) -> Self {
-        let mut state = seed ^ 0x6d64_662d_6368_616f; // "mdf-chao"
-        let site = &SITES[(splitmix64(&mut state) % SITES.len() as u64) as usize];
-        let kind = site.kinds[(splitmix64(&mut state) % site.kinds.len() as u64) as usize];
-        let trigger = 1 + splitmix64(&mut state) % max_trigger.max(1);
-        FaultPlan::single(site.name, kind, trigger)
-    }
-
-    /// The scheduled faults.
-    pub fn faults(&self) -> &[Fault] {
-        &self.faults
     }
 
     /// Arms this plan process-wide. Blocks until any other armed plan is
@@ -402,24 +378,6 @@ mod tests {
         assert_eq!(guard.hits("sim.alloc"), 5);
         assert_eq!(guard.injected(), 0);
         assert_eq!(guard.all_hits(), vec![("sim.alloc", 5)]);
-    }
-
-    #[test]
-    fn seeded_plans_are_deterministic_and_sound() {
-        for seed in 0..256 {
-            let a = FaultPlan::seeded(seed, 4);
-            let b = FaultPlan::seeded(seed, 4);
-            assert_eq!(a.faults(), b.faults());
-            let f = a.faults()[0];
-            let info = site_info(f.site).unwrap();
-            assert!(info.kinds.contains(&f.kind));
-            assert!((1..=4).contains(&f.trigger));
-        }
-        // The seed space actually exercises more than one site.
-        let distinct: std::collections::BTreeSet<_> = (0..256)
-            .map(|s| FaultPlan::seeded(s, 4).faults()[0].site)
-            .collect();
-        assert!(distinct.len() >= 4, "seeds cover sites: {distinct:?}");
     }
 
     #[test]

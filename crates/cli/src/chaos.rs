@@ -681,17 +681,19 @@ fn service_sweep(
 /// daemon keeps answering correct fingerprints (retry-once absorbs the
 /// torn-write panic), and a clean reboot from the damaged directory
 /// boots, warm-loads only entries that survive revalidation, and never
-/// yields a wrong answer.
+/// yields a wrong answer. The fault is armed at trigger 1: a case's store
+/// holds one key, and each site is hit once for it (the plan insert's
+/// append, drain's compaction, the reboot's load of its one record).
 fn persist_case(
     workload: &str,
     source: &str,
     want: u64,
     site: &'static str,
     kind: FaultKind,
-    trigger: u64,
 ) -> CaseResult {
+    let trigger = 1;
     let tag = format!(
-        "mdfuse-chaos-{}-{}-{trigger}",
+        "mdfuse-chaos-{}-{}",
         std::process::id(),
         site.replace('.', "-"),
     );
@@ -751,10 +753,10 @@ fn persist_case(
     };
     let injected = guard.injected();
     drop(guard);
-    // The first trigger of every persist site is reachable by
-    // construction; a case that recovered without its fault ever firing
-    // proved nothing, and silently counting it would blind the oracle.
-    if class == Class::Recovered && injected == 0 && trigger == 1 {
+    // Trigger 1 of every persist site is reachable by construction; a
+    // case that recovered without its fault ever firing proved nothing,
+    // and silently counting it would blind the oracle.
+    if class == Class::Recovered && injected == 0 {
         class = Class::WrongAnswer(format!("{site} armed at trigger 1 but never fired"));
     }
 
@@ -791,10 +793,7 @@ fn persist_case(
 }
 
 /// The persistence phase: every `persist.*` site and kind against a live
-/// daemon backed by a real store directory. Trigger counts are
-/// site-specific: the write path is hit twice per populated key (the
-/// plan insert and the later certificate attach), while compaction and
-/// load touch the single-key store once per case.
+/// daemon backed by a real store directory.
 fn persist_sweep(
     name: &str,
     program: &Program,
@@ -805,15 +804,8 @@ fn persist_sweep(
     let (omem, _) = run_original(program, SWEEP_N, SWEEP_M);
     let want = omem.fingerprint();
     for site in SITES.iter().filter(|s| s.name.starts_with("persist.")) {
-        let triggers: &[u64] = if site.name == "persist.append" {
-            &[1, 2]
-        } else {
-            &[1]
-        };
         for kind in site.kinds {
-            for &trigger in triggers {
-                results.push(persist_case(name, &source, want, site.name, *kind, trigger));
-            }
+            results.push(persist_case(name, &source, want, site.name, *kind));
         }
     }
     names.push(format!("mdfstore:{name}"));
@@ -1272,7 +1264,6 @@ fn no_recorded_failures(doc: &Json) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mdf_trace::json::parse as parse_json;
 
     fn sweep_opts(dir: &std::path::Path) -> ChaosOpts {
         ChaosOpts {
@@ -1283,45 +1274,6 @@ mod tests {
             // two levels up.
             examples: concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples/dsl").to_string(),
         }
-    }
-
-    /// The fields of a sweep report that a seed fixes: every in-process
-    /// workload entry (suites and examples), field by field, and the
-    /// `checkpoints_taken` and `resumes` counters. The daemon, fleet and
-    /// store entries run live servers per case, and `faults_injected` and
-    /// `retries` can move by one between runs, so they are left out.
-    #[allow(clippy::type_complexity)]
-    fn seed_fixed_fields(report: &str) -> (Vec<Vec<(String, String)>>, Vec<(String, String)>) {
-        let doc = parse_json(report).unwrap();
-        let text = |v: &Json| {
-            v.str_val()
-                .map_or_else(|| format!("{:?}", v.num()), str::to_string)
-        };
-        let workloads = doc
-            .get("workloads")
-            .and_then(Json::arr)
-            .unwrap()
-            .iter()
-            .filter(|w| {
-                let name = w.get("name").and_then(Json::str_val).unwrap();
-                !["mdfused:", "mdf-router:", "mdfstore:"]
-                    .iter()
-                    .any(|live| name.starts_with(live))
-            })
-            .map(|w| {
-                w.obj()
-                    .unwrap()
-                    .iter()
-                    .map(|(k, v)| (k.clone(), text(v)))
-                    .collect()
-            })
-            .collect();
-        let counters = doc.get("counters").unwrap();
-        let pinned = ["checkpoints_taken", "resumes"]
-            .iter()
-            .map(|k| (k.to_string(), text(counters.get(k).unwrap())))
-            .collect();
-        (workloads, pinned)
     }
 
     #[test]
@@ -1356,18 +1308,18 @@ mod tests {
         .unwrap();
         assert!(checked.contains("valid CHAOS_sweep schema v1"), "{checked}");
 
-        // ...reproduces the committed seed-7 report wherever the seed
-        // fixes the outcome...
+        // ...reproduces the committed seed-7 report byte for byte (every
+        // fault fires on a request-driven hit count, never on a timer, so
+        // the live daemon, fleet and store phases are seed-fixed too)...
         let json = std::fs::read_to_string(&path).unwrap();
         let committed = std::fs::read_to_string(concat!(
             env!("CARGO_MANIFEST_DIR"),
             "/../../CHAOS_sweep.json"
         ))
         .unwrap();
-        assert_eq!(
-            seed_fixed_fields(&json),
-            seed_fixed_fields(&committed),
-            "the seed-7 sweep diverged from the committed CHAOS_sweep.json"
+        assert!(
+            json == committed,
+            "the seed-7 sweep diverged from the committed CHAOS_sweep.json:\n{json}"
         );
 
         // ...and a schema bump is rejected with exit 3.

@@ -546,7 +546,7 @@ const USAGE: &str =
        mdfuse chaos [--seed S] [--json] [--out PATH] [--check PATH]
                     [--examples DIR] [--profile[=PATH]]
        mdfuse serve <endpoint> [--workers N] [--queue N] [--cache-cap N]
-                    [--cache-dir DIR] [--cache-sync M] [--inject-chaos]
+                    [--cache-dir DIR] [--cache-sync M]
        mdfuse route <endpoint> [--shards N] [--batch] [--workers N]
                     [--queue N] [--cache-cap N] [--cache-dir DIR]
                     [--cache-sync M]
@@ -554,8 +554,7 @@ const USAGE: &str =
        mdfuse client <endpoint> submit <file> [n] [m] [--engine E]
                     [--deadline-ms MS]
        mdfuse loadgen [--socket ENDPOINT] [--shards N] [--batch]
-                    [--requests N] [--concurrency C]
-                    [--mode closed|open] [--rps R] [--seed S] [--json]
+                    [--requests N] [--concurrency C] [--seed S] [--json]
                     [--out PATH] [--check PATH] [--examples DIR]
                     [--chaos] [--cache-dir DIR] [--cache-sync M]
        mdfuse profile-check <file>
@@ -587,7 +586,6 @@ options:
   --cache-sync M     store fsync discipline: never | snapshot | always
                      (default snapshot: sync compacted snapshots, not
                      every append)
-  --inject-chaos     serve: arm the service.* fault sites (testing only)
   --chaos            loadgen: fire seeded faults (worker panics, shard
                      kills, persistence faults) while measuring latency;
                      requires an in-process target (not --socket)
@@ -599,9 +597,7 @@ options:
                      (`tcp:HOST:PORT` or a unix socket path; default:
                      boot an in-process target)
   --requests N       loadgen: total submissions (default 120)
-  --concurrency C    loadgen: client threads (default 4)
-  --mode M           loadgen: closed (back-to-back) or open (fixed-rate)
-  --rps R            loadgen: open-loop arrival rate (default 200)
+  --concurrency C    loadgen: closed-loop client threads (default 4)
   --profile[=PATH]   run, bench, analyze, chaos: write a schema-versioned
                      JSONL profile (default trace.jsonl) and print a phase
                      summary on stderr; validate with `mdfuse profile-check`
@@ -727,7 +723,6 @@ fn parse_opts(args: &[String]) -> Result<Opts, CliError> {
             "--cache-cap" => {
                 opts.service.cache_capacity = next_u64(&mut it, "--cache-cap")? as usize
             }
-            "--inject-chaos" => opts.service.inject_chaos = true,
             "--cache-dir" => {
                 opts.service.cache_dir = Some(next_value(&mut it, "--cache-dir")?.to_string())
             }
@@ -742,8 +737,6 @@ fn parse_opts(args: &[String]) -> Result<Opts, CliError> {
             "--concurrency" => {
                 opts.service.concurrency = next_u64(&mut it, "--concurrency")? as usize
             }
-            "--mode" => opts.service.mode = next_value(&mut it, "--mode")?.to_string(),
-            "--rps" => opts.service.rps = next_u64(&mut it, "--rps")?,
             "--profile" => opts.profile = Some(profile::DEFAULT_PROFILE_PATH.to_string()),
             f if f.starts_with("--profile=") => {
                 let path = &f["--profile=".len()..];

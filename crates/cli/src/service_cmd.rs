@@ -50,8 +50,6 @@ pub(crate) struct ServiceOpts {
     pub queue_depth: usize,
     /// `serve`: plan-cache capacity.
     pub cache_capacity: usize,
-    /// `serve`: arm the `service.*` chaos sites (testing only).
-    pub inject_chaos: bool,
     /// `serve`/`loadgen`: persistent plan-cache directory (for a fleet,
     /// the root under which each shard slot gets `shard-N/`).
     pub cache_dir: Option<String>,
@@ -71,10 +69,6 @@ pub(crate) struct ServiceOpts {
     pub requests: u64,
     /// `loadgen`: closed-loop client threads.
     pub concurrency: usize,
-    /// `loadgen`: `closed` (back-to-back) or `open` (fixed-rate).
-    pub mode: String,
-    /// `loadgen`: open-loop arrival rate, requests/second.
-    pub rps: u64,
     /// Shared with bench/chaos: write the JSON report here.
     pub out: Option<String>,
     /// Shared with bench/chaos: validate an existing report and exit.
@@ -91,7 +85,6 @@ impl Default for ServiceOpts {
             workers: 4,
             queue_depth: 8,
             cache_capacity: 64,
-            inject_chaos: false,
             cache_dir: None,
             cache_sync: "snapshot".to_string(),
             chaos: false,
@@ -100,8 +93,6 @@ impl Default for ServiceOpts {
             batch: false,
             requests: 120,
             concurrency: 4,
-            mode: "closed".to_string(),
-            rps: 200,
             out: None,
             check: None,
             examples: "examples/dsl".to_string(),
@@ -145,7 +136,6 @@ pub(crate) fn serve(endpoint: &str, opts: &ServiceOpts) -> Result<String, CliErr
     config.workers = opts.workers.max(1);
     config.queue_depth = opts.queue_depth;
     config.cache_capacity = opts.cache_capacity.max(1);
-    config.chaos = opts.inject_chaos;
     config.cache_dir = opts.cache_dir.as_ref().map(std::path::PathBuf::from);
     config.cache_sync = parse_cache_sync(&opts.cache_sync)?;
     let server = Server::start(config)
@@ -417,7 +407,6 @@ struct LoadCounters {
 struct LoadReport {
     requests: u64,
     concurrency: usize,
-    mode: String,
     seed: u64,
     wall_s: f64,
     completed: u64,
@@ -446,30 +435,6 @@ enum Target {
     External(Endpoint),
     OwnServer(Server),
     OwnFleet(Router),
-}
-
-/// Sums a fleet's per-shard counters into one `ServiceStats`, so fleet
-/// reports carry the same aggregate fields as single-daemon ones.
-fn sum_fleet_stats(f: &FleetStats) -> ServiceStats {
-    let mut sum = ServiceStats::default();
-    for row in &f.shards {
-        let s = &row.stats;
-        sum.connections += s.connections;
-        sum.requests += s.requests;
-        sum.completed += s.completed;
-        sum.cache_hits += s.cache_hits;
-        sum.cache_misses += s.cache_misses;
-        sum.cache_rejected += s.cache_rejected;
-        sum.overload_rejections += s.overload_rejections;
-        sum.drain_rejections += s.drain_rejections;
-        sum.deadline_expiries += s.deadline_expiries;
-        sum.recoveries += s.recoveries;
-        sum.proto_errors += s.proto_errors;
-        sum.panics_isolated += s.panics_isolated;
-        sum.cache_warm_hits += s.cache_warm_hits;
-        sum.cache_warm_loaded += s.cache_warm_loaded;
-    }
-    sum
 }
 
 /// Entry point for `mdfuse loadgen`.
@@ -532,15 +497,6 @@ pub(crate) fn loadgen(opts: &ServiceOpts, json: bool) -> Result<String, CliError
     let counters = Arc::new(LoadCounters::default());
     let latencies: Arc<Mutex<Vec<f64>>> = Arc::new(Mutex::new(Vec::new()));
     let next_request = Arc::new(AtomicU64::new(0));
-    let open_loop = opts.mode == "open";
-    if !open_loop && opts.mode != "closed" {
-        return Err(CliError::Usage(format!(
-            "unknown loadgen mode {:?} (expected closed|open)",
-            opts.mode
-        )));
-    }
-    let interval =
-        Duration::from_secs_f64(opts.concurrency.max(1) as f64 / (opts.rps.max(1) as f64));
 
     // `--chaos`: a rolling injector arms one seeded fault after another
     // for the whole measured window — worker panics at every service
@@ -606,11 +562,6 @@ pub(crate) fn loadgen(opts: &ServiceOpts, json: bool) -> Result<String, CliError
                 let idx = next_request.fetch_add(1, Ordering::SeqCst);
                 if idx >= total {
                     return;
-                }
-                if open_loop {
-                    // Fixed-rate arrivals: each of C pacers dispatches
-                    // every C/rps seconds, phase-offset by worker index.
-                    std::thread::sleep(interval.mul_f64((worker % 4) as f64 * 0.25 + 1.0));
                 }
                 // Seeded request mix: workload and engine derive from
                 // (seed, request index) only — independent of timing.
@@ -718,7 +669,7 @@ pub(crate) fn loadgen(opts: &ServiceOpts, json: bool) -> Result<String, CliError
         Target::OwnServer(server) => (server.drain(), None),
         Target::OwnFleet(router) => {
             let fleet = router.drain();
-            (sum_fleet_stats(&fleet), Some(fleet))
+            (fleet.shard_totals(), Some(fleet))
         }
         Target::External(_) => {
             // Best-effort fleet probe: an external router answers, a plain
@@ -734,7 +685,6 @@ pub(crate) fn loadgen(opts: &ServiceOpts, json: bool) -> Result<String, CliError
     let report = LoadReport {
         requests: opts.requests,
         concurrency: opts.concurrency,
-        mode: opts.mode.clone(),
         seed: opts.seed,
         wall_s,
         completed: counters.completed.load(Ordering::SeqCst),
@@ -887,7 +837,8 @@ fn report_json(r: &LoadReport) -> Json {
         ("name", "BENCH_service".into()),
         ("requests", r.requests.into()),
         ("concurrency", r.concurrency.into()),
-        ("mode", r.mode.as_str().into()),
+        // Loadgen is closed-loop only; the field stays for schema v3.
+        ("mode", "closed".into()),
         ("seed", r.seed.into()),
         ("completed", r.completed.into()),
         ("mismatches", r.mismatches.into()),
@@ -924,7 +875,7 @@ fn render_human(r: &LoadReport) -> String {
     let p99 = percentile(&r.latencies_ms, 0.99);
     let rps = r.completed as f64 / r.wall_s.max(1e-9);
     let mut out = format!(
-        "loadgen: {} request(s) over {} workload(s), {} {}-loop client(s), seed {}\n\
+        "loadgen: {} request(s) over {} workload(s), {} closed-loop client(s), seed {}\n\
          completed: {} (mismatches: {}, typed rejections: {}, transport errors: {}, \
          retries: {})\n\
          throughput: {rps:.1} req/s; latency p50 {p50:.2} ms, p99 {p99:.2} ms\n\
@@ -933,7 +884,6 @@ fn render_human(r: &LoadReport) -> String {
         r.requests,
         r.workload_names.len(),
         r.concurrency,
-        r.mode,
         r.seed,
         r.completed,
         r.mismatches,
@@ -1086,7 +1036,6 @@ mod tests {
         LoadReport {
             requests: 20,
             concurrency: 2,
-            mode: "closed".into(),
             seed: 7,
             wall_s: 0.5,
             completed: 20,

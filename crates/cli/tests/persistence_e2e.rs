@@ -35,13 +35,16 @@ fn scratch(test: &str) -> PathBuf {
 }
 
 /// Spawns `mdfuse serve <socket> --cache-dir <store>` and waits until it
-/// answers a ping.
+/// answers a ping. The cache holds 4096 plans, so the SIGKILL burst's
+/// distinct graphs never evict the example mix's plans.
 fn spawn_serve(socket: &Path, store: &Path) -> Child {
     let child = Command::new(bin())
         .arg("serve")
         .arg(socket)
         .arg("--cache-dir")
         .arg(store)
+        .arg("--cache-cap")
+        .arg("4096")
         .stdin(Stdio::null())
         .stdout(Stdio::null())
         .stderr(Stdio::null())
@@ -110,19 +113,17 @@ fn sigkill_mid_write_then_restart_warm_starts_with_matching_fingerprints() {
     let store = dir.join("store");
 
     // Boot and populate through real traffic: the seeded mix inserts
-    // several distinct plans, and the kernel-engine requests also write
-    // certificate-attach records.
+    // several distinct plans.
     let mut child = spawn_serve(&socket, &store);
     let cold = loadgen(&socket, 60);
     assert_eq!(top_level_num(&cold, "mismatches"), 0.0, "{cold}");
     assert!(top_level_num(&cold, "completed") > 0.0, "{cold}");
 
-    // SIGKILL mid-write: a background client hammers submissions (each
-    // kernel completion appends to the store) while the daemon is shot.
-    // No drain runs, so the store is whatever the log happened to hold —
-    // possibly ending in a torn record.
-    let figure2 = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../examples/dsl/figure2.mdf");
-    let source = std::fs::read_to_string(figure2).expect("figure2.mdf readable");
+    // SIGKILL mid-write: a background client hammers submissions while
+    // the daemon is shot. Each is a distinct graph, so each is a cache
+    // miss whose plan insert appends to the store. No drain runs, so the
+    // store is whatever the log happened to hold — possibly ending in a
+    // torn record.
     let burst_socket = socket.clone();
     let burst = std::thread::spawn(move || {
         for i in 0.. {
@@ -135,7 +136,7 @@ fn sigkill_mid_write_then_restart_warm_starts_with_matching_fingerprints() {
                 m: 10,
                 deadline_ms: 10_000,
                 client: format!("burst{i}"),
-                source: source.clone(),
+                source: format!("mldg burst\nnode A\nnode B\nedge A -> B : (1,{i})\n"),
             });
             if done.is_err() {
                 return;

@@ -456,9 +456,9 @@ impl CompiledKernel {
         Ok(cert)
     }
 
-    /// Arms a previously issued certificate (e.g. from the service plan
-    /// cache) after revalidating it against this kernel's freshly lowered
-    /// image — checksum, mode, and bounds must all match. Returns whether
+    /// Arms a previously issued certificate (e.g. one `arm` returned for
+    /// an identical kernel) after revalidating it against this kernel's
+    /// freshly lowered image — checksum, mode, and bounds must all match. Returns whether
     /// the kernel is now armed; on `false` it stays checked.
     pub fn arm_with_cert(&mut self, mode: ExecMode, cert: BytecodeCert) -> bool {
         self.cert = None;

@@ -61,8 +61,8 @@ pub mod memory;
 pub use exec::{CompiledKernel, ExecMode, TilePlan};
 pub use lower::{CompiledLoop, CompiledStmt, Instr};
 pub use memory::KernelMemory;
-// Re-exported so consumers without an `mdf-analyze` dependency (the
-// service plan cache) can store and revalidate bytecode certificates.
+// Re-exported so consumers without an `mdf-analyze` dependency can name
+// the bytecode certificate `CompiledKernel::arm` returns.
 pub use mdf_analyze::bytecode::{BytecodeCert, VmImage, VmMode};
 
 use mdf_analyze::{certify_doall_traced, certify_elision_traced, ParallelMode};

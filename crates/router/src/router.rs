@@ -21,10 +21,17 @@
 //!    backoff (generation bumped each time). No live shard at all is a
 //!    typed `Overloaded` — never a hang.
 //!
-//! The `router.*` chaos sites inject a shard kill (`router.shard`), a
-//! spurious ring dead-mark (`router.ring`), and a batch-window stall
-//! (`router.batch`); the `mdfuse chaos` sweep requires every one to
-//! classify as recovered or detected.
+//! The `router.*` chaos sites inject a shard kill (`router.shard`, which
+//! stops the owner just before a request is forwarded to it, so the
+//! forward fails and takes the failover path), a spurious ring dead-mark
+//! (`router.ring`), and a batch-window stall (`router.batch`); the
+//! `mdfuse chaos` sweep requires every one to classify as recovered or
+//! detected. All three fire on the request path, never on a timer, so a
+//! seeded sweep injects the same faults in the same places every run.
+//!
+//! On drain, a connection is closed after the answer it is being given,
+//! as in the daemon: a client that never goes idle cannot hold the drain
+//! open.
 
 use std::io::Write as _;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -37,7 +44,7 @@ use mdf_service::proto::{
     ErrCode, FleetStats, Outcome, Request, Response, ServiceError, ServiceStats, ShardRow, Submit,
 };
 use mdf_service::transport::{read_frame_polled, Endpoint, Listener, Stream, READ_TICK};
-use mdf_service::{submit_fingerprint, Client};
+use mdf_service::{submit_fingerprint, Client, DEFAULT_DEADLINE_MS};
 
 use crate::backend::Backend;
 use crate::batch::{BatchKey, Batcher, LeaderGuard, Role};
@@ -50,8 +57,6 @@ pub struct RouterConfig {
     pub endpoint: Endpoint,
     /// Number of worker shards.
     pub shards: u32,
-    /// Virtual nodes per shard on the hash ring.
-    pub vnodes: u32,
     /// Batch coalescing window; `None` disables batching.
     pub batch_window: Option<Duration>,
     /// Total in-flight submissions across the fleet (the fair-share
@@ -64,13 +69,13 @@ pub struct RouterConfig {
 }
 
 impl RouterConfig {
-    /// Defaults: 16 vnodes, batching off, `8 × shards` fair slots,
-    /// chaos off, 100 ms health cadence.
+    /// Defaults: batching off, `8 × shards` fair slots, chaos off,
+    /// 100 ms health cadence. The ring always places
+    /// [`DEFAULT_VNODES`] virtual nodes per shard.
     pub fn new(endpoint: Endpoint, shards: u32) -> RouterConfig {
         RouterConfig {
             endpoint,
             shards: shards.max(1),
-            vnodes: DEFAULT_VNODES,
             batch_window: None,
             fair_slots: 8 * shards.max(1) as u64,
             chaos: false,
@@ -221,7 +226,7 @@ impl Router {
             }));
         }
         let (listener, actual) = Listener::bind(&config.endpoint)?;
-        let ring = Ring::new(config.shards, config.vnodes);
+        let ring = Ring::new(config.shards, DEFAULT_VNODES);
         let batcher = Batcher::new(config.batch_window.unwrap_or(Duration::ZERO));
         let fair = Arc::new(FairShare::new(config.fair_slots));
         let shared = Arc::new(Shared {
@@ -359,7 +364,7 @@ fn handle_connection(shared: &Shared, mut stream: Stream) {
         };
         let resp = match req {
             Request::Ping => Response::Pong,
-            Request::Stats => Response::Stats(aggregate_stats(shared)),
+            Request::Stats => Response::Stats(fleet_stats(shared).shard_totals()),
             Request::Fleet => Response::Fleet(fleet_stats(shared)),
             Request::Shutdown => {
                 shared.draining.store(true, Ordering::SeqCst);
@@ -383,6 +388,11 @@ fn handle_connection(shared: &Shared, mut stream: Stream) {
         };
         if stream.write_all(&resp.encode()).is_err() {
             return; // client went away
+        }
+        // Drain is noticed only on an idle READ_TICK; a client sending
+        // faster than that would hold it open. Close after answering.
+        if shared.draining.load(Ordering::SeqCst) {
+            return;
         }
     }
 }
@@ -446,7 +456,7 @@ fn process_submit(shared: &Shared, submit: &Submit) -> Result<Outcome, ServiceEr
         }
         Role::Follower(group) => {
             let deadline_ms = if submit.deadline_ms == 0 {
-                10_000
+                DEFAULT_DEADLINE_MS
             } else {
                 submit.deadline_ms
             };
@@ -489,6 +499,14 @@ fn route_execute(
             lock_unpoisoned(&shared.ring).set_live(owner, false);
             rerouted = true;
             continue;
+        }
+        // The router.shard kill: stop the owner just before forwarding.
+        // The forward below fails, the owner is marked dead, the request
+        // reroutes, and the health loop respawns the shard.
+        if shared.config.chaos
+            && mdf_chaos::hit("router.shard") == Some(mdf_chaos::FaultKind::WorkerPanic)
+        {
+            shared.backend.stop(owner);
         }
         match shard_request(shared, owner, &Request::Submit(submit.clone())) {
             Ok(Response::Done(mut o)) => {
@@ -578,14 +596,6 @@ fn health_loop(shared: Arc<Shared>) {
         if shared.draining.load(Ordering::SeqCst) {
             return;
         }
-        // The router.shard fault: kill one shard outright. Detection and
-        // respawn below must bring the fleet back without operator help.
-        if shared.config.chaos
-            && mdf_chaos::hit("router.shard") == Some(mdf_chaos::FaultKind::WorkerPanic)
-        {
-            let victim = 0;
-            shared.backend.stop(victim);
-        }
         for shard in 0..shared.config.shards {
             let (ring_live, healthy, died_at, backoff_step, generation) = {
                 let st = lock_unpoisoned(&shared.shards[shard as usize]);
@@ -639,31 +649,6 @@ fn health_loop(shared: Arc<Shared>) {
         }
         std::thread::sleep(shared.config.health_interval);
     }
-}
-
-/// Sum of every live shard's counters — what `Request::Stats` answers,
-/// so single-daemon tooling (loadgen probes) works against a router too.
-fn aggregate_stats(shared: &Shared) -> ServiceStats {
-    let fleet = fleet_stats(shared);
-    let mut sum = ServiceStats::default();
-    for row in &fleet.shards {
-        let s = &row.stats;
-        sum.connections += s.connections;
-        sum.requests += s.requests;
-        sum.completed += s.completed;
-        sum.cache_hits += s.cache_hits;
-        sum.cache_misses += s.cache_misses;
-        sum.cache_rejected += s.cache_rejected;
-        sum.overload_rejections += s.overload_rejections;
-        sum.drain_rejections += s.drain_rejections;
-        sum.deadline_expiries += s.deadline_expiries;
-        sum.recoveries += s.recoveries;
-        sum.proto_errors += s.proto_errors;
-        sum.panics_isolated += s.panics_isolated;
-        sum.cache_warm_hits += s.cache_warm_hits;
-        sum.cache_warm_loaded += s.cache_warm_loaded;
-    }
-    sum
 }
 
 fn fleet_stats(shared: &Shared) -> FleetStats {

@@ -281,6 +281,35 @@ fn concurrent_identical_submissions_batch() {
     );
 }
 
+/// A client that pings the router every 10 ms never leaves its connection
+/// idle for a whole read tick; drain must still return promptly, because
+/// the router closes a connection after the answer it gives while
+/// draining. The pinger stops by itself after 5 s, so a drain that waits
+/// for it fails the timing assertion instead of hanging the test.
+#[test]
+fn drain_returns_while_a_client_keeps_pinging() {
+    let (config, backend) = fleet_config(2);
+    let router = Router::start(config, Box::new(SharedBackend(backend))).unwrap();
+    let mut client = Client::connect_endpoint(router.endpoint()).unwrap();
+    let (pinging, first_ping) = std::sync::mpsc::channel();
+    let pinger = std::thread::spawn(move || {
+        let stop = Instant::now() + Duration::from_secs(5);
+        while Instant::now() < stop && client.ping().is_ok() {
+            let _ = pinging.send(());
+            std::thread::sleep(Duration::from_millis(10));
+        }
+    });
+    first_ping.recv().unwrap();
+    let started = Instant::now();
+    router.drain();
+    let took = started.elapsed();
+    pinger.join().unwrap();
+    assert!(
+        took < Duration::from_secs(1),
+        "drain took {took:?} while a client pinged every 10 ms"
+    );
+}
+
 /// Two fleets booted at once in one process both come up and answer.
 /// Regression: shard sockets were named by pid, shard and generation
 /// alone, so a second in-process fleet collided with the first one's

@@ -23,13 +23,14 @@
 //!   can ever cost is one replan — never a wrong answer.
 //!
 //! Only fully fused plans are cached; partial-fusion fallbacks are cheap
-//! to recompute and rare in service traffic.
+//! to recompute and rare in service traffic. The cache holds plans, not
+//! bytecode: a kernel request lowers its plan at its own bounds and arms
+//! the unchecked path with a fresh `CompiledKernel::arm` every time.
 
 use std::collections::HashMap;
 
 use mdf_core::{verify_plan, FullParallelMethod, FusionPlan};
 use mdf_graph::{IVec2, Mldg};
-use mdf_kernel::{BytecodeCert, VmMode};
 use mdf_retime::{Retiming, Wavefront};
 
 /// The per-plan payload: enough to rebuild a [`FusionPlan`] for any graph
@@ -41,14 +42,7 @@ pub(crate) struct CachedPlan {
     /// in any parsed graph — the text formats reject duplicates).
     pub(crate) offsets: Vec<(String, IVec2)>,
     pub(crate) shape: CachedShape,
-    /// Bytecode certificate from the last kernel execution of this plan,
-    /// attached after a successful `arm`. A cached cert is only a *hint*:
-    /// the kernel re-derives its VM image and `arm_with_cert` rejects any
-    /// cert whose bounds or checksum disagree, so a stale or corrupted
-    /// cert costs one fresh verification, never unchecked execution.
-    pub(crate) cert: Option<BytecodeCert>,
-    /// Integrity checksum over `offsets`, `shape` and `cert`, taken at
-    /// insert (and re-taken whenever a cert is attached).
+    /// Integrity checksum over `offsets` and `shape`, taken at insert.
     pub(crate) sum: u64,
     /// Provenance: `true` when this entry was restored from the
     /// persistent store rather than planned in this process. Not folded
@@ -66,11 +60,9 @@ pub(crate) enum CachedShape {
 /// What a cache probe produced.
 #[derive(Clone, Debug)]
 pub enum CacheLookup {
-    /// A stored plan that revalidated against the requesting graph,
-    /// together with any bytecode certificate attached on a prior kernel
-    /// run (to be revalidated by `CompiledKernel::arm_with_cert`) and
+    /// A stored plan that revalidated against the requesting graph, and
     /// whether the entry was warm-loaded from the persistent store.
-    Hit(FusionPlan, Option<BytecodeCert>, bool),
+    Hit(FusionPlan, bool),
     /// An entry existed but failed revalidation (fingerprint collision or
     /// poison); it has been evicted and the caller must replan.
     Rejected,
@@ -122,7 +114,7 @@ impl PlanCache {
                 wavefront: *wavefront,
             },
         };
-        let sum = integrity(&offsets, &shape, None);
+        let sum = integrity(&offsets, &shape);
         self.entries.retain(|(k, _)| *k != key);
         self.entries.insert(
             0,
@@ -131,7 +123,6 @@ impl PlanCache {
                 CachedPlan {
                     offsets,
                     shape,
-                    cert: None,
                     sum,
                     warm: false,
                 },
@@ -144,11 +135,11 @@ impl PlanCache {
     /// warm. The entry is trusted no further than a live insert: its
     /// stored checksum must match a fresh fold of its content (a
     /// bit-flipped record dies here), and every later hit still runs the
-    /// full rebuild + `verify_plan` + cert-revalidation gauntlet. Returns
+    /// full rebuild + `verify_plan` gauntlet. Returns
     /// whether the entry was accepted. Restored entries go to the LRU
     /// tail so live traffic immediately outranks them.
     pub(crate) fn restore(&mut self, key: u64, mut plan: CachedPlan) -> bool {
-        if integrity(&plan.offsets, &plan.shape, plan.cert.as_ref()) != plan.sum {
+        if integrity(&plan.offsets, &plan.shape) != plan.sum {
             return false;
         }
         if self.entries.iter().any(|(k, _)| *k == key) {
@@ -169,23 +160,9 @@ impl PlanCache {
     }
 
     /// The entry under `key`, if any (no LRU promotion) — what the
-    /// append path persists after an insert or cert attach.
+    /// append path persists after an insert.
     pub(crate) fn peek(&self, key: u64) -> Option<&CachedPlan> {
         self.entries.iter().find(|(k, _)| *k == key).map(|(_, p)| p)
-    }
-
-    /// Attaches a bytecode certificate to the entry under `key`, refolding
-    /// the integrity checksum so the cert is covered by the same poison
-    /// detection as the offsets. A later cert for the same key replaces
-    /// the earlier one (the entry keeps the bounds most recently run).
-    /// No-op when `key` is absent; returns whether an entry was updated.
-    pub fn attach_cert(&mut self, key: u64, cert: BytecodeCert) -> bool {
-        let Some((_, entry)) = self.entries.iter_mut().find(|(k, _)| *k == key) else {
-            return false;
-        };
-        entry.cert = Some(cert);
-        entry.sum = integrity(&entry.offsets, &entry.shape, entry.cert.as_ref());
-        true
     }
 
     /// Probes for `key` and revalidates any stored plan against `g`.
@@ -206,7 +183,7 @@ impl PlanCache {
             }
         }
         let entry = &self.entries[pos].1;
-        if integrity(&entry.offsets, &entry.shape, entry.cert.as_ref()) != entry.sum {
+        if integrity(&entry.offsets, &entry.shape) != entry.sum {
             // The stored bytes are not what the planner produced. Even a
             // corruption that happens to stay *legal* must go: on loosely
             // constrained graphs a huge bogus offset verifies fine yet
@@ -218,10 +195,9 @@ impl PlanCache {
         match rebuilt {
             Some(plan) if verify_plan(g, &plan).is_ok() => {
                 let e = self.entries.remove(pos);
-                let cert = e.1.cert;
                 let warm = e.1.warm;
                 self.entries.insert(0, e);
-                CacheLookup::Hit(plan, cert, warm)
+                CacheLookup::Hit(plan, warm)
             }
             _ => {
                 // Collision or poison: drop the entry so it cannot tax
@@ -236,7 +212,7 @@ impl PlanCache {
 /// splitmix64-fold checksum over a cached plan's content. Not
 /// cryptographic — it guards against in-process corruption (the chaos
 /// poison site, stray writes), not an adversary with cache access.
-fn integrity(offsets: &[(String, IVec2)], shape: &CachedShape, cert: Option<&BytecodeCert>) -> u64 {
+fn integrity(offsets: &[(String, IVec2)], shape: &CachedShape) -> u64 {
     let mut state = 0x6d64_6675_7365_6421u64; // "mdfuse!"
     let mut fold = |w: u64| {
         state = state.wrapping_add(w).wrapping_add(0x9e37_79b9_7f4a_7c15);
@@ -265,30 +241,9 @@ fn integrity(offsets: &[(String, IVec2)], shape: &CachedShape, cert: Option<&Byt
             fold(wavefront.hyperplane.y as u64);
         }
     }
-    match cert {
-        None => fold(0),
-        Some(c) => {
-            fold(3);
-            match c.mode {
-                VmMode::Serial => fold(1),
-                VmMode::Rows => fold(2),
-                // 4 was the retired untiled wavefront; the surviving
-                // constants keep their values so stored sums still refold.
-                VmMode::WavefrontTiled { schedule } => {
-                    fold(5);
-                    fold(schedule.0 as u64);
-                    fold(schedule.1 as u64);
-                }
-            }
-            fold(c.n as u64);
-            fold(c.m as u64);
-            fold(c.loops as u64);
-            fold(c.instrs);
-            fold(c.loads_checked);
-            fold(c.pairs_checked);
-            fold(c.checksum);
-        }
-    }
+    // The trailing word once marked "no bytecode certificate"; it stays
+    // so the sums of stored certificate-free records still refold.
+    fold(0);
     state
 }
 
@@ -341,7 +296,7 @@ mod tests {
         let mut cache = PlanCache::new(8);
         cache.insert(key, &g, &plan(&g));
         match cache.lookup(key, &g, false) {
-            CacheLookup::Hit(p, _, _) => verify_plan(&g, &p).unwrap(),
+            CacheLookup::Hit(p, _) => verify_plan(&g, &p).unwrap(),
             other => panic!("expected hit, got {other:?}"),
         }
     }
@@ -365,7 +320,7 @@ mod tests {
         let mut cache = PlanCache::new(8);
         cache.insert(canonical_fingerprint(&g), &g, &plan(&g));
         match cache.lookup(canonical_fingerprint(&g2), &g2, false) {
-            CacheLookup::Hit(p, _, _) => verify_plan(&g2, &p).unwrap(),
+            CacheLookup::Hit(p, _) => verify_plan(&g2, &p).unwrap(),
             other => panic!("expected hit, got {other:?}"),
         }
     }
@@ -401,60 +356,6 @@ mod tests {
         match looked {
             CacheLookup::Rejected => {}
             other => panic!("poisoned entry should be rejected, got {other:?}"),
-        }
-        assert!(matches!(cache.lookup(key, &g, false), CacheLookup::Miss));
-    }
-
-    fn sample_cert() -> BytecodeCert {
-        BytecodeCert {
-            mode: VmMode::Rows,
-            n: 8,
-            m: 8,
-            loops: 1,
-            instrs: 3,
-            loads_checked: 2,
-            pairs_checked: 1,
-            checksum: 0xdead_beef,
-        }
-    }
-
-    #[test]
-    fn attached_cert_comes_back_on_a_hit() {
-        let g = figure2();
-        let key = canonical_fingerprint(&g);
-        let mut cache = PlanCache::new(8);
-        cache.insert(key, &g, &plan(&g));
-        // A fresh entry carries no cert.
-        match cache.lookup(key, &g, false) {
-            CacheLookup::Hit(_, cert, _) => assert!(cert.is_none()),
-            other => panic!("expected hit, got {other:?}"),
-        }
-        assert!(cache.attach_cert(key, sample_cert()));
-        assert!(!cache.attach_cert(key ^ 1, sample_cert()), "absent key");
-        match cache.lookup(key, &g, false) {
-            CacheLookup::Hit(_, Some(c), _) => {
-                assert_eq!(c.checksum, 0xdead_beef);
-                assert_eq!(c.mode, VmMode::Rows);
-            }
-            other => panic!("expected hit with cert, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn corrupted_cert_fails_integrity_and_evicts_the_entry() {
-        let g = figure2();
-        let key = canonical_fingerprint(&g);
-        let mut cache = PlanCache::new(8);
-        cache.insert(key, &g, &plan(&g));
-        assert!(cache.attach_cert(key, sample_cert()));
-        // Flip one cert bit behind the checksum's back: the entry must be
-        // rejected and evicted, exactly like a poisoned offset.
-        if let Some(c) = &mut cache.entries[0].1.cert {
-            c.checksum ^= 1;
-        }
-        match cache.lookup(key, &g, false) {
-            CacheLookup::Rejected => {}
-            other => panic!("corrupted cert should reject, got {other:?}"),
         }
         assert!(matches!(cache.lookup(key, &g, false), CacheLookup::Miss));
     }

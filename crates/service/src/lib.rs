@@ -15,8 +15,8 @@
 //!   a wrong answer);
 //! * [`server`] — the daemon: admission control with a bounded queue and
 //!   typed overload rejection, per-request deadlines on the shared
-//!   [`mdf_graph::Budget`] meter, supervised execution with checkpoint
-//!   *resume* (a faulted in-flight request picks up where it stopped),
+//!   [`mdf_graph::Budget`] meter, one supervised execution per request
+//!   (the supervisor retries a faulted barrier from its checkpoint),
 //!   panic isolation, and graceful drain;
 //! * [`client`] — a blocking client with timeouts on its side of the
 //!   contract too.
@@ -50,6 +50,6 @@ pub use proto::{
     Engine, ErrCode, FleetStats, Outcome, ProtoError, Request, Response, ServiceError,
     ServiceStats, ShardRow, Submit, MAX_FRAME,
 };
-pub use server::{submit_fingerprint, Server, ServiceConfig};
+pub use server::{submit_fingerprint, Server, ServiceConfig, DEFAULT_DEADLINE_MS};
 pub use store::CacheSync;
 pub use transport::{Endpoint, Listener, Stream};

@@ -135,8 +135,8 @@ pub struct Submit {
     pub n: i64,
     /// Inner iteration bound (`j = 0..=m`).
     pub m: i64,
-    /// Client deadline in milliseconds; `0` means none (the server still
-    /// applies its own per-request ceiling).
+    /// Client deadline in milliseconds; `0` means the server's
+    /// [`crate::DEFAULT_DEADLINE_MS`].
     pub deadline_ms: u64,
     /// Client identity for fair-share scheduling; empty means anonymous
     /// (all anonymous submissions share one identity).
@@ -174,7 +174,8 @@ pub enum ErrCode {
     Infeasible = 3,
     /// A non-deadline resource budget tripped.
     Budget = 4,
-    /// The request's wall-clock deadline expired mid-run.
+    /// The request's wall-clock deadline expired, while planning or
+    /// mid-run.
     Deadline = 5,
     /// Admission queue full; retry after the hinted backoff.
     Overloaded = 6,
@@ -381,6 +382,19 @@ pub struct FleetStats {
 impl FleetStats {
     /// Router-level scalar counters, in wire order.
     const SCALARS: usize = 7;
+
+    /// Every shard's counters summed field by field (a dead shard's row
+    /// holds zeros), so a fleet reports the same aggregate a single
+    /// daemon does.
+    pub fn shard_totals(&self) -> ServiceStats {
+        let mut sum = [0u64; ServiceStats::FIELDS];
+        for row in &self.shards {
+            for (total, word) in sum.iter_mut().zip(row.stats.to_words()) {
+                *total += word;
+            }
+        }
+        ServiceStats::from_words(sum)
+    }
 
     fn to_scalars(&self) -> [u64; Self::SCALARS] {
         [

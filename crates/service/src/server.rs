@@ -10,13 +10,15 @@
 //!   carrying a retry-after hint. The daemon never silently queues
 //!   unbounded work and a client is never left hanging.
 //! * **Deadlines** — every submission runs under a wall-clock [`Budget`];
-//!   the client's `deadline_ms` (or the server's default ceiling) maps
-//!   onto the same meter the planner and executors already honor.
-//! * **Supervised recovery** — execution goes through the PR 5
-//!   supervised runners. A faulted run that returns a `Partial` with
-//!   wall-clock left is *resumed from its checkpoint* rather than
-//!   redone; only a genuine deadline expiry surfaces as a typed
-//!   `Deadline` error.
+//!   the client's `deadline_ms` (or [`DEFAULT_DEADLINE_MS`]) maps onto
+//!   the same meter the planner and executors already honor, and the
+//!   execution gets whatever planning left of it.
+//! * **Supervised recovery** — execution runs once under the supervisor
+//!   (`mdf_sim::supervise_run`, through the interpreter's or the
+//!   kernel's supervised entry point), which retries a failed barrier
+//!   from its checkpoint. It is the only recovery loop: a run it gives
+//!   up on is answered `Deadline` when its deadline expired, and with the
+//!   failure's own typed code otherwise.
 //! * **Panic isolation** — each message is handled inside
 //!   `catch_unwind`; a worker panic (including the injected
 //!   `service.accept` / `service.read` / `service.write` chaos faults)
@@ -25,7 +27,9 @@
 //! * **Graceful drain** — [`Server::drain`] stops admission, lets
 //!   in-flight requests finish (bounded by their deadlines), gives
 //!   queued waiters a typed `Draining` rejection, joins every thread,
-//!   removes the socket and flushes the final stats snapshot.
+//!   removes the socket and flushes the final stats snapshot. A
+//!   connection answered while draining is closed after the answer, so
+//!   a client that never goes idle cannot hold the drain open.
 
 use std::io::Write as _;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -36,19 +40,20 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use mdf_core::{plan_fusion_budgeted, DegradedPlan, FullParallelMethod, FusionPlan};
-use mdf_graph::{canonical_fingerprint, Budget, BudgetMeter, MdfError, Mldg};
+use mdf_graph::{canonical_fingerprint, Budget, MdfError, Mldg};
 use mdf_ir::ast::Program;
 use mdf_ir::extract::extract_mldg;
 use mdf_ir::retgen::FusedSpec;
-use mdf_kernel::BytecodeCert;
 use mdf_sim::{
-    deadline_expired, run_traversal_supervised, Checkpoint, ExecStats, RetryPolicy, Snapshot,
+    deadline_expired, run_traversal_supervised, ExecStats, RetryPolicy, Snapshot,
     SupervisedOutcome, Traversal,
 };
 use mdf_trace::Tracer;
 
 use crate::cache::{CacheLookup, CachedPlan, PlanCache};
-use crate::proto::{ErrCode, Outcome, Request, Response, ServiceError, ServiceStats, Submit};
+use crate::proto::{
+    Engine, ErrCode, Outcome, Request, Response, ServiceError, ServiceStats, Submit,
+};
 use crate::store::{CacheStore, CacheSync};
 use crate::transport::{read_frame_polled, Endpoint, Listener, Stream, READ_TICK};
 
@@ -58,6 +63,10 @@ use crate::transport::{read_frame_polled, Endpoint, Listener, Stream, READ_TICK}
 /// the allocation fails. Fixed, and far above every grid the fleet's
 /// callers send (64² or less).
 const MAX_IMAGE_CELLS: u64 = 1 << 24;
+
+/// The wall-clock ceiling, in milliseconds, of a submission that sends
+/// `deadline_ms: 0`.
+pub const DEFAULT_DEADLINE_MS: u64 = 10_000;
 
 /// Tuning knobs for a [`Server`].
 #[derive(Clone)]
@@ -72,8 +81,6 @@ pub struct ServiceConfig {
     pub queue_depth: usize,
     /// Plan-cache capacity (entries).
     pub cache_capacity: usize,
-    /// Wall-clock ceiling applied when a client sends `deadline_ms: 0`.
-    pub default_deadline_ms: u64,
     /// Execution threads per supervised run.
     pub threads: usize,
     /// Consult the `service.*` chaos sites (and run executions under
@@ -82,16 +89,16 @@ pub struct ServiceConfig {
     /// Trace sink for service spans and counters.
     pub tracer: Tracer,
     /// Directory for the crash-safe plan-cache store. `Some` warm-loads
-    /// the cache on boot and persists inserts/cert attaches/drain
-    /// snapshots; `None` keeps the cache memory-only.
+    /// the cache on boot and persists plan inserts and drain snapshots;
+    /// `None` keeps the cache memory-only.
     pub cache_dir: Option<PathBuf>,
     /// fsync discipline for the store (the `--cache-sync` knob).
     pub cache_sync: CacheSync,
 }
 
 impl ServiceConfig {
-    /// Defaults: 4 workers, queue of 8, 64-entry cache, 10 s deadline
-    /// ceiling, 2 execution threads, chaos off, tracing off.
+    /// Defaults: 4 workers, queue of 8, 64-entry cache, 2 execution
+    /// threads, chaos off, tracing off.
     pub fn new(socket: impl Into<PathBuf>) -> ServiceConfig {
         ServiceConfig::at(Endpoint::Unix(socket.into()))
     }
@@ -103,7 +110,6 @@ impl ServiceConfig {
             workers: 4,
             queue_depth: 8,
             cache_capacity: 64,
-            default_deadline_ms: 10_000,
             threads: 2,
             chaos: false,
             tracer: Tracer::disabled(),
@@ -460,6 +466,12 @@ fn handle_connection(shared: &Shared, mut stream: Stream) {
                 );
             }
         }
+        // The read loop notices a drain only between frames, on an idle
+        // READ_TICK; a client sending faster than that would hold the
+        // drain open forever. Close after answering instead.
+        if shared.draining.load(Ordering::SeqCst) {
+            return;
+        }
     }
 }
 
@@ -549,8 +561,7 @@ fn parse_submit(source: &str) -> Result<SubmitInput, ServiceError> {
 }
 
 /// Executes one submission end to end: admission → parse → cache/plan →
-/// certify → (for DSL programs) supervised execution with checkpoint
-/// resume.
+/// certify → (for DSL programs) one supervised execution.
 fn process_submit(shared: &Shared, submit: &Submit) -> Result<Outcome, ServiceError> {
     let permit = acquire_permit(shared)?;
     let span = shared.config.tracer.span("service.submit");
@@ -560,7 +571,12 @@ fn process_submit(shared: &Shared, submit: &Submit) -> Result<Outcome, ServiceEr
             span.add("cache_hit", o.cache_hit as u64);
             span.add("recovered", o.recovered as u64);
         }
-        Err(e) => span.add(e.code.trace_key(), 1),
+        Err(e) => {
+            if e.code == ErrCode::Deadline {
+                lock_unpoisoned(&shared.stats).deadline_expiries += 1;
+            }
+            span.add(e.code.trace_key(), 1);
+        }
     }
     span.finish();
     drop(permit);
@@ -599,7 +615,7 @@ fn process_admitted(
             .map_err(|e| map_mdf_error(&e))?;
     }
     let deadline_ms = if submit.deadline_ms == 0 {
-        config.default_deadline_ms
+        DEFAULT_DEADLINE_MS
     } else {
         submit.deadline_ms
     };
@@ -617,15 +633,15 @@ fn process_admitted(
     let cache_span = span.child("cache");
     let looked = lock_unpoisoned(&shared.cache).lookup(key, &input.graph, config.chaos);
     cache_span.finish();
-    let (plan, cache_hit, cached_cert) = match looked {
-        CacheLookup::Hit(p, cert, warm) => {
+    let (plan, cache_hit) = match looked {
+        CacheLookup::Hit(p, warm) => {
             let mut stats = lock_unpoisoned(&shared.stats);
             stats.cache_hits += 1;
             if warm {
                 stats.cache_warm_hits += 1;
             }
             drop(stats);
-            (DegradedPlan::Fused(p), true, cert)
+            (DegradedPlan::Fused(p), true)
         }
         rejected_or_miss => {
             {
@@ -653,7 +669,7 @@ fn process_admitted(
                 drop(cache);
                 persist_entry(shared, key, entry);
             }
-            (report.plan, false, None)
+            (report.plan, false)
         }
     };
 
@@ -684,13 +700,7 @@ fn process_admitted(
     let spec = FusedSpec::new(program.clone(), fused.retiming().offsets().to_vec());
 
     let exec_span = span.child("execute");
-    let hint = CertHint {
-        key,
-        cached: cached_cert,
-    };
-    let executed = run_with_resume(
-        shared, &spec, &fused, submit, &budget, deadline, started, hint,
-    )?;
+    let executed = execute(shared, &spec, &fused, submit, deadline, started)?;
     exec_span.finish();
     Ok(Outcome {
         executed: true,
@@ -712,215 +722,88 @@ struct Executed {
     recovered: bool,
 }
 
-/// One engine run: either entry (fresh) or a checkpoint resume.
-enum Attempt {
-    Fresh,
-    Resume(ResumeState),
-}
-
-/// Cache linkage for the kernel engine's bytecode certificate: the entry
-/// key plus whatever cert a prior run attached to it. A cached cert that
-/// still matches the freshly lowered bytecode revalidates in O(1);
-/// otherwise the kernel verifies fresh and publishes the new cert back
-/// onto the cache entry for the next submission of the same graph.
-#[derive(Clone, Copy)]
-struct CertHint {
-    key: u64,
-    cached: Option<BytecodeCert>,
-}
-
-enum ResumeState {
-    Interp(mdf_sim::Memory, Checkpoint),
-    Kernel(mdf_kernel::KernelMemory, Checkpoint),
-}
-
-/// Runs the fused schedule under supervision; a `Partial` outcome with
-/// wall-clock remaining resumes from its checkpoint (at most
-/// `MAX_RESUMES` times) instead of being redone or surfaced.
-#[allow(clippy::too_many_arguments)]
-fn run_with_resume(
+/// Runs the fused schedule once under supervision, on a meter holding the
+/// wall-clock the request has left. A kernel request compiles its plan at
+/// the request's bounds and arms the unchecked path with a fresh
+/// verification; a plan the verifier rejects runs bounds-checked. The
+/// supervisor's barrier retries are the only recovery: a run it gives up
+/// on is answered `Deadline` when its deadline expired, and with its
+/// cause's own typed code otherwise.
+fn execute(
     shared: &Shared,
     spec: &FusedSpec,
     plan: &FusionPlan,
     submit: &Submit,
-    budget: &Budget,
     deadline: Duration,
     started: Instant,
-    hint: CertHint,
 ) -> Result<Executed, ServiceError> {
-    const MAX_RESUMES: u32 = 4;
-    let policy = RetryPolicy::deterministic();
-    let mut attempt = Attempt::Fresh;
-    let mut recovered = false;
-    for _ in 0..=MAX_RESUMES {
-        // Each attempt runs under the *remaining* wall-clock, so resumes
-        // cannot extend the client's deadline.
-        let remaining = deadline.saturating_sub(started.elapsed());
-        if remaining.is_zero() {
-            break;
-        }
-        let mut attempt_budget = Budget::unlimited().with_deadline(remaining);
-        if budget.chaos {
-            attempt_budget = attempt_budget.with_chaos();
-        }
-        let mut meter = attempt_budget.meter();
-        let outcome = run_once(
-            shared, spec, plan, submit, &mut meter, &policy, attempt, hint,
-        )
-        .map_err(|e| map_mdf_error(&e))?;
-        match outcome {
-            RunResult::Complete {
-                fingerprint,
-                stats,
-                retried,
-            } => {
-                if retried || recovered {
-                    lock_unpoisoned(&shared.stats).recoveries += 1;
-                    recovered = true;
-                }
-                return Ok(Executed {
-                    fingerprint,
-                    stats,
-                    recovered,
-                });
-            }
-            RunResult::Partial { resume, cause } => {
-                let truly_expired = deadline_expired(&cause) && started.elapsed() >= deadline;
-                if truly_expired {
-                    attempt = Attempt::Resume(resume);
-                    break;
-                }
-                // A fault (or an early synthetic deadline report) stopped
-                // the run with real time left: resume the checkpoint.
-                recovered = true;
-                attempt = Attempt::Resume(resume);
-            }
-        }
-    }
-    lock_unpoisoned(&shared.stats).deadline_expiries += 1;
-    let completed = match &attempt {
-        Attempt::Resume(ResumeState::Interp(_, cp) | ResumeState::Kernel(_, cp)) => {
-            cp.completed_barriers
-        }
-        Attempt::Fresh => 0,
-    };
-    Err(ServiceError {
+    let expired = |completed: u64| ServiceError {
         code: ErrCode::Deadline,
         retry_after_ms: 0,
         message: format!(
-            "deadline of {deadline_ms} ms expired after {completed} barriers",
-            deadline_ms = deadline.as_millis()
+            "deadline of {} ms expired after {completed} barriers",
+            deadline.as_millis()
         ),
-    })
-}
-
-enum RunResult {
-    Complete {
-        fingerprint: u64,
-        stats: ExecStats,
-        retried: bool,
-    },
-    Partial {
-        resume: ResumeState,
-        cause: MdfError,
-    },
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_once(
-    shared: &Shared,
-    spec: &FusedSpec,
-    plan: &FusionPlan,
-    submit: &Submit,
-    meter: &mut BudgetMeter,
-    policy: &RetryPolicy,
-    attempt: Attempt,
-    hint: CertHint,
-) -> Result<RunResult, MdfError> {
-    use crate::proto::Engine;
-    let config = &shared.config;
-    match submit.engine {
-        Engine::Interp => {
-            let resume = match attempt {
-                Attempt::Fresh => None,
-                Attempt::Resume(ResumeState::Interp(mem, cp)) => Some((mem, cp)),
-                Attempt::Resume(ResumeState::Kernel(..)) => {
-                    return Err(MdfError::invalid(
-                        "internal: kernel checkpoint resumed on the interpreter",
-                    ))
-                }
-            };
-            let traversal = Traversal::of(plan);
-            let outcome = run_traversal_supervised(
-                spec, traversal, submit.n, submit.m, meter, policy, resume,
-            )?;
-            Ok(run_result(outcome, ResumeState::Interp))
-        }
+    };
+    let remaining = deadline.saturating_sub(started.elapsed());
+    if remaining.is_zero() {
+        return Err(expired(0));
+    }
+    let mut budget = Budget::unlimited().with_deadline(remaining);
+    if shared.config.chaos {
+        budget = budget.with_chaos();
+    }
+    let mut meter = budget.meter();
+    let policy = RetryPolicy::deterministic();
+    let run = match submit.engine {
+        Engine::Interp => run_traversal_supervised(
+            spec,
+            Traversal::of(plan),
+            submit.n,
+            submit.m,
+            &mut meter,
+            &policy,
+            None,
+        )
+        .map(finish),
         Engine::Kernel => {
             let mode = mdf_kernel::plan_mode(spec, plan);
-            let mut k = mdf_kernel::CompiledKernel::compile(spec, submit.n, submit.m)?;
-            // Arm the unchecked fast path. A cached cert that still
-            // matches this lowered bytecode (same bounds, same checksum)
-            // revalidates without re-running the verifier; anything else
-            // verifies fresh and publishes the new cert back onto the
-            // cache entry. Failure to arm is not an error — the kernel
-            // simply stays on the bounds-checked path.
-            let revalidated = hint.cached.is_some_and(|c| k.arm_with_cert(mode, c));
-            if !revalidated {
-                if let Ok(cert) = k.arm(mode) {
-                    let mut cache = lock_unpoisoned(&shared.cache);
-                    let entry = if cache.attach_cert(hint.key, cert) {
-                        cache.peek(hint.key).cloned()
-                    } else {
-                        None
-                    };
-                    drop(cache);
-                    // A cert attach supersedes the entry's insert record,
-                    // so a warm restart revalidates in O(1) too.
-                    persist_entry(shared, hint.key, entry);
-                }
-            }
-            let outcome = match attempt {
-                Attempt::Fresh => k.run_supervised(mode, config.threads, policy, meter)?,
-                Attempt::Resume(ResumeState::Kernel(mem, cp)) => {
-                    k.resume_supervised(mode, config.threads, policy, meter, mem, cp)?
-                }
-                Attempt::Resume(ResumeState::Interp(..)) => {
-                    return Err(MdfError::invalid(
-                        "internal: interpreter checkpoint resumed on the kernel",
-                    ))
-                }
-            };
-            Ok(run_result(outcome, ResumeState::Kernel))
+            mdf_kernel::CompiledKernel::compile(spec, submit.n, submit.m).and_then(|mut k| {
+                // A rejection leaves the kernel on the bounds-checked path.
+                let _ = k.arm(mode);
+                k.run_supervised(mode, shared.config.threads, &policy, &mut meter)
+                    .map(finish)
+            })
         }
+    };
+    match run.map_err(|e| map_mdf_error(&e))? {
+        Ok(executed) => {
+            if executed.recovered {
+                lock_unpoisoned(&shared.stats).recoveries += 1;
+            }
+            Ok(executed)
+        }
+        Err((cause, _)) if !deadline_expired(&cause) => Err(map_mdf_error(&cause)),
+        Err((_, completed)) => Err(expired(completed)),
     }
 }
 
-/// One engine's supervised outcome as a [`RunResult`]; `resume` wraps a
-/// partial run's image and checkpoint for the next attempt. The image's
+/// One engine's supervised outcome: the executed result, or a partial
+/// run's cause with the barriers its checkpoint completed. The image's
 /// digest is its fingerprint on both engines.
-fn run_result<M: Snapshot>(
-    outcome: SupervisedOutcome<M>,
-    resume: impl FnOnce(M, Checkpoint) -> ResumeState,
-) -> RunResult {
+fn finish<M: Snapshot>(outcome: SupervisedOutcome<M>) -> Result<Executed, (MdfError, u64)> {
     match outcome {
         SupervisedOutcome::Complete {
             mem,
             stats,
             recovery,
-        } => RunResult::Complete {
+        } => Ok(Executed {
             fingerprint: mem.digest(),
             stats,
-            retried: recovery.retries > 0 || recovery.resumes > 0,
-        },
+            recovered: recovery.retries > 0 || recovery.resumes > 0,
+        }),
         SupervisedOutcome::Partial {
-            mem,
-            checkpoint,
-            cause,
-            ..
-        } => RunResult::Partial {
-            resume: resume(mem, checkpoint),
-            cause,
-        },
+            checkpoint, cause, ..
+        } => Err((cause, checkpoint.completed_barriers)),
     }
 }

@@ -3,9 +3,8 @@
 //! The store is an **append-only log with periodic compacted snapshots**,
 //! living in the daemon's `--cache-dir`:
 //!
-//! * `cache.log` — one length-prefixed record per insert or cert attach,
-//!   appended as they happen. A later record for a key supersedes any
-//!   earlier one.
+//! * `cache.log` — one length-prefixed record per plan insert, appended
+//!   as they happen. A later record for a key supersedes any earlier one.
 //! * `snapshot` — the whole cache re-encoded in one pass. Written to
 //!   `snapshot.tmp` first and atomically renamed into place, so a kill at
 //!   any instant leaves either the old snapshot or the new one, never a
@@ -32,9 +31,15 @@
 //! hands each surviving entry to `PlanCache::restore`, which refuses any
 //! entry whose stored integrity checksum does not refold from its
 //! content; and a restored entry is never served without passing the
-//! per-hit gauntlet (rebuild against the requesting graph, `verify_plan`,
-//! cert revalidation via `arm_with_cert`). A damaged store can therefore
-//! cost replans, never a wrong answer.
+//! per-hit gauntlet (rebuild against the requesting graph, `verify_plan`).
+//! A damaged store can therefore cost replans, never a wrong answer.
+//!
+//! **Compatibility.** Every record ends its plan with a certificate-presence
+//! byte, always written as 0. Stores written when the cache also kept the
+//! kernel's bytecode certificate hold records whose byte is 1; each such
+//! record decodes as `BadPayload` and is dropped alone, so an earlier
+//! certificate-free record for the same key still loads. The file magics
+//! are unchanged.
 
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Write};
@@ -42,7 +47,6 @@ use std::path::{Path, PathBuf};
 
 use mdf_core::FullParallelMethod;
 use mdf_graph::IVec2;
-use mdf_kernel::{BytecodeCert, VmMode};
 use mdf_retime::Wavefront;
 
 use crate::cache::{CachedPlan, CachedShape, PlanCache};
@@ -102,18 +106,11 @@ const SNAP_MAGIC: &[u8; 8] = b"mdfcsnp\x01";
 /// Appends per key before the log is folded into a fresh snapshot.
 const COMPACT_EVERY: usize = 64;
 
-/// Shape/cert discriminants inside a record body.
+/// Shape discriminants inside a record body.
 const SHAPE_FULL_PARALLEL: u8 = 1;
 const SHAPE_HYPERPLANE: u8 = 2;
 const METHOD_ACYCLIC: u8 = 1;
 const METHOD_CYCLIC: u8 = 2;
-const MODE_SERIAL: u8 = 1;
-const MODE_ROWS: u8 = 2;
-/// The retired untiled wavefront mode. Never written; a stored record
-/// carrying it is dropped on its own. The surviving tags keep their
-/// values, so stores written before the retirement still load.
-const MODE_RETIRED_WAVEFRONT: u8 = 4;
-const MODE_WAVEFRONT_TILED: u8 = 5;
 
 /// A typed store decode failure. Load maps every one of these to "drop
 /// the record" or "discard the tail" — never to a crashed daemon.
@@ -181,28 +178,9 @@ pub(crate) fn encode_record(key: u64, plan: &CachedPlan) -> Vec<u8> {
             w.i64(wavefront.hyperplane.y);
         }
     }
-    match &plan.cert {
-        None => w.u8(0),
-        Some(c) => {
-            w.u8(1);
-            match c.mode {
-                VmMode::Serial => w.u8(MODE_SERIAL),
-                VmMode::Rows => w.u8(MODE_ROWS),
-                VmMode::WavefrontTiled { schedule } => {
-                    w.u8(MODE_WAVEFRONT_TILED);
-                    w.i64(schedule.0);
-                    w.i64(schedule.1);
-                }
-            }
-            w.i64(c.n);
-            w.i64(c.m);
-            w.u64(u64::try_from(c.loops).unwrap_or(u64::MAX));
-            w.u64(c.instrs);
-            w.u64(c.loads_checked);
-            w.u64(c.pairs_checked);
-            w.u64(c.checksum);
-        }
-    }
+    // Certificate-presence byte, always 0: decode drops a record
+    // carrying any other value on its own.
+    w.u8(0);
     w.u64(plan.sum);
     let check = record_check(w.body());
     w.u64(check);
@@ -264,36 +242,9 @@ pub(crate) fn decode_record(payload: &[u8]) -> Result<(u64, CachedPlan), StoreEr
         }
         _ => return Err(bad("unknown shape discriminant")),
     };
-    let cert = match r.u8().map_err(|_| StoreError::Truncated)? {
-        0 => None,
-        1 => {
-            let mode = match r.u8().map_err(|_| StoreError::Truncated)? {
-                MODE_SERIAL => VmMode::Serial,
-                MODE_ROWS => VmMode::Rows,
-                MODE_WAVEFRONT_TILED => {
-                    let sx = r.i64().map_err(|_| StoreError::Truncated)?;
-                    let sy = r.i64().map_err(|_| StoreError::Truncated)?;
-                    VmMode::WavefrontTiled { schedule: (sx, sy) }
-                }
-                MODE_RETIRED_WAVEFRONT => return Err(bad("retired vm mode")),
-                _ => return Err(bad("unknown vm mode")),
-            };
-            let n = r.i64().map_err(|_| StoreError::Truncated)?;
-            let m = r.i64().map_err(|_| StoreError::Truncated)?;
-            let loops = r.u64().map_err(|_| StoreError::Truncated)?;
-            Some(BytecodeCert {
-                mode,
-                n,
-                m,
-                loops: usize::try_from(loops).map_err(|_| bad("loop count overflow"))?,
-                instrs: r.u64().map_err(|_| StoreError::Truncated)?,
-                loads_checked: r.u64().map_err(|_| StoreError::Truncated)?,
-                pairs_checked: r.u64().map_err(|_| StoreError::Truncated)?,
-                checksum: r.u64().map_err(|_| StoreError::Truncated)?,
-            })
-        }
-        _ => return Err(bad("bad cert presence byte")),
-    };
+    if r.u8().map_err(|_| StoreError::Truncated)? != 0 {
+        return Err(bad("bytecode certificate record"));
+    }
     let sum = r.u64().map_err(|_| StoreError::Truncated)?;
     r.finish()
         .map_err(|_| bad("trailing bytes inside a record"))?;
@@ -302,7 +253,6 @@ pub(crate) fn decode_record(payload: &[u8]) -> Result<(u64, CachedPlan), StoreEr
         CachedPlan {
             offsets,
             shape,
-            cert,
             sum,
             warm: false,
         },
@@ -559,9 +509,11 @@ impl CacheStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mdf_core::plan_fusion;
-    use mdf_graph::paper::{figure2, figure8};
+    use mdf_core::{plan_fusion, FusionPlan};
+    use mdf_graph::paper::{figure14, figure2, figure8};
     use mdf_graph::{canonical_fingerprint, Mldg};
+
+    use crate::cache::CacheLookup;
 
     fn temp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("mdf-store-{tag}-{}", std::process::id()));
@@ -577,35 +529,23 @@ mod tests {
         (key, cache)
     }
 
-    fn sample_cert() -> BytecodeCert {
-        BytecodeCert {
-            mode: VmMode::WavefrontTiled { schedule: (1, 2) },
-            n: 24,
-            m: 24,
-            loops: 3,
-            instrs: 40,
-            loads_checked: 12,
-            pairs_checked: 6,
-            checksum: 0x1234_5678_9abc_def0,
-        }
-    }
-
     #[test]
-    fn record_round_trips_with_and_without_cert() {
-        let g = figure2();
-        let (key, mut cache) = populated_cache(&g);
-        for with_cert in [false, true] {
-            if with_cert {
-                assert!(cache.attach_cert(key, sample_cert()));
-            }
+    fn record_round_trips() {
+        // figure2 plans full-parallel, figure14 as a hyperplane wavefront:
+        // both shapes survive encode/decode with their checksum intact.
+        let mut hyperplane = Vec::new();
+        for g in [figure2(), figure14()] {
+            let (key, cache) = populated_cache(&g);
             let plan = cache.peek(key).unwrap();
             let frame = encode_record(key, plan);
             let (k2, p2) = decode_record(&frame[4..]).unwrap();
             assert_eq!(k2, key);
             assert_eq!(p2.offsets, plan.offsets);
             assert_eq!(p2.sum, plan.sum);
-            assert_eq!(p2.cert.is_some(), with_cert);
+            assert_eq!(encode_record(k2, &p2), frame);
+            hyperplane.push(matches!(p2.shape, CachedShape::Hyperplane { .. }));
         }
+        assert_eq!(hyperplane, [false, true], "one record of each shape");
     }
 
     #[test]
@@ -616,7 +556,6 @@ mod tests {
         let (k2, mut cache) = populated_cache(&g2);
         let k8 = canonical_fingerprint(&g8);
         cache.insert(k8, &g8, &plan_fusion(&g8).unwrap());
-        assert!(cache.attach_cert(k2, sample_cert()));
 
         let mut store = CacheStore::open(&dir, CacheSync::Always, false).unwrap();
         for (k, p) in cache.entries().to_vec() {
@@ -630,7 +569,7 @@ mod tests {
         assert_eq!(report.dropped, 0);
         assert!(matches!(
             warmed.lookup(k2, &g2, false),
-            crate::cache::CacheLookup::Hit(_, Some(_), true)
+            CacheLookup::Hit(_, true)
         ));
 
         // Compact, then reload from the snapshot alone.
@@ -644,7 +583,7 @@ mod tests {
         assert_eq!(report.loaded, 2, "{report:?}");
         assert!(matches!(
             warmed.lookup(k8, &g8, false),
-            crate::cache::CacheLookup::Hit(_, None, true)
+            CacheLookup::Hit(_, true)
         ));
     }
 
@@ -731,9 +670,7 @@ mod tests {
             // Whatever survived must pass the full per-hit gauntlet.
             for (k, _) in warmed.entries().to_vec() {
                 match warmed.lookup(k, &g, false) {
-                    crate::cache::CacheLookup::Hit(p, _, true) => {
-                        mdf_core::verify_plan(&g, &p).unwrap()
-                    }
+                    CacheLookup::Hit(p, true) => mdf_core::verify_plan(&g, &p).unwrap(),
                     other => panic!("case {:?}: surviving entry failed: {other:?}", case.name),
                 }
             }
@@ -746,10 +683,26 @@ mod tests {
         let dir = temp_dir("mixed");
         let (key, mut cache) = populated_cache(&g);
         let mut store = CacheStore::open(&dir, CacheSync::Snapshot, false).unwrap();
-        // Snapshot holds the cert-less entry; the log holds a later
-        // cert-attached record for the same key. Load must keep the log's.
+        // The snapshot holds the planner's retiming; the log holds a later
+        // record for the same key whose offsets are all shifted by one row.
+        // A uniform shift leaves every retimed edge weight unchanged, so
+        // both plans verify, and load must keep the log's.
         store.compact(cache.entries()).unwrap();
-        assert!(cache.attach_cert(key, sample_cert()));
+        let planned = plan_fusion(&g).unwrap();
+        let shifted: Vec<IVec2> = planned
+            .retiming()
+            .offsets()
+            .iter()
+            .map(|v| IVec2::new(v.x + 1, v.y))
+            .collect();
+        let FusionPlan::FullParallel { method, .. } = planned else {
+            panic!("figure2 plans full-parallel");
+        };
+        let later = FusionPlan::FullParallel {
+            retiming: mdf_retime::Retiming::from_offsets(shifted.clone()),
+            method,
+        };
+        cache.insert(key, &g, &later);
         store.append(key, cache.peek(key).unwrap()).unwrap();
         drop(store);
 
@@ -759,10 +712,8 @@ mod tests {
             .load(&mut warmed);
         assert_eq!(report.loaded, 1, "{report:?}");
         match warmed.lookup(key, &g, false) {
-            crate::cache::CacheLookup::Hit(_, Some(c), true) => {
-                assert_eq!(c.checksum, sample_cert().checksum)
-            }
-            other => panic!("expected the log's cert-attached record, got {other:?}"),
+            CacheLookup::Hit(p, true) => assert_eq!(p.retiming().offsets(), &shifted[..]),
+            other => panic!("expected the log's later record, got {other:?}"),
         }
     }
 
@@ -789,58 +740,96 @@ mod tests {
         assert_eq!((report.loaded, report.dropped), (1, 1), "{report:?}");
         assert!(matches!(
             warmed.lookup(k2, &g2, false),
-            crate::cache::CacheLookup::Hit(..)
+            CacheLookup::Hit(..)
         ));
-        assert!(matches!(
-            warmed.lookup(k8, &g8, false),
-            crate::cache::CacheLookup::Miss
-        ));
+        assert!(matches!(warmed.lookup(k8, &g8, false), CacheLookup::Miss));
+    }
+
+    /// The two log records a daemon wrote for one kernel submission of
+    /// `examples/dsl/figure2.mdf` at 24x24 while the cache also kept the
+    /// kernel's bytecode certificate: the plan insert (certificate byte
+    /// 0), then the same entry with its Rows-mode certificate attached
+    /// (certificate byte 1). Each is a whole frame, length prefix first.
+    const PARENT_FIGURE2_PLAN: &str = "74000000007f677177b5c6bb420400000001000000410000000000000\
+        00000000000000000000100000042000000000000000000000000000000000100000043ffffffffffffffff000\
+        00000000000000100000044ffffffffffffffffffffffffffffffff010200317b8e3d5e5a7a61993fdd1b5c918\
+        c13";
+    const PARENT_FIGURE2_WITH_CERT: &str = "ad000000007f677177b5c6bb4204000000010000004100000000\
+        0000000000000000000000000100000042000000000000000000000000000000000100000043ffffffffffffff\
+        ff00000000000000000100000044ffffffffffffffffffffffffffffffff010201021800000000000000180000\
+        000000000004000000000000000b000000000000000d0000000000000041000000000000003e92a23149d9a2de\
+        15d3725277954a18ad8cbaf3335b4d8f";
+
+    fn unhex(hex: &str) -> Vec<u8> {
+        let digits: Vec<u8> = hex.bytes().filter(u8::is_ascii_hexdigit).collect();
+        digits
+            .chunks(2)
+            .map(|pair| u8::from_str_radix(std::str::from_utf8(pair).unwrap(), 16).unwrap())
+            .collect()
     }
 
     #[test]
-    fn a_record_with_the_retired_wavefront_cert_mode_is_dropped_alone() {
-        // A log written before the untiled wavefront mode was retired may
-        // hold a well-framed record carrying its cert mode tag. That
-        // record is dropped by itself — not taken for a torn tail — and
-        // the valid record after it is restored.
-        let g2 = figure2();
-        let g8 = figure8();
-        let dir = temp_dir("retired-mode");
-        let (k2, mut cache) = populated_cache(&g2);
-        let k8 = canonical_fingerprint(&g8);
-        cache.insert(k8, &g8, &plan_fusion(&g8).unwrap());
-        assert!(cache.attach_cert(k2, sample_cert()));
-        let mut retired = encode_record(k2, cache.peek(k2).unwrap());
-        // After the mode byte: the schedule (2 x i64), the cert's seven
-        // 8-byte fields, the plan sum and the record checksum.
-        let at = retired.len() - 1 - 16 - 56 - 8 - 8;
-        assert_eq!(retired[at], MODE_WAVEFRONT_TILED);
-        retired[at] = MODE_RETIRED_WAVEFRONT;
-        let end = retired.len() - 8;
-        let check = record_check(&retired[4..end]);
-        retired[end..].copy_from_slice(&check.to_le_bytes());
-        assert_eq!(
-            decode_record(&retired[4..]).unwrap_err(),
-            StoreError::BadPayload("retired vm mode")
-        );
-        let mut log = LOG_MAGIC.to_vec();
-        log.extend_from_slice(&retired);
-        log.extend_from_slice(&encode_record(k8, cache.peek(k8).unwrap()));
-        std::fs::write(dir.join("cache.log"), &log).unwrap();
+    fn a_stored_certificate_free_record_loads_and_hits() {
+        // The paper's Figure 2 is the graph figure2.mdf extracts to, so its
+        // fingerprint is the stored key and today's encoder writes the
+        // stored bytes exactly.
+        let g = figure2();
+        let (key, cache) = populated_cache(&g);
+        let plan = unhex(PARENT_FIGURE2_PLAN);
+        assert_eq!(encode_record(key, cache.peek(key).unwrap()), plan);
 
+        let dir = temp_dir("parent-plan");
+        let mut log = LOG_MAGIC.to_vec();
+        log.extend_from_slice(&plan);
+        std::fs::write(dir.join("cache.log"), &log).unwrap();
         let mut warmed = PlanCache::new(8);
         let report = CacheStore::open(&dir, CacheSync::Never, false)
             .unwrap()
             .load(&mut warmed);
+        assert_eq!((report.loaded, report.dropped), (1, 0), "{report:?}");
+        match warmed.lookup(key, &g, false) {
+            CacheLookup::Hit(p, true) => mdf_core::verify_plan(&g, &p).unwrap(),
+            other => panic!("expected a warm hit, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_stored_certificate_record_is_dropped_alone() {
+        // The log a kernel run left behind: the plan insert, then the
+        // certificate attach that superseded it. The attach is well framed
+        // and checksummed, so it is dropped by itself — not taken for a
+        // torn tail — and the insert before it still loads.
+        let g = figure2();
+        let key = canonical_fingerprint(&g);
+        let with_cert = unhex(PARENT_FIGURE2_WITH_CERT);
+        assert_eq!(
+            decode_record(&with_cert[4..]).unwrap_err(),
+            StoreError::BadPayload("bytecode certificate record")
+        );
+        let dir = temp_dir("parent-cert");
+        let mut log = LOG_MAGIC.to_vec();
+        log.extend_from_slice(&unhex(PARENT_FIGURE2_PLAN));
+        log.extend_from_slice(&with_cert);
+        std::fs::write(dir.join("cache.log"), &log).unwrap();
+        let mut warmed = PlanCache::new(8);
+        let mut store = CacheStore::open(&dir, CacheSync::Never, false).unwrap();
+        let report = store.load(&mut warmed);
         assert_eq!((report.loaded, report.dropped), (1, 1), "{report:?}");
         assert!(matches!(
-            warmed.lookup(k8, &g8, false),
-            crate::cache::CacheLookup::Hit(..)
+            warmed.lookup(key, &g, false),
+            CacheLookup::Hit(_, true)
         ));
-        assert!(matches!(
-            warmed.lookup(k2, &g2, false),
-            crate::cache::CacheLookup::Miss
-        ));
+
+        // The dropped record is no torn tail: appends land after it.
+        let g8 = figure8();
+        let (k8, cache8) = populated_cache(&g8);
+        store.append(k8, cache8.peek(k8).unwrap()).unwrap();
+        drop(store);
+        let mut warmed = PlanCache::new(8);
+        let report = CacheStore::open(&dir, CacheSync::Never, false)
+            .unwrap()
+            .load(&mut warmed);
+        assert_eq!((report.loaded, report.dropped), (2, 1), "{report:?}");
     }
 
     #[test]
@@ -896,7 +885,7 @@ mod tests {
         assert_eq!((report.loaded, report.dropped), (1, 1), "{report:?}");
         assert!(matches!(
             warmed.lookup(k2, &g2, false),
-            crate::cache::CacheLookup::Hit(..)
+            CacheLookup::Hit(..)
         ));
     }
 
@@ -905,7 +894,7 @@ mod tests {
     proptest! {
         /// Encode/decode is a bijection on its image: decoding a frame
         /// and re-encoding it reproduces the bytes exactly, for
-        /// arbitrary keys, offset tables, shapes, and certs.
+        /// arbitrary keys, offset tables and shapes.
         #[test]
         fn records_round_trip_for_arbitrary_plans(
             key in 0u64..=u64::MAX,
@@ -913,11 +902,6 @@ mod tests {
             coords in proptest::collection::vec((-1000i64..1000, -1000i64..1000), 6),
             shape_pick in 0u8..6,
             wf in (-8i64..8, -8i64..8, -8i64..8, -8i64..8),
-            cert_pick in 0u8..9,
-            dims in (0i64..1000, 0i64..1000),
-            loops in 0usize..100,
-            counters in (0u64..1 << 32, 0u64..1 << 32, 0u64..1 << 32),
-            checksum in 0u64..=u64::MAX,
             sum in 0u64..=u64::MAX,
         ) {
             let offsets: Vec<(String, IVec2)> = labels
@@ -935,22 +919,7 @@ mod tests {
                     },
                 },
             };
-            let mode = match cert_pick % 3 {
-                0 => VmMode::Serial,
-                1 => VmMode::Rows,
-                _ => VmMode::WavefrontTiled { schedule: (wf.2, wf.3) },
-            };
-            let cert = (cert_pick >= 4).then_some(BytecodeCert {
-                mode,
-                n: dims.0,
-                m: dims.1,
-                loops,
-                instrs: counters.0,
-                loads_checked: counters.1,
-                pairs_checked: counters.2,
-                checksum,
-            });
-            let plan = CachedPlan { offsets, shape, cert, sum, warm: false };
+            let plan = CachedPlan { offsets, shape, sum, warm: false };
             let frame = encode_record(key, &plan);
             let (k2, p2) = decode_record(&frame[4..]).unwrap();
             prop_assert_eq!(k2, key);

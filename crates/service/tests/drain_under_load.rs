@@ -12,6 +12,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use mdf_service::proto::{ErrCode, Response, Submit};
 use mdf_service::{Client, Engine, Server, ServiceConfig};
@@ -90,14 +91,12 @@ fn simple_session_round_trip() {
 }
 
 #[test]
-fn kernel_cert_roundtrip_across_cache_hits_and_bound_changes() {
-    // Three kernel submissions of one graph walk the whole certificate
-    // lifecycle: miss (verify fresh, attach cert), hit at the same bounds
-    // (cached cert revalidates in O(1)), hit at different bounds (cached
-    // cert is rejected by revalidation, a fresh cert replaces it). Every
-    // answer must match the reference interpreter bit for bit — the
-    // unchecked fast path is only ever a speed change.
-    let socket = unique_socket("certroundtrip");
+fn kernel_cache_hits_at_equal_and_new_bounds_match_the_interpreter() {
+    // Three kernel submissions of one graph: a miss, a cache hit at the
+    // same bounds, and a cache hit at new bounds. Each arms the unchecked
+    // path for its own bounds, and every answer must match the reference
+    // interpreter bit for bit — the fast path is only ever a speed change.
+    let socket = unique_socket("kernel-hits");
     let server = Server::start(ServiceConfig::new(&socket)).unwrap();
     let source = example("figure2.mdf");
     let mut client = Client::connect(&socket).unwrap();
@@ -123,6 +122,64 @@ fn kernel_cert_roundtrip_across_cache_hits_and_bound_changes() {
     let stats = server.drain();
     assert_eq!(stats.completed, 3);
     assert_eq!(stats.cache_hits, 2);
+}
+
+#[test]
+fn an_execution_past_its_deadline_is_a_typed_deadline_error() {
+    // figure2 at 512² executes for over a second; a 50 ms deadline expires
+    // mid-run. The supervisor gives up on the barrier, the request is
+    // answered Deadline, and the daemon keeps serving.
+    let socket = unique_socket("exec-deadline");
+    let server = Server::start(ServiceConfig::new(&socket)).unwrap();
+    let mut client = Client::connect(&socket).unwrap();
+    let resp = client
+        .submit(Submit {
+            engine: Engine::Kernel,
+            n: 512,
+            m: 512,
+            deadline_ms: 50,
+            client: String::new(),
+            source: example("figure2.mdf"),
+        })
+        .unwrap();
+    let Response::Err(err) = resp else {
+        panic!("expected a typed Deadline error, got {resp:?}");
+    };
+    assert_eq!(err.code, ErrCode::Deadline, "{err:?}");
+    assert!(err.message.contains("deadline of 50 ms"), "{err:?}");
+    client.ping().unwrap();
+    let stats = server.drain();
+    assert_eq!(stats.deadline_expiries, 1, "{stats:?}");
+    assert_eq!(stats.completed, 0, "{stats:?}");
+}
+
+#[test]
+fn drain_returns_while_a_client_keeps_pinging() {
+    // A client that pings every 10 ms never leaves its connection idle for
+    // a whole read tick. Drain must still return promptly: the connection
+    // is closed after the answer it gets while draining. The pinger stops
+    // by itself after 5 s, so a drain that waits for it fails the timing
+    // assertion instead of hanging the test.
+    let socket = unique_socket("drain-pinger");
+    let server = Server::start(ServiceConfig::new(&socket)).unwrap();
+    let mut client = Client::connect(&socket).unwrap();
+    let (pinging, first_ping) = std::sync::mpsc::channel();
+    let pinger = std::thread::spawn(move || {
+        let stop = Instant::now() + Duration::from_secs(5);
+        while Instant::now() < stop && client.ping().is_ok() {
+            let _ = pinging.send(());
+            std::thread::sleep(Duration::from_millis(10));
+        }
+    });
+    first_ping.recv().unwrap();
+    let started = Instant::now();
+    server.drain();
+    let took = started.elapsed();
+    pinger.join().unwrap();
+    assert!(
+        took < Duration::from_secs(1),
+        "drain took {took:?} while a client pinged every 10 ms"
+    );
 }
 
 #[test]
