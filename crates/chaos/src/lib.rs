@@ -65,9 +65,10 @@ impl FaultKind {
 ///
 /// Kind restrictions are semantic, not cosmetic: e.g. `kernel.chunk.mid`
 /// fires *after* a chunk has partially written memory, so only a panic
-/// (which supervisors recover by restoring the last checkpoint snapshot)
-/// is sound — returning a typed "deadline expired" there would hand the
-/// caller a partial result whose memory image is ahead of its checkpoint.
+/// (which supervisors recover by restoring their base image and replaying
+/// the barriers after it) is sound — returning a typed "deadline expired"
+/// there would hand the caller a partial result whose memory image is
+/// ahead of its checkpoint.
 #[derive(Clone, Copy, Debug)]
 pub struct SiteInfo {
     /// Dotted site name, unique in [`SITES`].

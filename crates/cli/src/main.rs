@@ -57,6 +57,9 @@ enum CliError {
     /// Diagnostics with error severity: the rendered report goes to
     /// stdout, the process exits 3.
     Lint(String),
+    /// A budget or deadline a service answered with, in the service's
+    /// own words (exit 5, like a local budget trip).
+    Budget(String),
 }
 
 impl CliError {
@@ -78,6 +81,7 @@ impl CliError {
             },
             CliError::Internal(_) => 1,
             CliError::Lint(_) => 3,
+            CliError::Budget(_) => 5,
         }
     }
 }
@@ -89,6 +93,7 @@ impl std::fmt::Display for CliError {
             CliError::Mdf(e) => write!(f, "{e}"),
             CliError::Internal(m) => write!(f, "{m}"),
             CliError::Lint(m) => write!(f, "{m}"),
+            CliError::Budget(m) => write!(f, "{m}"),
         }
     }
 }

@@ -329,17 +329,15 @@ pub(crate) fn client(
     }
 }
 
-/// Maps a typed service error onto the CLI's exit-code taxonomy.
+/// Maps a typed service error onto the CLI's exit-code taxonomy. A
+/// budget or deadline answer keeps the service's message, which names the
+/// limit that tripped and how far the run got.
 fn service_error_to_cli(e: &mdf_service::ServiceError) -> CliError {
     let msg = format!("service error ({}): {}", e.code.name(), e.message);
     match e.code {
         ErrCode::Malformed => CliError::Mdf(MdfError::invalid(msg)),
         ErrCode::Infeasible => CliError::Mdf(MdfError::NotAcyclic),
-        ErrCode::Budget | ErrCode::Deadline => CliError::Mdf(MdfError::BudgetExceeded {
-            resource: mdf_graph::BudgetResource::WallClockMs,
-            limit: 0,
-            used: 0,
-        }),
+        ErrCode::Budget | ErrCode::Deadline => CliError::Budget(msg),
         _ => CliError::Internal(msg),
     }
 }
@@ -1019,6 +1017,28 @@ fn fleet_rows_routed(doc: &Json) -> Result<(), String> {
 mod tests {
     use super::*;
     use mdf_trace::json::parse;
+
+    #[test]
+    fn budget_and_deadline_answers_exit_5_with_the_service_message() {
+        for (code, message) in [
+            (
+                ErrCode::Deadline,
+                "deadline of 50 ms expired after 37 barriers",
+            ),
+            (
+                ErrCode::Budget,
+                "budget exceeded: memory cells limit is 16777216, needed 21033005",
+            ),
+        ] {
+            let err = service_error_to_cli(&mdf_service::ServiceError {
+                code,
+                retry_after_ms: 0,
+                message: message.into(),
+            });
+            assert_eq!(err.exit_code(), 5, "{err}");
+            assert!(err.to_string().contains(message), "{err}");
+        }
+    }
 
     fn render_json(r: &LoadReport) -> String {
         report_json(r).pretty()

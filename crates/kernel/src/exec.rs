@@ -59,6 +59,10 @@ impl Snapshot for KernelMemory {
     fn digest(&self) -> u64 {
         self.fingerprint()
     }
+
+    fn cells(&self) -> u64 {
+        self.layout().cells() as u64
+    }
 }
 
 /// Width of the column tiles a certified row splits into for threading;
@@ -585,7 +589,7 @@ impl CompiledKernel {
     /// One barrier of a metered drive: [`Self::step`], then the
     /// `kernel.chunk.mid` fault site. The site fires *after* the chunk's
     /// writes, so only a panic is sound there (the supervisor restores
-    /// the snapshot wholesale).
+    /// its base image and replays the barriers after it).
     fn chunk(
         &self,
         steps: &Steps,
@@ -616,11 +620,15 @@ impl CompiledKernel {
         }
     }
 
-    /// Runs the kernel under the supervising executor: one chunk per
-    /// barrier, a snapshot checkpoint after each, recoverable failures
-    /// (caught worker panics, deadline reports) restored and retried per
-    /// `policy` with multi-thread → serial degradation. A completed
-    /// supervised run is bit-identical to an uninterrupted one.
+    /// Runs the kernel under the supervising executor
+    /// (`mdf_sim::supervise_run`): one chunk per barrier, recoverable
+    /// failures (caught worker panics, deadline reports) retried per
+    /// `policy` with multi-thread → serial degradation. A failure inside
+    /// a chunk is undone by restoring the supervisor's base image and
+    /// replaying the barriers after it on a quiet meter; the base is
+    /// copied (into a reused buffer) only once the work since its last
+    /// copy reaches the image's cell count. A completed supervised run
+    /// is bit-identical to an uninterrupted one.
     pub fn run_supervised(
         &self,
         mode: ExecMode,
@@ -1280,7 +1288,8 @@ mod tests {
         let (pmem, pstats) = k.run(mode);
 
         // A mid-chunk panic lands *after* the chunk's writes: recovery
-        // must restore the snapshot, retry, and still match bit-for-bit.
+        // must restore the base image, replay the barriers after it,
+        // retry, and still match bit-for-bit.
         let guard = FaultPlan::single("kernel.chunk.mid", FaultKind::WorkerPanic, 3).arm();
         let mut meter = Budget::unlimited().with_chaos().meter();
         let out = k

@@ -106,10 +106,26 @@ impl Layout {
 }
 
 /// The flat memory image of one kernel execution.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Debug, PartialEq, Eq)]
 pub struct KernelMemory {
     layout: Layout,
     data: Vec<i64>,
+}
+
+impl Clone for KernelMemory {
+    fn clone(&self) -> Self {
+        KernelMemory {
+            layout: self.layout,
+            data: self.data.clone(),
+        }
+    }
+
+    /// Copies `source` into this image's buffer, reusing its allocation
+    /// (the supervisor's checkpoint copies).
+    fn clone_from(&mut self, source: &Self) {
+        self.layout = source.layout;
+        self.data.clone_from(&source.data);
+    }
 }
 
 impl KernelMemory {
@@ -268,6 +284,18 @@ mod tests {
         assert_eq!(lo_j, -layout.halo);
         assert_eq!(hi_j, layout.cols - layout.halo - 1);
         assert_eq!(layout.arrays, p.arrays.len());
+    }
+
+    #[test]
+    fn clone_from_copies_into_the_existing_buffer() {
+        let layout = Layout::for_program(&figure2_program(), 6, 5);
+        let mut src = KernelMemory::with_threads(layout, 1);
+        src.data_mut()[7] = 42;
+        let mut dst = KernelMemory::with_threads(layout, 1);
+        let buffer = dst.data.as_ptr();
+        dst.clone_from(&src);
+        assert_eq!(dst, src);
+        assert_eq!(dst.data.as_ptr(), buffer, "the buffer is reused");
     }
 
     #[test]

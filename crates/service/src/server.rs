@@ -726,9 +726,11 @@ struct Executed {
 /// wall-clock the request has left. A kernel request compiles its plan at
 /// the request's bounds and arms the unchecked path with a fresh
 /// verification; a plan the verifier rejects runs bounds-checked. The
-/// supervisor's barrier retries are the only recovery: a run it gives up
-/// on is answered `Deadline` when its deadline expired, and with its
-/// cause's own typed code otherwise.
+/// supervisor's barrier retries are the only recovery; it keeps one base
+/// image (none at all while the run's work stays under its image size)
+/// and undoes a failed chunk by replaying from it. A run it gives up on
+/// is answered `Deadline` when its deadline expired, and with its cause's
+/// own typed code otherwise.
 fn execute(
     shared: &Shared,
     spec: &FusedSpec,

@@ -126,18 +126,20 @@ fn kernel_cache_hits_at_equal_and_new_bounds_match_the_interpreter() {
 
 #[test]
 fn an_execution_past_its_deadline_is_a_typed_deadline_error() {
-    // figure2 at 512² executes for over a second; a 50 ms deadline expires
-    // mid-run. The supervisor gives up on the barrier, the request is
-    // answered Deadline, and the daemon keeps serving.
+    // figure2 on the interpreter at 1024² executes for about 150 ms in a
+    // release build and over a second in the debug test profile, so a
+    // 20 ms deadline expires before the run can end, at the first barrier
+    // top past it. The supervisor gives up on that barrier, the request
+    // is answered Deadline, and the daemon keeps serving.
     let socket = unique_socket("exec-deadline");
     let server = Server::start(ServiceConfig::new(&socket)).unwrap();
     let mut client = Client::connect(&socket).unwrap();
     let resp = client
         .submit(Submit {
-            engine: Engine::Kernel,
-            n: 512,
-            m: 512,
-            deadline_ms: 50,
+            engine: Engine::Interp,
+            n: 1024,
+            m: 1024,
+            deadline_ms: 20,
             client: String::new(),
             source: example("figure2.mdf"),
         })
@@ -146,7 +148,7 @@ fn an_execution_past_its_deadline_is_a_typed_deadline_error() {
         panic!("expected a typed Deadline error, got {resp:?}");
     };
     assert_eq!(err.code, ErrCode::Deadline, "{err:?}");
-    assert!(err.message.contains("deadline of 50 ms"), "{err:?}");
+    assert!(err.message.contains("deadline of 20 ms"), "{err:?}");
     client.ping().unwrap();
     let stats = server.drain();
     assert_eq!(stats.deadline_expiries, 1, "{stats:?}");

@@ -11,13 +11,31 @@
 use std::ops::Range;
 
 /// A dense 2-D `i64` array with a (possibly negative) origin.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Debug, PartialEq, Eq)]
 pub struct Array2 {
     lo_i: i64,
     lo_j: i64,
     rows: i64,
     cols: i64,
     data: Vec<i64>,
+}
+
+impl Clone for Array2 {
+    fn clone(&self) -> Self {
+        Array2 {
+            data: self.data.clone(),
+            ..*self
+        }
+    }
+
+    /// Copies `source` into this array's buffer, reusing its allocation.
+    fn clone_from(&mut self, source: &Self) {
+        self.lo_i = source.lo_i;
+        self.lo_j = source.lo_j;
+        self.rows = source.rows;
+        self.cols = source.cols;
+        self.data.clone_from(&source.data);
+    }
 }
 
 /// The deterministic initial value of cell `(i, j)` of array `k`: a cheap
@@ -75,6 +93,11 @@ impl Array2 {
         ((i - self.lo_i) * self.cols + (j - self.lo_j)) as usize
     }
 
+    /// Cells in the allocated extent.
+    pub fn cells(&self) -> usize {
+        self.data.len()
+    }
+
     /// `true` when `(i, j)` lies in the allocated extent.
     pub fn in_bounds(&self, i: i64, j: i64) -> bool {
         i >= self.lo_i && i < self.lo_i + self.rows && j >= self.lo_j && j < self.lo_j + self.cols
@@ -126,6 +149,17 @@ mod tests {
         // Different arrays get different patterns.
         let c = Array2::new(1, -2, 5, -2, 5);
         assert_ne!(a.get(0, 0), c.get(0, 0));
+    }
+
+    #[test]
+    fn clone_from_copies_into_the_existing_buffer() {
+        let mut src = Array2::new(1, -2, 5, -2, 5);
+        src.set(3, 3, 42);
+        let mut dst = Array2::new(0, -2, 5, -2, 5);
+        let buffer = dst.data.as_ptr();
+        dst.clone_from(&src);
+        assert_eq!(dst, src);
+        assert_eq!(dst.data.as_ptr(), buffer, "the buffer is reused");
     }
 
     #[test]

@@ -311,12 +311,13 @@ pub fn run_wavefront(
 }
 
 /// Supervised fused execution: `traversal` driven barrier by barrier
-/// through [`supervise_run`] — per-barrier checkpoints, retry with
-/// deterministic backoff on recoverable failures, typed partial report
-/// once the ladder is exhausted. `resume` continues from a prior
-/// checkpoint (digest-verified). The interpreter is single-threaded, so
-/// the degradation ladder's thread step is a no-op here (the kernel
-/// supervisor exercises it for real).
+/// through [`supervise_run`] — a resumable checkpoint at every barrier,
+/// kept as one base image plus a deterministic replay of the barriers
+/// after it, retry with deterministic backoff on recoverable failures,
+/// typed partial report once the ladder is exhausted. `resume` continues
+/// from a prior checkpoint (digest-verified). The interpreter is
+/// single-threaded, so the degradation ladder's thread step is a no-op
+/// here (the kernel supervisor exercises it for real).
 pub fn run_traversal_supervised(
     spec: &FusedSpec,
     traversal: Traversal<'_>,

@@ -9,9 +9,22 @@ use crate::array2::Array2;
 
 /// The memory state of one execution: one halo-extended array per declared
 /// array.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Debug, PartialEq, Eq)]
 pub struct Memory {
     arrays: Vec<Array2>,
+}
+
+impl Clone for Memory {
+    fn clone(&self) -> Self {
+        Memory {
+            arrays: self.arrays.clone(),
+        }
+    }
+
+    /// Copies `source` array by array, reusing every buffer.
+    fn clone_from(&mut self, source: &Self) {
+        self.arrays.clone_from(&source.arrays);
+    }
 }
 
 impl Memory {

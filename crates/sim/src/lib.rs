@@ -19,8 +19,8 @@
 //!   data-locality benefit of fusion (the paper's Section 2 motivation);
 //! * [`recover`] — checkpoint/resume substrate and the two barrier
 //!   drivers both engines run on: budgeted (typed partial reports on a
-//!   deadline) and supervised (barrier-granular snapshots, deterministic
-//!   retry with backoff);
+//!   deadline) and supervised (barrier-granular recovery from one base
+//!   image plus a deterministic replay, retry with backoff);
 //! * [`traced`] — the `sim.*` counters a traced run reports.
 
 #![warn(missing_docs)]

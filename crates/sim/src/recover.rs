@@ -12,13 +12,14 @@
 //!   count, counters, snapshot hash) and the typed cause, so a caller can
 //!   report progress or resume later with a fresh budget.
 //! * **Supervision.** [`supervise_run`] drives an execution barrier by
-//!   barrier, snapshotting after each success. On a *recoverable* failure
-//!   (a caught worker panic, a deadline report) it restores the last
-//!   snapshot and retries the failed chunk with bounded exponential
-//!   backoff, degrading multi-thread → serial per the planning ladder's
-//!   spirit; once attempts are exhausted it returns a typed partial
-//!   report. Recovered runs are bit-identical to uninterrupted ones
-//!   because every retry replays from a clean barrier boundary.
+//!   barrier and retries a *recoverable* failure (a caught worker panic,
+//!   a deadline report) with bounded exponential backoff, degrading
+//!   multi-thread → serial per the planning ladder's spirit; once
+//!   attempts are exhausted it returns a typed partial report. It keeps
+//!   one older *base* image instead of a copy per barrier: steps are
+//!   deterministic, so the base plus a replay of the barriers after it
+//!   reproduces any barrier top bit for bit, and a recovered run is
+//!   bit-identical to an uninterrupted one.
 //!
 //! These two drivers are the only barrier loops of both engines (the
 //! interpreter's traversals in [`crate::exec_plan`] and `mdf-kernel`'s
@@ -33,22 +34,31 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use mdf_graph::{BudgetMeter, BudgetResource, MdfError};
-use mdf_trace::Span;
+use mdf_graph::{Budget, BudgetMeter, BudgetResource, MdfError};
 
 use crate::interp::ExecStats;
 
-/// Snapshot support for a memory image: cloneable, with a stable digest.
-/// The digest is the same fingerprint the differential oracles compare,
-/// so checkpoint integrity and result identity are one currency.
+/// Snapshot support for a memory image: cloneable, sized, with a stable
+/// digest. The digest is the same fingerprint the differential oracles
+/// compare, so checkpoint integrity and result identity are one currency.
+/// [`supervise_run`] copies images with `clone_from`, so an image whose
+/// `clone_from` reuses its buffer makes repeated copies allocation-free.
 pub trait Snapshot: Clone {
     /// Stable fingerprint of the image.
     fn digest(&self) -> u64;
+    /// Cells in the image: the work one copy of it costs.
+    fn cells(&self) -> u64;
 }
 
 impl Snapshot for crate::interp::Memory {
     fn digest(&self) -> u64 {
         self.fingerprint()
+    }
+
+    fn cells(&self) -> u64 {
+        (0..self.array_count())
+            .map(|k| self.array(k).cells() as u64)
+            .sum()
     }
 }
 
@@ -196,6 +206,16 @@ impl RetryPolicy {
         }
     }
 
+    /// The worker count of an attempt after `failures` failures of the
+    /// same barrier.
+    fn threads_after(&self, failures: u32, threads: usize) -> usize {
+        if failures >= self.serial_after {
+            1
+        } else {
+            threads
+        }
+    }
+
     fn backoff_ms(&self, failures: u32) -> u64 {
         let shift = failures.saturating_sub(1).min(16);
         self.base_backoff_ms
@@ -205,12 +225,15 @@ impl RetryPolicy {
     }
 }
 
-/// What the supervisor did to finish a run.
+/// What the supervisor did to finish a run. Every count but
+/// `snapshots` depends only on the failures, never on how the supervisor
+/// stores its base image.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RecoveryStats {
     /// Chunk retries after recoverable failures.
     pub retries: u64,
-    /// Snapshots taken (one per completed barrier).
+    /// Checkpoints passed: one per committed barrier, each a position
+    /// the supervisor can restore (from its base image plus a replay).
     pub checkpoints_taken: u64,
     /// Times execution continued from a checkpoint (after a restore, or
     /// via a resume entry point).
@@ -219,22 +242,11 @@ pub struct RecoveryStats {
     pub degraded_to_serial: bool,
     /// Total backoff accounted, in milliseconds (virtual or slept).
     pub backoff_ms: u64,
-}
-
-impl RecoveryStats {
-    /// Reports the recovery counters onto `span` under the `chaos.*`
-    /// namespace shared with the fault-injection sweep.
-    pub fn report(&self, span: &Span) {
-        if !span.is_enabled() {
-            return;
-        }
-        span.add("chaos.retries", self.retries);
-        span.add("chaos.checkpoints_taken", self.checkpoints_taken);
-        span.add("chaos.resumes", self.resumes);
-        if self.degraded_to_serial {
-            span.add("chaos.degraded-serial", 1);
-        }
-    }
+    /// Memory images copied into the base: a resumed run's presented
+    /// image, then one copy each time the statement instances committed
+    /// since the last copy reach the image's cell count. A fault-free
+    /// fresh run whose work stays under its image size copies nothing.
+    pub snapshots: u64,
 }
 
 /// How a supervised run ended. Like [`RunOutcome`] plus the recovery
@@ -365,20 +377,36 @@ where
 }
 
 /// The supervising executor: drives `total` barriers through `step`,
-/// checkpointing after each and recovering per `policy`.
+/// recovering per `policy`.
 ///
 /// * `alloc` produces the initial memory image; refusals
 ///   ([`BudgetResource::MemoryCells`]) retry under the same policy.
 /// * Each attempt at a barrier passes the gate (deadline, then the fault
 ///   site `site`), runs `step(mem, barrier, threads, meter)` for its
 ///   statement-instance count, and charges those instances as
-///   iterations. A step must only commit writes for its own barrier — on
-///   failure the image is restored from the last snapshot, so partial
-///   writes are discarded wholesale.
+///   iterations.
+/// * A failure at the gate leaves memory clean, so the barrier is retried
+///   on the live image. A failure once the step has started (a caught
+///   panic, an `Exec` error, a deadline the charge reports) may leave
+///   partial writes: the supervisor restores its *base* image and
+///   replays the barriers after it, then retries.
+/// * The base is one image, not one per barrier. A fresh run's base is
+///   the allocator's image at barrier 0, rebuilt when needed by calling
+///   `alloc` on a quiet `Budget::unlimited()` meter; a resumed run copies
+///   its presented image once. The base is refreshed (with `clone_from`,
+///   reusing its buffer) only when the statement instances committed
+///   since the last copy reach the image's [`Snapshot::cells`], so
+///   copying never costs more than executing, and where it happens
+///   depends only on the plan and the shape.
+/// * A replay runs `step` on a quiet meter: no gate, no fault site, no
+///   iteration charge and no counters. Steps are deterministic and every
+///   barrier top is a sound resume point, so the replay reproduces the
+///   failed barrier's top bit for bit.
 /// * `resume` continues from a prior [`Checkpoint`] (digest-verified).
 ///
 /// Counters in the returned outcome reflect committed barriers only;
-/// retried work is restored, re-run, and counted once.
+/// retried work is restored, re-run, and counted once. A
+/// [`SupervisedOutcome::Partial`] carries the failed barrier's clean top.
 #[allow(clippy::too_many_arguments)]
 pub fn supervise_run<M, A, S>(
     total: u64,
@@ -387,7 +415,7 @@ pub fn supervise_run<M, A, S>(
     policy: &RetryPolicy,
     meter: &mut BudgetMeter,
     resume: Option<(M, Checkpoint)>,
-    alloc: A,
+    mut alloc: A,
     mut step: S,
 ) -> Result<SupervisedOutcome<M>, MdfError>
 where
@@ -396,31 +424,36 @@ where
     S: FnMut(&mut M, u64, usize, &mut BudgetMeter) -> Result<u64, MdfError>,
 {
     let mut recovery = RecoveryStats::default();
-    let (mut mem, start, mut stats) = match resume {
+    // `base` is the image at barrier `base_at`; `None` stands for the
+    // allocator's fresh image at barrier 0.
+    let (mut mem, start, mut stats, mut base) = match resume {
         Some((mem, checkpoint)) => {
             check_resume(&mem, &checkpoint)?;
             recovery.resumes += 1;
-            (mem, checkpoint.completed_barriers, checkpoint.stats)
+            recovery.snapshots += 1;
+            let base = Some(mem.clone());
+            (mem, checkpoint.completed_barriers, checkpoint.stats, base)
         }
         None => (
-            alloc_with_retries(policy, meter, alloc, &mut recovery)?,
+            alloc_with_retries(policy, meter, &mut alloc, &mut recovery)?,
             0,
             ExecStats::default(),
+            None,
         ),
     };
+    let mut base_at = start;
+    let mut since_base: u64 = 0;
+    let cells = mem.cells();
 
-    let mut snapshot = mem.clone();
     for barrier in start..total {
         let mut failures: u32 = 0;
         loop {
-            let threads_now = if failures >= policy.serial_after {
-                recovery.degraded_to_serial = recovery.degraded_to_serial || threads > 1;
-                1
-            } else {
-                threads
-            };
+            let threads_now = policy.threads_after(failures, threads);
+            recovery.degraded_to_serial |= threads_now < threads;
+            let mut dirty = false;
             let attempt = catch_unwind(AssertUnwindSafe(|| {
                 check_barrier_top(meter, site)?;
+                dirty = true;
                 let instances = step(&mut mem, barrier, threads_now, meter)?;
                 meter.charge_iterations(instances)?;
                 Ok::<u64, MdfError>(instances)
@@ -429,8 +462,18 @@ where
                 Ok(Ok(instances)) => {
                     stats.barriers += 1;
                     stats.stmt_instances += instances;
-                    snapshot = mem.clone();
                     recovery.checkpoints_taken += 1;
+                    since_base += instances;
+                    // After the last barrier there is nothing to protect.
+                    if since_base >= cells && barrier + 1 < total {
+                        match &mut base {
+                            Some(image) => image.clone_from(&mem),
+                            None => base = Some(mem.clone()),
+                        }
+                        base_at = barrier + 1;
+                        since_base = 0;
+                        recovery.snapshots += 1;
+                    }
                     break;
                 }
                 Ok(Err(e)) if !recoverable(&e) => return Err(e),
@@ -441,9 +484,20 @@ where
                     format!("caught worker panic: {}", panic_message(payload.as_ref())),
                 ),
             };
-            // Discard the failed chunk's partial writes wholesale.
-            mem = snapshot.clone();
             failures += 1;
+            if dirty {
+                // Discard the failed chunk's partial writes: back to the
+                // base, then forward to this barrier's top.
+                let mut quiet = Budget::unlimited().meter();
+                match &base {
+                    Some(image) => mem.clone_from(image),
+                    None => mem = alloc(&mut quiet)?,
+                }
+                let threads_next = policy.threads_after(failures, threads);
+                for b in base_at..barrier {
+                    step(&mut mem, b, threads_next, &mut quiet)?;
+                }
+            }
             if failures >= policy.max_attempts {
                 return Ok(SupervisedOutcome::Partial {
                     checkpoint: Checkpoint {
@@ -520,12 +574,16 @@ mod tests {
                 (h ^ v).wrapping_mul(1099511628211)
             })
         }
+
+        fn cells(&self) -> u64 {
+            self.0.len() as u64
+        }
     }
 
     fn toy_step(mem: &mut Toy, barrier: u64) -> u64 {
         // Non-idempotent on purpose: re-running a barrier without a
         // restore corrupts the value, so these tests prove the supervisor
-        // actually restores snapshots.
+        // actually restores its base image.
         mem.0[barrier as usize] += barrier + 1;
         barrier + 1
     }
@@ -556,6 +614,9 @@ mod tests {
                 assert_eq!(recovery.retries, 0);
                 assert_eq!(recovery.checkpoints_taken, 4);
                 assert_eq!(recovery.resumes, 0);
+                // 6 instances after barrier 2 reach the 4 cells; the last
+                // barrier is never copied.
+                assert_eq!(recovery.snapshots, 1);
             }
             other => panic!("unexpected: {other:?}"),
         }
@@ -595,6 +656,67 @@ mod tests {
                 assert_eq!(recovery.retries, 1);
                 assert_eq!(recovery.resumes, 1);
                 assert!(recovery.backoff_ms > 0);
+            }
+            other => panic!("unexpected: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_panic_two_barriers_past_the_base_is_restored_and_replayed() {
+        // Eight cells and three instances per barrier: the base is copied
+        // after barrier 2 (9 >= 8 instances), so a panic inside barrier 5
+        // is two barriers past it, and barriers 3 and 4 must be replayed.
+        let chained = |mem: &mut Toy, b: u64| {
+            // Non-idempotent, and each barrier reads its predecessor's
+            // cell: a missed restore or replay changes the final image.
+            let prev = if b == 0 { 0 } else { mem.0[b as usize - 1] };
+            mem.0[b as usize] += prev + b + 1;
+            3
+        };
+        let mut want = Toy(vec![0; 8]);
+        for b in 0..8 {
+            chained(&mut want, b);
+        }
+        let mut calls = Vec::new();
+        let mut boom = true;
+        let mut meter = Budget::unlimited().meter();
+        let out = supervise_run(
+            8,
+            1,
+            "toy.barrier",
+            &RetryPolicy::deterministic(),
+            &mut meter,
+            None,
+            |_| Ok(Toy(vec![0; 8])),
+            |mem, b, _, _| {
+                calls.push(b);
+                if b == 5 && std::mem::take(&mut boom) {
+                    // Partial writes over the base's cells, the replayed
+                    // barriers' cells and the failed barrier's own.
+                    mem.0[2] += 99;
+                    mem.0[4] += 99;
+                    mem.0[5] += 99;
+                    panic!("injected after partial writes");
+                }
+                Ok(chained(mem, b))
+            },
+        )
+        .unwrap();
+        match out {
+            SupervisedOutcome::Complete {
+                mem,
+                stats,
+                recovery,
+            } => {
+                assert_eq!(mem, want, "base plus replay restores exactly");
+                assert_eq!(calls, vec![0, 1, 2, 3, 4, 5, 3, 4, 5, 6, 7]);
+                assert_eq!(stats.barriers, 8);
+                assert_eq!(stats.stmt_instances, 24, "replays are not counted");
+                assert_eq!(recovery.retries, 1);
+                assert_eq!(recovery.resumes, 1);
+                assert_eq!(recovery.checkpoints_taken, 8);
+                // After barrier 2, and after the retried barrier 5.
+                assert_eq!(recovery.snapshots, 2);
             }
             other => panic!("unexpected: {other:?}"),
         }

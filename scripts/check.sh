@@ -21,9 +21,12 @@ cargo test -q --workspace
 
 # The kernel's bounds checks on its armed path are debug_asserts, which
 # compile out in release, and the crate holds unsafe code: run its tests
-# in the build the benchmark and the CLI ship.
-echo "==> cargo test --release -p mdf-kernel"
+# in the build the benchmark and the CLI ship. The chaos recovery tests
+# drive the supervisor's restores and replays through armed kernels, so
+# they run in that build too.
+echo "==> cargo test --release -p mdf-kernel, --test chaos_recovery"
 cargo test --release -q -p mdf-kernel
+cargo test --release -q --test chaos_recovery
 
 # perfbench is its own package outside the workspace, so only this step
 # notices a library API change that breaks the benchmark. Building it

@@ -250,6 +250,166 @@ fn supervisor_absorbs_worker_panics_at_every_barrier() {
     }
 }
 
+/// A `kernel.chunk.mid` panic fires after the chunk has written, so the
+/// retry needs the supervisor's restore: its base image, then a replay of
+/// the barriers after it. Fire one inside every barrier of every suite
+/// program, on two shapes, with each kernel armed where the verifier
+/// licenses it, as `mdfused` arms it. (A suite chunk re-run over its own
+/// writes happens to write the same values, so this proves the replay;
+/// the non-idempotent toy steps of `mdf_sim::recover`'s unit tests prove
+/// the restore.)
+#[test]
+fn supervisor_replays_past_mid_chunk_panics_at_every_barrier() {
+    let policy = RetryPolicy::deterministic();
+    for entry in executable_suite() {
+        let p = entry.program.expect("executable suite has programs");
+        let Some((spec, _, planned, _)) = artifacts(&p) else {
+            continue;
+        };
+        for (n, m) in [(12, 10), (40, 33)] {
+            let compiled = CompiledKernel::compile(&spec, n, m).expect("suite specs compile");
+            for (mode, threads) in [(planned, 1), (planned, 4), (ExecMode::RowsSerial, 1)] {
+                let mut kernel = compiled.clone();
+                // A rejection leaves the kernel on the bounds-checked path.
+                let _ = kernel.arm(mode);
+                let (want_mem, want_stats) = kernel.run_with_threads(mode, threads);
+                for b in 1..=kernel.barrier_count(mode) {
+                    let guard =
+                        FaultPlan::single("kernel.chunk.mid", FaultKind::WorkerPanic, b).arm();
+                    let mut meter = Budget::unlimited().with_chaos().meter();
+                    let out = kernel
+                        .run_supervised(mode, threads, &policy, &mut meter)
+                        .expect("supervised run does not surface recoverable faults");
+                    assert_eq!(guard.injected(), 1, "{}", entry.id);
+                    drop(guard);
+                    let SupervisedOutcome::Complete {
+                        mem,
+                        stats,
+                        recovery,
+                    } = out
+                    else {
+                        panic!(
+                            "{}: one mid-chunk panic (barrier {b}) must not end partial",
+                            entry.id
+                        );
+                    };
+                    let at = format!(
+                        "{} {n}x{m} {mode:?} {threads} workers, barrier {b}",
+                        entry.id
+                    );
+                    assert_eq!(mem.fingerprint(), want_mem.fingerprint(), "{at}");
+                    assert_eq!(stats, want_stats, "{at}");
+                    assert_eq!(recovery.retries, 1, "{at}");
+                }
+            }
+        }
+    }
+}
+
+/// A resumed supervised run copies its presented image into its base, so
+/// a mid-chunk panic after the resume restores that copy and replays the
+/// barriers run since: stop every suite program's planned kernel halfway
+/// with a deadline, then panic inside every barrier after the resume.
+#[test]
+fn resumed_supervision_replays_from_its_presented_image() {
+    let policy = RetryPolicy::deterministic();
+    for entry in executable_suite() {
+        let p = entry.program.expect("executable suite has programs");
+        let Some((spec, _, planned, _)) = artifacts(&p) else {
+            continue;
+        };
+        let mut kernel = CompiledKernel::compile(&spec, 40, 33).expect("suite specs compile");
+        let _ = kernel.arm(planned);
+        let total = kernel.barrier_count(planned);
+        let stop = total / 2;
+        for threads in [1, 4] {
+            let (want_mem, want_stats) = kernel.run_with_threads(planned, threads);
+            for b in 1..=total - stop {
+                let guard =
+                    FaultPlan::single("kernel.barrier", FaultKind::DeadlineExpiry, stop + 1).arm();
+                let mut meter = Budget::unlimited().with_chaos().meter();
+                let Ok(RunOutcome::Partial {
+                    mem, checkpoint, ..
+                }) = kernel.run_budgeted(planned, &mut meter)
+                else {
+                    panic!(
+                        "{}: a deadline at barrier {stop} must stop the run",
+                        entry.id
+                    );
+                };
+                drop(guard);
+                let guard = FaultPlan::single("kernel.chunk.mid", FaultKind::WorkerPanic, b).arm();
+                let mut meter = Budget::unlimited().with_chaos().meter();
+                let out = kernel
+                    .resume_supervised(planned, threads, &policy, &mut meter, mem, checkpoint)
+                    .expect("a resumed supervised run does not surface recoverable faults");
+                assert_eq!(guard.injected(), 1, "{}", entry.id);
+                drop(guard);
+                let at = format!(
+                    "{} {threads} workers, resumed at {stop}, panic {b}",
+                    entry.id
+                );
+                let SupervisedOutcome::Complete {
+                    mem,
+                    stats,
+                    recovery,
+                } = out
+                else {
+                    panic!("{at}: one mid-chunk panic must not end partial");
+                };
+                assert_eq!(mem.fingerprint(), want_mem.fingerprint(), "{at}");
+                assert_eq!(stats, want_stats, "{at}");
+                assert_eq!(recovery.retries, 1, "{at}");
+                assert!(
+                    recovery.snapshots >= 1,
+                    "{at}: the presented image is copied"
+                );
+            }
+        }
+    }
+}
+
+/// The supervisor copies an image only once the work since its last copy
+/// reaches the image's size, so a fault-free run's copies are bounded by
+/// its execution: figure2 copies nothing at 24², and at 512² no more than
+/// one plus its instances per cell.
+#[test]
+fn fault_free_supervision_copies_no_more_than_it_executes() {
+    let p = mdfusion::ir::samples::figure2_program();
+    let Some((spec, plan, mode, _)) = artifacts(&p) else {
+        panic!("figure2 plans and compiles");
+    };
+    let policy = RetryPolicy::deterministic();
+    for n in [24, 512] {
+        let kernel = CompiledKernel::compile(&spec, n, n).expect("figure2 compiles");
+        let cells = kernel.layout().cells() as u64;
+        let mut meter = Budget::unlimited().meter();
+        let kernel_run = kernel
+            .run_supervised(mode, 1, &policy, &mut meter)
+            .expect("an unlimited meter cannot trip");
+        let mut meter = Budget::unlimited().meter();
+        let interp_run =
+            run_traversal_supervised(&spec, Traversal::of(&plan), n, n, &mut meter, &policy, None)
+                .expect("an unlimited meter cannot trip");
+        assert!(kernel_run.is_complete() && interp_run.is_complete());
+        for (engine, stats, recovery) in [
+            ("kernel", kernel_run.stats(), *kernel_run.recovery()),
+            ("interp", interp_run.stats(), *interp_run.recovery()),
+        ] {
+            assert_eq!(recovery.checkpoints_taken, stats.barriers, "{engine} {n}²");
+            if n == 24 {
+                assert_eq!(recovery.snapshots, 0, "{engine} {n}²");
+            }
+            assert!(
+                recovery.snapshots <= 1 + stats.stmt_instances / cells,
+                "{engine} {n}²: {} copies of {cells} cells for {} instances",
+                recovery.snapshots,
+                stats.stmt_instances
+            );
+        }
+    }
+}
+
 /// The sweeps above cover whatever mode the planner picks — but a silent
 /// regression from the tiled wavefront back to the serial fallback would
 /// weaken them without failing anything. Pin the elided path explicitly:
