@@ -2,10 +2,10 @@
 //!
 //! `mdf-kernel` lowers a fused spec into register bytecode whose array
 //! accesses are precomputed *linear deltas* added to an iteration cursor
-//! over one flat buffer. The executor historically re-checked every
-//! access at runtime (`assert!(idx < len)` on each load and store). This
-//! pass discharges those checks *statically*, by abstract interpretation
-//! over a [`VmImage`] — a kernel's complete shape, independent of the
+//! over one flat buffer. The executor proves each drive's accesses in
+//! bounds itself, one check per loop, before it runs. This pass proves
+//! that and more *statically*, by abstract interpretation over a
+//! [`VmImage`] — a kernel's complete shape, independent of the
 //! instruction semantics that do not affect safety (constant values and
 //! operator identities are deliberately absent):
 //!
@@ -37,10 +37,11 @@
 //!    elided inside a tile wave cannot reorder a dependence — the
 //!    machine-level cross-check of `certify_elision` in [`crate::race`].
 //!
-//! A passing image yields a [`BytecodeCert`] — the machine-checkable
-//! license for the executor's *unchecked* path and the JIT tier to come.
-//! The cert embeds an [`image_checksum`], so a cached cert can be
-//! [`revalidate`]d against a freshly lowered kernel without re-proving.
+//! A passing image yields a [`BytecodeCert`], the machine-checkable
+//! record of what was proved, which `mdfuse verify`, `analyze --json`,
+//! `mdfuse bench` and the fuzzer's oracle report or check. The cert
+//! embeds an [`image_checksum`], so a cert can be [`revalidate`]d against
+//! a freshly lowered kernel without re-proving.
 
 use mdf_trace::json::{object, Json};
 
@@ -200,8 +201,9 @@ impl VmImage {
     }
 }
 
-/// A machine-checkable bytecode certificate: the license for unchecked
-/// execution of one compiled kernel in one mode at one set of bounds.
+/// A machine-checkable bytecode certificate: the static proof that one
+/// compiled kernel, in one mode at one set of bounds, keeps register
+/// discipline, stays in bounds and keeps each parallel step race-free.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct BytecodeCert {
     /// The mode the certificate licenses.
@@ -312,11 +314,11 @@ struct Verify<'a> {
     pairs_checked: u64,
 }
 
-/// One loop's effective footprint: the exact superset of fused iterations
+/// One loop's effective footprint: a superset of the fused iterations
 /// any driver path executes it at. Rows are clamped to the swept outer
 /// range (the drivers iterate `outer` and gate on `rows.contains`);
-/// columns are *not* clamped to `inner`, because the loop-major row path
-/// sweeps the loop's full column range directly.
+/// columns are *not* clamped to `inner`, so a column range that reaches
+/// past the swept one, which no drive executes, is still proved.
 fn footprint(img: &VmImage, l: &VmLoop) -> (VmRange, VmRange) {
     (l.rows.intersect(&img.outer), l.cols)
 }
@@ -857,7 +859,7 @@ pub fn certificate_diagnostics(img: &VmImage) -> (Option<BytecodeCert>, Vec<Diag
                 format!(
                     "bytecode verified for {} execution at bounds ({}, {}): {} loop(s), \
                      {} instruction(s), {} access site(s) bounded, {} disjointness \
-                     pair(s) checked — unchecked fast path licensed",
+                     pair(s) checked",
                     cert.mode.as_str(),
                     cert.n,
                     cert.m,

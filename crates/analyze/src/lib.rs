@@ -23,8 +23,9 @@
 //!   lowered instruction stream: proves register discipline, flat-buffer
 //!   segment bounds across the entire retimed iteration space, and
 //!   pairwise write-disjointness of the parallel steps a plan certifies —
-//!   issuing a machine-checkable [`bytecode::BytecodeCert`] that licenses
-//!   the kernel's unchecked execution path.
+//!   issuing a machine-checkable [`bytecode::BytecodeCert`]: a static
+//!   cross-check, over the lowered bytecode itself, of the kernel's own
+//!   per-drive bounds proof and of the race certificates.
 //!
 //! All passes speak [`diag::Diagnostic`] with stable `MDF0xx`/`MDF1xx`
 //! codes (`MDF2xx` for the bytecode verifier), rendered human-readable or

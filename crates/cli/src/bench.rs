@@ -9,11 +9,11 @@
 //! * `interp`   — the fused tree-walking interpreter (row serialization
 //!   or wavefront order, per the plan);
 //! * `kernel`   — the compiled engine from `mdf-kernel`, in the mode the
-//!   race certificate licenses, on the bounds-checked path;
-//! * `verified` — the same compiled kernel armed with a
-//!   [`mdf_kernel::BytecodeCert`] from the static bytecode verifier,
-//!   running the assert-free unchecked path. The verifier rejecting
-//!   planner output is an internal error, not a report row.
+//!   race certificate licenses;
+//! * `verified` — the same compiled kernel and the same body, timed
+//!   after the static bytecode verifier accepted its lowering (a
+//!   [`mdf_kernel::BytecodeCert`]). The verifier rejecting planner
+//!   output is an internal error, not a report row.
 //!
 //! Every engine's final memory fingerprint must match `unfused`; a
 //! mismatch is an internal error, not a report row. The `mdf-baselines`
@@ -35,10 +35,10 @@
 //! and `retries` (chunk retries by the supervising executor; the plain
 //! bench path never retries, so nonzero marks a perturbed measurement).
 //!
-//! Schema v3 adds the `verified` engine row (the bytecode-certified
-//! unchecked fast path, so its wall time is directly comparable to the
-//! checked `kernel` row) and `phases.verify_ms`, the one-shot cost of
-//! running the static verifier over the lowered bytecode.
+//! Schema v3 adds the `verified` engine row (now the `kernel` row's body
+//! timed again, since every drive proves its own bounds and one body
+//! runs either way) and `phases.verify_ms`, the one-shot cost of running
+//! the static verifier over the lowered bytecode.
 //!
 //! Schema v4 turns each suite into a **threads × engine matrix**: the
 //! top-level `threads` field is the worker-count list (`--threads`,
@@ -327,12 +327,12 @@ fn bench_entry(
     let t0 = Instant::now();
     let kernel = CompiledKernel::compile_traced(&spec, n, m, &lower_span)?;
     let lower_ms = ms(t0);
-    // The verified row runs the same kernel armed with a bytecode cert.
-    // Planner output the static verifier rejects is a pipeline bug, so
-    // it surfaces as an internal error rather than a missing row.
+    // The verified row times the same kernel once the static verifier
+    // accepts its lowering. Planner output the verifier rejects is a
+    // pipeline bug, so it surfaces as an internal error rather than a
+    // missing row.
     let t0 = Instant::now();
-    let mut armed = kernel.clone();
-    if let Err(diags) = armed.arm(mode) {
+    if let Err(diags) = mdf_analyze::bytecode::verify(&kernel.vm_image(mode)) {
         let codes: Vec<&str> = diags.iter().map(|d| d.code).collect();
         return Err(MdfError::exec(
             0,
@@ -393,7 +393,7 @@ fn bench_entry(
             EngineSamples {
                 engine: "verified",
                 body: Box::new(|meter| {
-                    let (mem, stats) = armed.run_budgeted(mode, meter)?.into_complete()?;
+                    let (mem, stats) = kernel.run_budgeted(mode, meter)?.into_complete()?;
                     Ok((mem.fingerprint(), stats))
                 }),
                 fingerprint: 0,

@@ -37,10 +37,11 @@
 //! failure.
 //!
 //! The sixth oracle pits the static bytecode verifier against execution:
-//! every planned case's lowered kernel must verify and run bit-identical
-//! with asserts elided, and a seeded mutation of the lowered image must
-//! be rejected with a typed `MDF2xx` diagnostic or execute identically
-//! under checked and unchecked modes.
+//! every planned case's lowered kernel must verify in every mode a drive
+//! can take, each certificate must revalidate only in its own mode at its
+//! own bounds, and a seeded mutation of the lowered image must be
+//! rejected with a typed `MDF2xx` diagnostic or pass the drive's bounds
+//! proof and run.
 
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -61,7 +62,7 @@ use mdf_kernel::{plan_mode as kernel_plan_mode, CompiledKernel, ExecMode};
 use mdf_retime::Retiming;
 use mdf_sim::{
     align_partial_to_program, align_plan_to_program, check_hyperplanes_doall, check_plan_budgeted,
-    check_rows_doall, RetryPolicy, SupervisedOutcome,
+    check_rows_doall, RetryPolicy, RunOutcome, SupervisedOutcome,
 };
 
 use crate::CliError;
@@ -405,89 +406,61 @@ fn check_chaos_oracle(
     }
 }
 
-/// Sixth oracle: the static bytecode verifier against execution. The
-/// honest lowered kernel must verify — the planner's own bytecode is
-/// certifiable by construction — and its armed, assert-free run must be
-/// bit-identical to the checked run. A seeded single mutation of the
-/// lowered image must then either be rejected with a typed `MDF2xx`
-/// diagnostic or, when the mutant still proves out, execute without
-/// panicking and produce identical checked/unchecked images. A verifier
-/// that is too strict fails the honest half; one that is too lax fails
-/// the mutant half.
+/// Sixth oracle: the static bytecode verifier against execution. Three
+/// checks. The planner's own bytecode must verify in every mode a drive
+/// can take (the planned one and the serial fallback): it is
+/// certifiable by construction. Each certificate must revalidate only on
+/// its own machine mode at its own bounds. And a seeded single mutation
+/// of the lowered image must either be rejected with a typed `MDF2xx`
+/// diagnostic or, when the verifier vouches for it, pass the drive's own
+/// bounds proof and run to completion without a panic. A verifier that
+/// is too strict fails the first check; one that is laxer than the
+/// bounds proof fails the last.
 fn check_bytecode_oracle(p: &Program, plan: &FusionPlan, seed: u64) -> Result<(), CaseError> {
+    use mdf_analyze::bytecode::{revalidate, verify};
     let spec = FusedSpec::new(p.clone(), plan.retiming().offsets().to_vec());
-    let checked = CompiledKernel::compile(&spec, SIM_N, SIM_M)
-        .map_err(|e| fail(format!("bytecode oracle compile: {e}")))?;
+    let compile = |n| {
+        CompiledKernel::compile(&spec, n, SIM_M)
+            .map_err(|e| fail(format!("bytecode oracle compile: {e}")))
+    };
+    let (honest, other_bounds) = (compile(SIM_N)?, compile(SIM_N + 1)?);
     let mode = kernel_plan_mode(&spec, plan);
-    let (cmem, cstats) = checked.run_with_threads(mode, 1);
-
-    // Honest half: arm must succeed and change nothing but the asserts.
-    let mut armed = checked.clone();
-    armed.arm(mode).map_err(|diags| {
-        let codes: Vec<&str> = diags.iter().map(|d| d.code).collect();
-        fail(format!(
-            "bytecode oracle: verifier rejected honest planner bytecode \
-             in mode {mode:?}: {codes:?}"
-        ))
-    })?;
-    let (umem, ustats) = armed.run_with_threads(mode, 1);
-    if umem.fingerprint() != cmem.fingerprint() || ustats != cstats {
-        return Err(fail(format!(
-            "bytecode oracle: unchecked run diverged from checked in mode {mode:?} \
-             (unchecked {:#x}, checked {:#x})",
-            umem.fingerprint(),
-            cmem.fingerprint()
-        )));
-    }
-
-    // Elision metadata half: when the planned mode tiles, the certificate
-    // must pin the tiled machine mode. A cert issued for the tiled image
-    // must not revalidate for the serial fallback of the same kernel (or
-    // vice versa) — the two lower to different sync structures — while
-    // the honest same-mode replay must keep working, including through
-    // the threaded tile dispatch.
-    if checked.tile_plan(mode).is_some() {
-        let serial = ExecMode::RowsSerial;
-        let tiled_cert = *armed.cert(mode).ok_or_else(|| {
-            fail("bytecode oracle: armed kernel lost its tiled certificate".to_string())
+    let drives = [mode, ExecMode::RowsSerial];
+    for drive in drives {
+        let cert = verify(&honest.vm_image(drive)).map_err(|diags| {
+            let codes: Vec<&str> = diags.iter().map(|d| d.code).collect();
+            fail(format!(
+                "bytecode oracle: verifier rejected honest planner bytecode \
+                 in mode {drive:?}: {codes:?}"
+            ))
         })?;
-        let mut replay = checked.clone();
-        if replay.arm_with_cert(serial, tiled_cert) {
-            return Err(fail(
-                "bytecode oracle: tiled certificate revalidated for the serial fallback"
-                    .to_string(),
-            ));
-        }
-        let serial_cert = replay
-            .arm(serial)
-            .map_err(|_| fail("bytecode oracle: honest serial fallback rejected".to_string()))?;
-        if replay.arm_with_cert(mode, serial_cert) {
-            return Err(fail(
-                "bytecode oracle: serial certificate revalidated for the \
-                 tiled wavefront mode"
-                    .to_string(),
-            ));
-        }
-        if !replay.arm_with_cert(mode, tiled_cert) {
-            return Err(fail(
-                "bytecode oracle: same-mode tiled certificate replay rejected".to_string(),
-            ));
-        }
-        let (tmem, tstats) = replay.run_with_threads(mode, 4);
-        if tmem.fingerprint() != cmem.fingerprint() || tstats.barriers != cstats.barriers {
-            return Err(fail(format!(
-                "bytecode oracle: armed tiled multi-worker run diverged \
-                 (armed {:#x}, checked {:#x})",
-                tmem.fingerprint(),
-                cmem.fingerprint()
-            )));
+        for (k, at, bounds) in [
+            (&honest, mode, SIM_N),
+            (&honest, ExecMode::RowsSerial, SIM_N),
+            (&other_bounds, drive, SIM_N + 1),
+        ] {
+            let img = k.vm_image(at);
+            let own = bounds == SIM_N && img.mode == cert.mode;
+            if revalidate(&cert, &img) != own {
+                return Err(fail(format!(
+                    "bytecode oracle: a {:?} certificate at ({SIM_N}, {SIM_M}) \
+                     {} a {:?} image at ({bounds}, {SIM_M})",
+                    cert.mode,
+                    if own {
+                        "failed to revalidate on"
+                    } else {
+                        "revalidated on"
+                    },
+                    img.mode
+                )));
+            }
         }
     }
 
-    // Mutant half: one seeded perturbation of the lowered image.
-    let mut mutant = checked.clone();
+    // One seeded perturbation of the lowered image.
+    let mut mutant = honest.clone();
     let what = mutate_lowered(&mut mutant, seed);
-    match mutant.arm(mode) {
+    match verify(&mutant.vm_image(mode)) {
         Err(diags) => {
             // Rejections must be typed verifier errors, nothing else.
             if diags.is_empty() || !diags.iter().all(|d| d.code.starts_with("MDF2")) {
@@ -500,33 +473,28 @@ fn check_bytecode_oracle(p: &Program, plan: &FusionPlan, seed: u64) -> Result<()
             Ok(())
         }
         Ok(_) => {
-            // The verifier vouched for the mutant: the checked run must
-            // not trip an assert, and the armed run must agree with it.
-            let mut plain = mutant.clone();
-            plain.disarm();
-            let ran = catch_unwind(AssertUnwindSafe(|| plain.run_with_threads(mode, 1)));
-            let Ok((mc, msc)) = ran else {
-                return Err(fail(format!(
+            let ran = catch_unwind(AssertUnwindSafe(|| {
+                rayon::with_workers(1, || {
+                    mutant.run_budgeted(mode, &mut Budget::unlimited().meter())
+                })
+            }));
+            match ran {
+                Ok(Ok(RunOutcome::Complete { .. })) => Ok(()),
+                Ok(Ok(RunOutcome::Partial { cause, .. }) | Err(cause)) => Err(fail(format!(
+                    "bytecode oracle: verifier accepted a mutant ({what}) whose \
+                     drive in mode {mode:?} did not complete: {cause}"
+                ))),
+                Err(_) => Err(fail(format!(
                     "bytecode oracle: verifier accepted a mutant ({what}) \
-                     whose checked run panics in mode {mode:?}"
-                )));
-            };
-            let (mu, msu) = mutant.run_with_threads(mode, 1);
-            if mu.fingerprint() != mc.fingerprint() || msu != msc {
-                return Err(fail(format!(
-                    "bytecode oracle: verified mutant ({what}) diverged between \
-                     unchecked ({:#x}) and checked ({:#x}) runs in mode {mode:?}",
-                    mu.fingerprint(),
-                    mc.fingerprint()
-                )));
+                     whose run panics in mode {mode:?}"
+                ))),
             }
-            Ok(())
         }
     }
 }
 
-/// Applies one seeded perturbation to a kernel's lowered loops (which
-/// disarms any certificate) and returns a description of what changed.
+/// Applies one seeded perturbation to a kernel's lowered loops and
+/// returns a description of what changed.
 /// The perturbations target exactly the properties the verifier proves:
 /// register discipline, load/store deltas, active ranges, and offsets.
 fn mutate_lowered(k: &mut CompiledKernel, seed: u64) -> String {

@@ -424,10 +424,7 @@ fn cmd_run(
         "kernel" => {
             let lower = span.child("lower");
             let mode = mdf_kernel::plan_mode_traced(&spec, &plan, &lower);
-            let mut k = mdf_kernel::CompiledKernel::compile_traced(&spec, n, m, &lower)?;
-            // Arm the unchecked fast path when the bytecode verifier
-            // proves it safe; a rejection silently stays checked.
-            let armed = k.arm(mode).is_ok();
+            let k = mdf_kernel::CompiledKernel::compile_traced(&spec, n, m, &lower)?;
             lower.finish();
             let exec = span.child("execute");
             let (mem, stats) = k
@@ -439,12 +436,7 @@ fn cmd_run(
                 mdf_kernel::ExecMode::RowsSerial => "rows-serial",
                 mdf_kernel::ExecMode::Wavefront { .. } => "wavefront-tiled",
             };
-            let suffix = if armed { "+unchecked" } else { "" };
-            (
-                mem.fingerprint(),
-                stats,
-                format!("kernel/{mode_name}{suffix}"),
-            )
+            (mem.fingerprint(), stats, format!("kernel/{mode_name}"))
         }
         other => {
             return Err(CliError::Usage(format!(
@@ -966,7 +958,8 @@ mod tests {
         let input = load(FIG2_DSL).unwrap();
         let out = cmd_verify(&input, 16, 16, false, &Budget::unlimited()).unwrap();
         assert!(out.contains("info[MDF200]"), "{out}");
-        assert!(out.contains("unchecked fast path licensed"), "{out}");
+        assert!(out.contains("disjointness pair(s) checked"), "{out}");
+        assert!(!out.contains("unchecked"), "{out}");
         let json = cmd_verify(&input, 16, 16, true, &Budget::unlimited()).unwrap();
         assert!(json.contains("\"bytecode\": {"), "{json}");
         assert!(json.contains("\"verified\": true"), "{json}");
@@ -1054,8 +1047,8 @@ mod tests {
         )
         .unwrap();
         assert!(k.contains("results identical"), "{k}");
-        // The planner's certified plan verifies, so the kernel runs armed.
-        assert!(k.contains("engine kernel/rows-doall+unchecked"), "{k}");
+        // The planner's certified plan runs its certified rows.
+        assert!(k.contains("engine kernel/rows-doall)"), "{k}");
         let i = cmd_run(
             &input,
             12,

@@ -30,7 +30,11 @@
 //!
 //! Each drive derives one private per-barrier step plan from the mode and
 //! the shape; execution, checkpointing, counters and the verifier's image
-//! all read it, so they cannot disagree on what a barrier is. Every run
+//! all read it, so they cannot disagree on what a barrier is. Before it
+//! allocates, every drive proves that each lowered loop's accesses stay
+//! inside the image (one check per loop, from the corners of the box the
+//! loop runs and its extreme deltas), so each step kind has one body,
+//! whose per-access checks are debug assertions. Every run
 //! walks that plan through `mdf-sim`'s barrier drivers
 //! (`mdf_sim::drive_budgeted`, `mdf_sim::supervise_run`), the same ones
 //! the interpreter uses, which own the barrier-top gate and the
@@ -38,6 +42,8 @@
 //! ([`ExecStats`]) count one barrier per fused row or tile wave and one
 //! statement instance per executed assignment, so BENCH reports are
 //! directly comparable across engines.
+
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use mdf_analyze::bytecode::{
     self, BytecodeCert, VmImage, VmInstr, VmLoop, VmMode, VmRange, VmStmt,
@@ -184,28 +190,32 @@ impl TilePlan {
     }
 }
 
-/// A shared view of the kernel buffer for compiled steps. The *only*
-/// `unsafe` in the crate: distinct iterations of a certified parallel
-/// step touch disjoint cells (that is what the race certificate proves),
-/// so concurrent in-place access through a raw pointer is data-race-free.
-///
-/// `CHECKED` selects the bounds policy per access. The checked view
-/// asserts every index against the buffer length — the historical
-/// behaviour, and the fallback whenever no [`BytecodeCert`] is armed. The
-/// unchecked view demotes the assert to a `debug_assert`: release builds
-/// pay nothing, because the verifier has already proved every load and
-/// store of the entire retimed iteration space in-bounds
-/// ([`CompiledKernel::arm`]).
-struct SharedCells<const CHECKED: bool> {
+/// A shared view of the kernel buffer for compiled steps, and with the
+/// `madvise` call in `memory` the only `unsafe` in the crate. Distinct
+/// iterations of a certified parallel step touch disjoint cells (that is
+/// what the race certificate proves), so concurrent in-place access
+/// through a raw pointer is data-race-free; and every access lies inside
+/// the buffer, because the drive proved each loop's box in bounds before
+/// it started (`CompiledKernel::prove_bounds`). Debug builds re-check
+/// every index. A view is made from the step's `&mut` borrow of the image
+/// and never outlives the step.
+struct SharedCells {
     ptr: *mut i64,
     len: usize,
 }
 
-unsafe impl<const CHECKED: bool> Send for SharedCells<CHECKED> {}
-unsafe impl<const CHECKED: bool> Sync for SharedCells<CHECKED> {}
+// SAFETY: `ptr` and `len` describe a buffer the step that made the view
+// borrows mutably for the view's whole life. Its workers may share it
+// because the cells concurrent iterations touch are disjoint (the race
+// and elision certificates) and every index is in bounds (the drive's
+// bounds proof).
+unsafe impl Send for SharedCells {}
+// SAFETY: as for `Send`; the view has no interior state besides the
+// buffer.
+unsafe impl Sync for SharedCells {}
 
-impl<const CHECKED: bool> SharedCells<CHECKED> {
-    fn new(data: &mut [i64]) -> SharedCells<CHECKED> {
+impl SharedCells {
+    fn new(data: &mut [i64]) -> SharedCells {
         SharedCells {
             ptr: data.as_mut_ptr(),
             len: data.len(),
@@ -217,23 +227,24 @@ impl<const CHECKED: bool> SharedCells<CHECKED> {
         // A negative isize wraps to a huge usize, so one compare covers
         // both underflow and overflow.
         let u = idx as usize;
-        if CHECKED {
-            assert!(u < self.len, "kernel access out of bounds: {idx}");
-        } else {
-            debug_assert!(u < self.len, "kernel access out of bounds: {idx}");
-        }
+        debug_assert!(u < self.len, "kernel access out of bounds: {idx}");
         u
     }
 
     #[inline]
     fn read(&self, idx: isize) -> i64 {
         let u = self.slot(idx);
+        // SAFETY: `u < len`: every index a step computes is a cursor of
+        // its loop's box plus one of the loop's deltas, and the drive
+        // proved all of those inside the buffer before it started. No
+        // concurrent iteration writes this cell (the race certificate).
         unsafe { *self.ptr.add(u) }
     }
 
     #[inline]
     fn write(&self, idx: isize, v: i64) {
         let u = self.slot(idx);
+        // SAFETY: as in `read`; no concurrent iteration touches this cell.
         unsafe { *self.ptr.add(u) = v }
     }
 }
@@ -250,12 +261,6 @@ pub struct CompiledKernel {
     /// Lowered loops **in fused body order** (stable topological order of
     /// the `(0,0)`-retimed dependence subgraph), not textual order.
     loops: Vec<CompiledLoop>,
-    /// The armed bytecode certificate, if any, keyed by the mode it
-    /// licenses. `None` until [`CompiledKernel::arm`] (or
-    /// [`CompiledKernel::arm_with_cert`]) succeeds; any mutation of the
-    /// lowered loops disarms it. The unchecked execution path is selected
-    /// *only* when the drive's mode equals the armed mode.
-    cert: Option<(ExecMode, BytecodeCert)>,
 }
 
 impl CompiledKernel {
@@ -288,7 +293,6 @@ impl CompiledKernel {
             outer: spec.outer_range(n),
             inner: spec.inner_range(m),
             loops,
-            cert: None,
         })
     }
 
@@ -449,57 +453,27 @@ impl CompiledKernel {
         }
     }
 
-    /// Runs the static bytecode verifier over this kernel for `mode` and,
-    /// on success, arms the unchecked execution path for that mode. On
-    /// rejection the kernel stays (or reverts to) checked and the `MDF2xx`
-    /// diagnostics are returned.
+    /// Runs the static bytecode verifier over this kernel's image for
+    /// `mode` ([`CompiledKernel::vm_image`]) and returns its certificate,
+    /// or the `MDF2xx` diagnostics on rejection. Execution does not depend
+    /// on the outcome: every drive proves its own accesses in bounds.
     pub fn arm(&mut self, mode: ExecMode) -> Result<BytecodeCert, Vec<Diagnostic>> {
-        self.cert = None;
-        let cert = bytecode::verify(&self.vm_image(mode))?;
-        self.cert = Some((mode, cert));
-        Ok(cert)
+        bytecode::verify(&self.vm_image(mode))
     }
 
-    /// Arms a previously issued certificate (e.g. one `arm` returned for
-    /// an identical kernel) after revalidating it against this kernel's
-    /// freshly lowered image — checksum, mode, and bounds must all match. Returns whether
-    /// the kernel is now armed; on `false` it stays checked.
+    /// Whether a previously issued certificate (e.g. one `arm` returned
+    /// for an identical kernel) revalidates against this kernel's image for
+    /// `mode`: checksum, mode and bounds must all match.
     pub fn arm_with_cert(&mut self, mode: ExecMode, cert: BytecodeCert) -> bool {
-        self.cert = None;
-        if bytecode::revalidate(&cert, &self.vm_image(mode)) {
-            self.cert = Some((mode, cert));
-            true
-        } else {
-            false
-        }
-    }
-
-    /// The armed certificate for `mode`, if any.
-    pub fn cert(&self, mode: ExecMode) -> Option<&BytecodeCert> {
-        match &self.cert {
-            Some((m, c)) if *m == mode => Some(c),
-            _ => None,
-        }
-    }
-
-    /// Whether a drive in `mode` would take the unchecked path.
-    pub fn is_armed(&self, mode: ExecMode) -> bool {
-        self.cert(mode).is_some()
-    }
-
-    /// Drops any armed certificate, reverting every path to checked.
-    pub fn disarm(&mut self) {
-        self.cert = None;
+        bytecode::revalidate(&cert, &self.vm_image(mode))
     }
 
     /// Mutable access to the lowered loops, for the fuzzer's
-    /// verifier-vs-execution oracle. Any access **disarms** the kernel:
-    /// a mutated stream can never ride an earlier certificate, so the
-    /// "unchecked only under a valid cert" invariant holds by
-    /// construction.
+    /// verifier-vs-execution oracle and the bounds proof's tests. A drive
+    /// reads the loops afresh when it proves its bounds, so no mutation
+    /// can outlive a proof.
     #[doc(hidden)]
     pub fn loops_mut(&mut self) -> &mut Vec<CompiledLoop> {
-        self.cert = None;
         &mut self.loops
     }
 
@@ -513,13 +487,15 @@ impl CompiledKernel {
     /// path, and whether a large image fills in bands, see
     /// [`KernelMemory::with_threads`]); actual parallelism is still the
     /// runtime's to grant. Exposed so tests and benches can force either
-    /// path deterministically.
+    /// path deterministically. Panics only for loops mutated through
+    /// `loops_mut` past the image, which the bounds proof refuses.
     pub fn run_with_threads(&self, mode: ExecMode, threads: usize) -> (KernelMemory, ExecStats) {
-        // An unlimited meter cannot trip, so the budgeted driver is total.
+        // Lowering keeps every loop in bounds and an unlimited meter
+        // cannot trip, so the budgeted driver is total.
         #[allow(clippy::expect_used)]
         self.run_metered(mode, threads, &mut Budget::unlimited().meter(), None)
             .and_then(RunOutcome::into_complete)
-            .expect("unbudgeted kernel run cannot trip a budget")
+            .expect("an unbudgeted drive of lowered loops cannot fail")
     }
 
     /// Runs under a resource budget: cells charged before allocation, the
@@ -539,7 +515,8 @@ impl CompiledKernel {
 
     /// Continues a budgeted run from a [`Checkpoint`] produced by an
     /// earlier partial outcome, against the memory image that outcome
-    /// carried (digest-verified). Memory cells are *not* re-charged: the
+    /// carried (digest-verified, and refused typed unless it is laid out
+    /// as this kernel's own). Memory cells are *not* re-charged: the
     /// image is presented, not allocated.
     pub fn resume_budgeted(
         &self,
@@ -557,7 +534,7 @@ impl CompiledKernel {
     }
 
     /// The budgeted drive of `mode` under `threads` workers, from fresh
-    /// memory or from `resume`.
+    /// memory or from `resume`, once its bounds are proved.
     fn run_metered(
         &self,
         mode: ExecMode,
@@ -565,16 +542,82 @@ impl CompiledKernel {
         meter: &mut BudgetMeter,
         resume: Option<(KernelMemory, Checkpoint)>,
     ) -> Result<RunOutcome<KernelMemory>, MdfError> {
+        self.prove_bounds(resume.as_ref().map(|(mem, _)| mem))?;
         let steps = self.steps(mode);
-        let unchecked = self.is_armed(mode);
         drive_budgeted(
             self.barriers(&steps),
             "kernel.barrier",
             meter,
             resume,
             |meter| self.alloc(meter, threads),
-            |mem, barrier, meter| self.chunk(&steps, mem, barrier, threads, unchecked, meter),
+            |mem, barrier, meter| self.chunk(&steps, mem, barrier, threads, meter),
         )
+    }
+
+    /// Proves, before a drive allocates, that every load and store it can
+    /// make stays inside the image. In every step kind a lowered loop runs
+    /// only inside the box `(cl.rows ∩ outer) × (cl.cols ∩ inner)`, at the
+    /// cursor of each cell, which is affine in `(fi, fj)`; so the
+    /// cursor's extremes over the box sit at its corners, and every access
+    /// (the cursor plus one of the loop's load or store deltas) lies
+    /// between the lowest corner plus the smallest delta and the highest
+    /// corner plus the largest. The deltas are read from the statements
+    /// here, at drive start, so no mutation through `loops_mut` can
+    /// outlive the proof. A resume image must be laid out as this
+    /// kernel's own: a checkpoint's digest vouches for its image, not for
+    /// the kernel it is handed to.
+    fn prove_bounds(&self, resume: Option<&KernelMemory>) -> Result<(), MdfError> {
+        if let Some(mem) = resume.filter(|mem| mem.layout() != self.layout) {
+            return Err(MdfError::invalid(format!(
+                "resume image laid out as {:?}, not as this kernel's {:?}",
+                mem.layout(),
+                self.layout
+            )));
+        }
+        let Layout { halo, cols, .. } = self.layout;
+        let cells = self.layout.cells() as i128;
+        for (li, cl) in self.loops.iter().enumerate() {
+            let (rows, span) = (meet(cl.rows, self.outer), meet(cl.cols, self.inner));
+            let deltas = cl.stmts.iter().flat_map(|s| {
+                s.instrs
+                    .iter()
+                    .filter_map(|ins| match *ins {
+                        Instr::Load { delta, .. } => Some(delta),
+                        _ => None,
+                    })
+                    .chain([s.store_delta])
+            });
+            let (Some(d_lo), Some(d_hi)) = (deltas.clone().min(), deltas.max()) else {
+                continue; // no statements, no accesses
+            };
+            if rows.is_empty() || span.is_empty() {
+                continue; // never runs
+            }
+            // In i128, so that no mutated range or delta can overflow the
+            // proof; all four corners, so that it holds for any row stride.
+            let cursor = |fi: i64, fj: i64| {
+                (i128::from(fi) + i128::from(cl.offset.x) + i128::from(halo)) * i128::from(cols)
+                    + i128::from(fj)
+                    + i128::from(cl.offset.y)
+                    + i128::from(halo)
+            };
+            let corners = [
+                cursor(rows.lo, span.lo),
+                cursor(rows.lo, span.hi),
+                cursor(rows.hi, span.lo),
+                cursor(rows.hi, span.hi),
+            ];
+            let lo = corners.into_iter().fold(i128::MAX, i128::min) + d_lo as i128;
+            let hi = corners.into_iter().fold(i128::MIN, i128::max) + d_hi as i128;
+            if lo < 0 || hi >= cells {
+                return Err(MdfError::invalid(format!(
+                    "lowered loop {li} reaches cells [{lo}, {hi}] over rows [{}, {}] and \
+                     columns [{}, {}], outside the image's [0, {cells})",
+                    rows.lo, rows.hi, span.lo, span.hi
+                )));
+            }
+        }
+        Ok(())
     }
 
     /// A fresh image under the budget: the `kernel.alloc` fault site,
@@ -596,10 +639,9 @@ impl CompiledKernel {
         mem: &mut KernelMemory,
         barrier: u64,
         threads: usize,
-        unchecked: bool,
         meter: &mut BudgetMeter,
     ) -> Result<u64, MdfError> {
-        let instances = self.step(steps, mem.data_mut(), barrier, threads, unchecked);
+        let instances = self.step(steps, mem.data_mut(), barrier, threads);
         meter.chaos_site("kernel.chunk.mid")?;
         Ok(instances)
     }
@@ -640,7 +682,8 @@ impl CompiledKernel {
     }
 
     /// As [`CompiledKernel::run_supervised`], continuing from a prior
-    /// checkpoint (digest-verified) instead of fresh memory.
+    /// checkpoint (digest-verified, and refused typed unless its image is
+    /// laid out as this kernel's own) instead of fresh memory.
     pub fn resume_supervised(
         &self,
         mode: ExecMode,
@@ -661,8 +704,8 @@ impl CompiledKernel {
         meter: &mut BudgetMeter,
         resume: Option<(KernelMemory, Checkpoint)>,
     ) -> Result<SupervisedOutcome<KernelMemory>, MdfError> {
+        self.prove_bounds(resume.as_ref().map(|(mem, _)| mem))?;
         let steps = self.steps(mode);
-        let unchecked = self.is_armed(mode);
         supervise_run(
             self.barriers(&steps),
             threads,
@@ -671,9 +714,7 @@ impl CompiledKernel {
             meter,
             resume,
             |meter| self.alloc(meter, threads),
-            |mem, barrier, threads_now, meter| {
-                self.chunk(&steps, mem, barrier, threads_now, unchecked, meter)
-            },
+            |mem, barrier, threads_now, meter| self.chunk(&steps, mem, barrier, threads_now, meter),
         )
     }
 
@@ -743,21 +784,13 @@ impl CompiledKernel {
     }
 
     /// Executes barrier `barrier` of `steps` in place and returns its
-    /// statement instances. `unchecked` selects the assert-free bodies;
-    /// callers derive it from [`Self::is_armed`], never directly.
-    fn step(
-        &self,
-        steps: &Steps,
-        data: &mut [i64],
-        barrier: u64,
-        threads: usize,
-        unchecked: bool,
-    ) -> u64 {
+    /// statement instances.
+    fn step(&self, steps: &Steps, data: &mut [i64], barrier: u64, threads: usize) -> u64 {
         let b = barrier as i64;
         match steps {
-            Steps::Rows => self.row_loop_major(data, self.outer.lo + b, threads, unchecked),
-            Steps::Cells => self.row_cell_major(data, self.outer.lo + b, unchecked),
-            Steps::Waves(tp) => self.tile_wave(data, tp, b, threads, unchecked),
+            Steps::Rows => self.row_loop_major(data, self.outer.lo + b, threads),
+            Steps::Cells => self.row_cell_major(data, self.outer.lo + b),
+            Steps::Waves(tp) => self.tile_wave(data, tp, b, threads),
         }
     }
 
@@ -775,115 +808,80 @@ impl CompiledKernel {
         (self.inner.len() as usize).div_ceil(TILE_COLS as usize)
     }
 
-    /// One certified row, loop-major (see [`Self::row_body`]). `unchecked`
-    /// selects the monomorphized body without per-access asserts. Kept
-    /// out of line so the dispatch in [`Self::step`] cannot change how the
-    /// row loops compile: inlined there, the unchecked loop ran 13–20%
-    /// slower on E1, E2 and E4 at 192² (`mdfuse bench`'s `verified` rows).
+    /// One certified row, loop-major: the whole fused inner range in one
+    /// sweep, or split into column tiles on the worker pool. Each tile
+    /// replays the loop-major body restricted to its columns, which the
+    /// row certificate makes equivalent (no dependence crosses iterations
+    /// within the row). Kept out of line so the dispatch in [`Self::step`]
+    /// cannot change how the row loops compile: inlined there, the row
+    /// loop once ran 13–20% slower on E1, E2 and E4 at 192².
     #[inline(never)]
-    fn row_loop_major(&self, data: &mut [i64], fi: i64, threads: usize, unchecked: bool) -> u64 {
-        if unchecked {
-            self.row_body::<false>(data, fi, threads)
+    fn row_loop_major(&self, data: &mut [i64], fi: i64, threads: usize) -> u64 {
+        let cells = SharedCells::new(data);
+        if self.rows_tiled(threads) {
+            self.row_tiles_threaded(&cells, fi)
         } else {
-            self.row_body::<true>(data, fi, threads)
+            self.sweep_row(&cells, fi, self.inner)
         }
     }
 
-    /// One certified row, loop-major: each active loop's statements sweep
-    /// the loop's column range with a cursor that advances by one cell per
-    /// step. Long rows split into column tiles run through the shared
-    /// in-place view; each tile replays the full loop-major body
-    /// restricted to its columns, which the row certificate makes
-    /// equivalent (no dependence crosses iterations within the row).
-    fn row_body<const CHECKED: bool>(&self, data: &mut [i64], fi: i64, threads: usize) -> u64 {
-        let active = |cl: &CompiledLoop| cl.rows.contains(fi) && !cl.cols.is_empty();
-        let instances: u64 = self
-            .loops
-            .iter()
-            .filter(|cl| active(cl))
-            .map(|cl| cl.stmts.len() as u64 * cl.cols.len() as u64)
-            .sum();
-        let cells = SharedCells::<CHECKED>::new(data);
-        if self.rows_tiled(threads) {
-            self.row_tiles_threaded(&cells, fi);
-        } else {
-            let mut regs = [0i64; MAX_REGS];
-            for cl in &self.loops {
-                if !active(cl) {
-                    continue;
-                }
-                let base = self
-                    .layout
-                    .cursor(fi + cl.offset.x, cl.cols.lo + cl.offset.y)
-                    as isize;
-                for s in &cl.stmts {
-                    for cur in base..base + cl.cols.len() as isize {
-                        let v = eval_compiled(&s.instrs, &mut regs, |d| cells.read(cur + d));
-                        cells.write(cur + s.store_delta, v);
-                    }
+    /// Sweeps fused row `fi` over the column window `window`, loop-major:
+    /// every loop active in the row runs each statement over `cl.cols ∩
+    /// window` with a cursor that advances by one cell per step, so it
+    /// stays inside the box the bounds proof covered.
+    fn sweep_row(&self, cells: &SharedCells, fi: i64, window: IRange) -> u64 {
+        let mut regs = [0i64; MAX_REGS];
+        let mut instances = 0u64;
+        for cl in &self.loops {
+            let span = meet(cl.cols, window);
+            if !cl.rows.contains(fi) || span.is_empty() {
+                continue;
+            }
+            let base = self.layout.cursor(fi + cl.offset.x, span.lo + cl.offset.y) as isize;
+            for s in &cl.stmts {
+                for cur in base..base + span.len() as isize {
+                    let v = eval_compiled(&s.instrs, &mut regs, |d| cells.read(cur + d));
+                    cells.write(cur + s.store_delta, v);
                 }
             }
+            instances += cl.stmts.len() as u64 * span.len() as u64;
         }
         instances
     }
 
-    /// The threaded branch of [`Self::row_body`]: one pool step over the
-    /// row's column tiles, dispatched by tile index. Kept out of line so
-    /// the serial loop beside it compiles as it would alone.
+    /// The threaded branch of [`Self::row_loop_major`]: one pool step over
+    /// the row's column tiles, dispatched by tile index. Kept out of line
+    /// so the serial sweep beside it compiles as it would alone.
     #[inline(never)]
-    fn row_tiles_threaded<const CHECKED: bool>(&self, cells: &SharedCells<CHECKED>, fi: i64) {
+    fn row_tiles_threaded(&self, cells: &SharedCells, fi: i64) -> u64 {
+        let instances = AtomicU64::new(0);
         (0..self.column_tile_count()).into_par_iter().for_each(|t| {
-            let tile_lo = self.inner.lo + t as i64 * TILE_COLS;
-            let tile_hi = (tile_lo + TILE_COLS - 1).min(self.inner.hi);
-            let mut regs = [0i64; MAX_REGS];
-            for cl in &self.loops {
-                let lo = tile_lo.max(cl.cols.lo);
-                let hi = tile_hi.min(cl.cols.hi);
-                if !cl.rows.contains(fi) || lo > hi {
-                    continue;
-                }
-                let base = self.layout.cursor(fi + cl.offset.x, lo + cl.offset.y) as isize;
-                for s in &cl.stmts {
-                    for cur in base..base + (hi - lo + 1) as isize {
-                        let v = eval_compiled(&s.instrs, &mut regs, |d| cells.read(cur + d));
-                        cells.write(cur + s.store_delta, v);
-                    }
-                }
-            }
+            let lo = self.inner.lo + t as i64 * TILE_COLS;
+            let tile = IRange {
+                lo,
+                hi: (lo + TILE_COLS - 1).min(self.inner.hi),
+            };
+            instances.fetch_add(self.sweep_row(cells, fi, tile), Ordering::Relaxed);
         });
+        instances.into_inner()
     }
 
     /// One uncertified row: the canonical cell-major serialization, cell
     /// by cell with loops in body order — bit-identical to the
     /// interpreter's `run_fused` traversal, just through compiled bodies.
-    fn row_cell_major(&self, data: &mut [i64], fi: i64, unchecked: bool) -> u64 {
+    fn row_cell_major(&self, data: &mut [i64], fi: i64) -> u64 {
+        let cells = SharedCells::new(data);
         let mut regs = [0i64; MAX_REGS];
-        let mut instances = 0u64;
-        if unchecked {
-            let cells = SharedCells::<false>::new(data);
-            for fj in self.inner.lo..=self.inner.hi {
-                instances += self.exec_cell(&cells, &mut regs, fi, fj);
-            }
-        } else {
-            let cells = SharedCells::<true>::new(data);
-            for fj in self.inner.lo..=self.inner.hi {
-                instances += self.exec_cell(&cells, &mut regs, fi, fj);
-            }
-        }
-        instances
+        (self.inner.lo..=self.inner.hi)
+            .map(|fj| self.exec_cell(&cells, &mut regs, fi, fj))
+            .sum()
     }
 
     /// Executes every active loop body at one fused cell, in place. The
     /// caller holds the only live view of the buffer, so the sequential
     /// use of the shared view is plain single-threaded mutation.
     #[inline]
-    fn exec_cell<const CHECKED: bool>(
-        &self,
-        cells: &SharedCells<CHECKED>,
-        regs: &mut [i64; MAX_REGS],
-        fi: i64,
-        fj: i64,
-    ) -> u64 {
+    fn exec_cell(&self, cells: &SharedCells, regs: &mut [i64; MAX_REGS], fi: i64, fj: i64) -> u64 {
         let mut instances = 0u64;
         for cl in &self.loops {
             if !cl.rows.contains(fi) || !cl.cols.contains(fj) {
@@ -899,67 +897,35 @@ impl CompiledKernel {
         instances
     }
 
-    /// One tile wave: every tile on anti-diagonal `w` of the tile grid.
-    /// `unchecked` selects the assert-free body, derived from
-    /// [`Self::is_armed`] — the armed mode's [`VmMode::WavefrontTiled`]
-    /// image is what the verifier proved, so tiled execution is exactly
-    /// the licensed path.
-    fn tile_wave(
-        &self,
-        data: &mut [i64],
-        tp: &TilePlan,
-        w: i64,
-        threads: usize,
-        unchecked: bool,
-    ) -> u64 {
-        if unchecked {
-            self.tile_wave_body::<false>(data, tp, w, threads)
-        } else {
-            self.tile_wave_body::<true>(data, tp, w, threads)
-        }
-    }
-
-    fn tile_wave_body<const CHECKED: bool>(
-        &self,
-        data: &mut [i64],
-        tp: &TilePlan,
-        w: i64,
-        threads: usize,
-    ) -> u64 {
-        let cells = SharedCells::<CHECKED>::new(data);
+    /// One tile wave: every tile on anti-diagonal `w` of the tile grid,
+    /// serially or on the worker pool per the deterministic cost model
+    /// ([`TilePlan::wave_serial`]).
+    fn tile_wave(&self, data: &mut [i64], tp: &TilePlan, w: i64, threads: usize) -> u64 {
+        let cells = SharedCells::new(data);
         if tp.wave_serial(w, threads) {
             let (lo, hi) = tp.wave_bands(w);
             let mut regs = [0i64; MAX_REGS];
-            let mut instances = 0u64;
-            for tb in lo..=hi {
-                instances += self.exec_tile(&cells, &mut regs, tp, tb, w - tb);
-            }
-            instances
+            (lo..=hi)
+                .map(|tb| self.exec_tile(&cells, &mut regs, tp, tb, w - tb))
+                .sum()
         } else {
             self.tile_wave_threaded(&cells, tp, w)
         }
     }
 
-    /// The threaded branch of [`Self::tile_wave_body`]: one pool step over
+    /// The threaded branch of [`Self::tile_wave`]: one pool step over
     /// wave `w`'s front bands. Same-wave tiles touch disjoint
     /// conflict-free cell sets (the elision certificate's monotonicity
-    /// argument), so they run in place concurrently. Instances are
-    /// pre-counted so the hot loop carries no shared accumulator.
+    /// argument), so they run in place concurrently.
     #[inline(never)]
-    fn tile_wave_threaded<const CHECKED: bool>(
-        &self,
-        cells: &SharedCells<CHECKED>,
-        tp: &TilePlan,
-        w: i64,
-    ) -> u64 {
+    fn tile_wave_threaded(&self, cells: &SharedCells, tp: &TilePlan, w: i64) -> u64 {
         let (lo, hi) = tp.wave_bands(w);
-        let instances: u64 = (lo..=hi)
-            .map(|tb| self.tile_instances(tp, tb, w - tb))
-            .sum();
+        let instances = AtomicU64::new(0);
         (lo..=hi).into_par_iter().for_each(|tb| {
-            self.exec_tile(cells, &mut [0i64; MAX_REGS], tp, tb, w - tb);
+            let n = self.exec_tile(cells, &mut [0i64; MAX_REGS], tp, tb, w - tb);
+            instances.fetch_add(n, Ordering::Relaxed);
         });
-        instances
+        instances.into_inner()
     }
 
     /// The fused-column window of tile row `fi` within front band
@@ -988,9 +954,9 @@ impl CompiledKernel {
     /// within the row, loops in body order at each cell — the exact
     /// serialization the elision certificate proves equivalent to the
     /// front-by-front drive for every in-tile dependence.
-    fn exec_tile<const CHECKED: bool>(
+    fn exec_tile(
         &self,
-        cells: &SharedCells<CHECKED>,
+        cells: &SharedCells,
         regs: &mut [i64; MAX_REGS],
         tp: &TilePlan,
         tb: i64,
@@ -1006,24 +972,13 @@ impl CompiledKernel {
         }
         instances
     }
+}
 
-    /// Statement instances tile `(tb, ib)` executes, counted without
-    /// touching memory (for the threaded path's accounting).
-    fn tile_instances(&self, tp: &TilePlan, tb: i64, ib: i64) -> u64 {
-        let (t_lo, t_hi, fi_lo, fi_hi) = self.tile_extents(tp, tb, ib);
-        let mut instances = 0u64;
-        for fi in fi_lo..=fi_hi {
-            let (lo, hi) = self.tile_cols(tp, fi, t_lo, t_hi);
-            for fj in lo..=hi {
-                instances += self
-                    .loops
-                    .iter()
-                    .filter(|cl| cl.rows.contains(fi) && cl.cols.contains(fj))
-                    .map(|cl| cl.stmts.len() as u64)
-                    .sum::<u64>();
-            }
-        }
-        instances
+/// The intersection of two ranges (empty when they do not overlap).
+fn meet(a: IRange, b: IRange) -> IRange {
+    IRange {
+        lo: a.lo.max(b.lo),
+        hi: a.hi.min(b.hi),
     }
 }
 
@@ -1556,9 +1511,9 @@ mod tests {
 
     #[test]
     fn tiled_cert_mode_tracks_the_executed_path() {
-        // The armed image's mode must equal what the drive will execute,
-        // and a tiled cert must not cross-validate with the serial
-        // fallback's cert for the same kernel, nor vice versa.
+        // The verified image's mode must equal what the drive will
+        // execute, and a tiled cert must not cross-validate with the
+        // serial fallback's cert for the same kernel, nor vice versa.
         let p = relaxation_program();
         let (spec, plan) = planned_spec(&p);
         let mode = crate::plan_mode(&spec, &plan);
@@ -1581,8 +1536,6 @@ mod tests {
         assert!(!fresh.arm_with_cert(mode, serial_cert));
         assert!(!fresh.arm_with_cert(serial, tiled_cert));
         assert!(fresh.arm_with_cert(mode, tiled_cert));
-        assert!(fresh.is_armed(mode));
-        assert!(!fresh.is_armed(serial));
     }
 
     #[test]
@@ -1591,7 +1544,7 @@ mod tests {
     }
 
     #[test]
-    fn honest_kernels_verify_and_armed_runs_are_bit_identical() {
+    fn honest_kernels_verify_and_certs_pin_their_image() {
         for p in [
             figure2_program(),
             image_pipeline_program(),
@@ -1601,34 +1554,12 @@ mod tests {
             let mode = crate::plan_mode(&spec, &plan);
             for (n, m) in [(0, 0), (5, 3), (12, 9)] {
                 let mut k = CompiledKernel::compile(&spec, n, m).unwrap();
-                let (checked_mem, checked_stats) = k.run_with_threads(mode, 1);
-                let (checked_mt, _) = k.run_with_threads(mode, 4);
                 let cert = k
                     .arm(mode)
                     .unwrap_or_else(|d| panic!("{} at ({n},{m}) must verify: {d:?}", p.name));
                 assert_eq!(cert.checksum, bytecode::image_checksum(&k.vm_image(mode)));
-                assert!(k.is_armed(mode));
-                let (armed_mem, armed_stats) = k.run_with_threads(mode, 1);
-                let (armed_mt, mt_stats) = k.run_with_threads(mode, 4);
-                assert_eq!(armed_mem.fingerprint(), checked_mem.fingerprint());
-                assert_eq!(armed_mt.fingerprint(), checked_mt.fingerprint());
-                assert_eq!(armed_stats, checked_stats);
-                assert_eq!(mt_stats.barriers, checked_stats.barriers);
             }
         }
-    }
-
-    #[test]
-    fn armed_tiled_path_matches_checked_tiled_path() {
-        let p = figure2_program();
-        let (spec, plan) = planned_spec(&p);
-        let mode = crate::plan_mode(&spec, &plan);
-        let mut k = CompiledKernel::compile(&spec, 4, 3 * TILE_COLS).unwrap();
-        assert!(k.rows_tiled(4), "shape must cross the tiling threshold");
-        let (checked, _) = k.run_with_threads(mode, 4);
-        k.arm(mode).unwrap();
-        let (armed, _) = k.run_with_threads(mode, 4);
-        assert_eq!(armed.fingerprint(), checked.fingerprint());
     }
 
     #[test]
@@ -1638,37 +1569,18 @@ mod tests {
         let mode = crate::plan_mode(&spec, &plan);
         let mut k = CompiledKernel::compile(&spec, 6, 6).unwrap();
         let cert = k.arm(mode).unwrap();
-        // Armed for RowsCertified only; a serial drive stays checked.
-        assert!(k.cert(ExecMode::RowsSerial).is_none());
 
-        // A fresh, identical kernel adopts the cached cert.
+        // A fresh, identical kernel revalidates the cert.
         let mut k2 = CompiledKernel::compile(&spec, 6, 6).unwrap();
         assert!(k2.arm_with_cert(mode, cert));
-        assert!(k2.is_armed(mode));
 
-        // Different bounds lower a different image: adoption must fail.
+        // Different bounds lower a different image: revalidation fails.
         let mut k3 = CompiledKernel::compile(&spec, 7, 6).unwrap();
         assert!(!k3.arm_with_cert(mode, cert));
-        assert!(!k3.is_armed(mode));
 
         // A wrong mode claim must fail too.
         let mut k4 = CompiledKernel::compile(&spec, 6, 6).unwrap();
         assert!(!k4.arm_with_cert(ExecMode::RowsSerial, cert));
-    }
-
-    #[test]
-    fn mutating_the_lowered_loops_disarms_the_kernel() {
-        let p = figure2_program();
-        let (spec, plan) = planned_spec(&p);
-        let mode = crate::plan_mode(&spec, &plan);
-        let mut k = CompiledKernel::compile(&spec, 6, 6).unwrap();
-        k.arm(mode).unwrap();
-        assert!(k.is_armed(mode));
-        let _ = k.loops_mut(); // access alone revokes the license
-        assert!(!k.is_armed(mode));
-        k.arm(mode).unwrap();
-        k.disarm();
-        assert!(!k.is_armed(mode));
     }
 
     #[test]
@@ -1679,9 +1591,9 @@ mod tests {
         let mut k = CompiledKernel::compile(&spec, 8, 8).unwrap();
         let cert = k.arm(ExecMode::RowsSerial).unwrap();
         assert_eq!(cert.pairs_checked, 0, "serial mode has no step pairs");
-        let (armed, _) = k.run(ExecMode::RowsSerial);
+        let (kmem, _) = k.run(ExecMode::RowsSerial);
         let (imem, _) = run_original(&p, 8, 8);
-        assert_eq!(armed.fingerprint(), imem.fingerprint());
+        assert_eq!(kmem.fingerprint(), imem.fingerprint());
     }
 
     #[test]

@@ -35,22 +35,26 @@
 //! itself). The sequential interpreter in `mdf-sim` stays the reference
 //! every mode is checked against.
 //!
-//! A second, independent gate governs *bounds checks*: by default every
-//! load and store asserts its flat index against the buffer length. A
-//! kernel can instead be **armed** with a machine-checked
-//! [`BytecodeCert`] from `mdf-analyze`'s bytecode verifier
-//! ([`CompiledKernel::arm`]), which statically proves register
-//! discipline, whole-iteration-space bounds, and per-step write
-//! disjointness over the *lowered bytecode itself* — at which point the
-//! drives for the certified mode take an assert-free path. No cert, no
-//! unchecked execution; mutating the lowered loops disarms the kernel.
+//! Memory safety does not rest on a certificate. Before a drive
+//! allocates, it proves every load and store of every lowered loop inside
+//! the image: a loop runs only in the box of fused rows and columns where
+//! it is active, its cursor is affine over that box, so the box's corners
+//! plus the loop's smallest and largest access delta bound every address
+//! it reaches (one check per loop per drive). A loop that would leave the
+//! image, or a resume image laid out for another kernel, is refused with a
+//! typed error before anything runs, and every step kind then has one
+//! body, whose per-access checks are debug assertions. `mdf-analyze`'s
+//! bytecode verifier ([`CompiledKernel::arm`]) proves the same bounds and
+//! more (register discipline, per-step write disjointness over the
+//! lowered bytecode) statically, for `mdfuse verify` and the fuzzer; no
+//! drive consults it.
 //!
-//! The tiny `unsafe` surface is two pieces: shared `&[Cell]`-style writes
-//! during a certified step, in [`exec`] behind that gate, and one
-//! `madvise` call in [`memory`] that asks Linux to back a fresh image's
-//! whole 2 MiB pages with transparent huge pages (it changes how pages
-//! are backed, never their contents). Everything else in the crate is
-//! `#![deny(unsafe_code)]`-clean.
+//! The tiny `unsafe` surface is two pieces: shared `&[Cell]`-style
+//! accesses during a step, in [`exec`], behind the race certificate and
+//! the bounds proof, and one `madvise` call in [`memory`] that asks Linux
+//! to back a fresh image's whole 2 MiB pages with transparent huge pages
+//! (it changes how pages are backed, never their contents). Everything
+//! else in the crate is `#![deny(unsafe_code)]`-clean.
 
 #![warn(missing_docs)]
 

@@ -24,8 +24,8 @@
 //!
 //! Only fully fused plans are cached; partial-fusion fallbacks are cheap
 //! to recompute and rare in service traffic. The cache holds plans, not
-//! bytecode: a kernel request lowers its plan at its own bounds and arms
-//! the unchecked path with a fresh `CompiledKernel::arm` every time.
+//! bytecode: a kernel request lowers its plan at its own bounds every
+//! time, and the drive proves that lowering's accesses in bounds.
 
 use std::collections::HashMap;
 

@@ -724,13 +724,12 @@ struct Executed {
 
 /// Runs the fused schedule once under supervision, on a meter holding the
 /// wall-clock the request has left. A kernel request compiles its plan at
-/// the request's bounds and arms the unchecked path with a fresh
-/// verification; a plan the verifier rejects runs bounds-checked. The
-/// supervisor's barrier retries are the only recovery; it keeps one base
-/// image (none at all while the run's work stays under its image size)
-/// and undoes a failed chunk by replaying from it. A run it gives up on
-/// is answered `Deadline` when its deadline expired, and with its cause's
-/// own typed code otherwise.
+/// the request's bounds, and the drive proves its own accesses in bounds
+/// before it allocates. The supervisor's barrier retries are the only
+/// recovery; it keeps one base image (none at all while the run's work
+/// stays under its image size) and undoes a failed chunk by replaying
+/// from it. A run it gives up on is answered `Deadline` when its deadline
+/// expired, and with its cause's own typed code otherwise.
 fn execute(
     shared: &Shared,
     spec: &FusedSpec,
@@ -770,9 +769,7 @@ fn execute(
         .map(finish),
         Engine::Kernel => {
             let mode = mdf_kernel::plan_mode(spec, plan);
-            mdf_kernel::CompiledKernel::compile(spec, submit.n, submit.m).and_then(|mut k| {
-                // A rejection leaves the kernel on the bounds-checked path.
-                let _ = k.arm(mode);
+            mdf_kernel::CompiledKernel::compile(spec, submit.n, submit.m).and_then(|k| {
                 k.run_supervised(mode, shared.config.threads, &policy, &mut meter)
                     .map(finish)
             })

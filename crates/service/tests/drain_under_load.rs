@@ -93,9 +93,9 @@ fn simple_session_round_trip() {
 #[test]
 fn kernel_cache_hits_at_equal_and_new_bounds_match_the_interpreter() {
     // Three kernel submissions of one graph: a miss, a cache hit at the
-    // same bounds, and a cache hit at new bounds. Each arms the unchecked
-    // path for its own bounds, and every answer must match the reference
-    // interpreter bit for bit — the fast path is only ever a speed change.
+    // same bounds, and a cache hit at new bounds. Each lowers the plan at
+    // its own bounds, and every answer must match the reference
+    // interpreter bit for bit: a cached plan is only ever a speed change.
     let socket = unique_socket("kernel-hits");
     let server = Server::start(ServiceConfig::new(&socket)).unwrap();
     let source = example("figure2.mdf");

@@ -8,9 +8,9 @@
 //! Each repetition times one budgeted and one supervised run back to back,
 //! alternating which goes first; the table prints the median of each and
 //! their ratio (at least 9 repetitions per row, more on small grids). The
-//! kernel is armed as `mdfused` arms it. `snapshots` is the number of
-//! images the supervisor copied into its base, and `instances / cells`
-//! bounds it from above (plus one).
+//! kernel runs as `mdfused` runs it. `snapshots` is the number of images
+//! the supervisor copied into its base, and `instances / cells` bounds it
+//! from above (plus one).
 
 use std::time::Instant;
 
@@ -109,8 +109,7 @@ fn main() {
     println!("| grid | engine | barriers | snapshots | instances / cells | budgeted ms | supervised ms | ratio |");
     println!("|---|---|---|---|---|---|---|---|");
     for n in GRIDS {
-        let mut kernel = CompiledKernel::compile(&spec, n, n).expect("figure2 compiles");
-        kernel.arm(mode).expect("figure2's kernel verifies");
+        let kernel = CompiledKernel::compile(&spec, n, n).expect("figure2 compiles");
         let cells = kernel.layout().cells() as u64;
         row(
             "kernel",

@@ -19,11 +19,13 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 echo "==> cargo test --workspace"
 cargo test -q --workspace
 
-# The kernel's bounds checks on its armed path are debug_asserts, which
-# compile out in release, and the crate holds unsafe code: run its tests
-# in the build the benchmark and the CLI ship. The chaos recovery tests
-# drive the supervisor's restores and replays through armed kernels, so
-# they run in that build too.
+# The kernel's per-access checks are debug_asserts, which compile out in
+# release: there, each drive's bounds proof and the unsafe reads and
+# writes it licenses are all that keep the kernel inside its image, so
+# run the crate's tests (the proof's own among them) in the build the
+# benchmark and the CLI ship. The chaos recovery tests drive the
+# supervisor's restores and replays through those kernels, so they run
+# in that build too.
 echo "==> cargo test --release -p mdf-kernel, --test chaos_recovery"
 cargo test --release -q -p mdf-kernel
 cargo test --release -q --test chaos_recovery

@@ -250,28 +250,43 @@ fn supervisor_absorbs_worker_panics_at_every_barrier() {
     }
 }
 
+/// A program whose chunks are not idempotent: `A` triples `a` in place,
+/// so a chunk re-run over its own writes leaves other values than the
+/// first run did. It plans Algorithm 4's certified rows.
+const COMPOUNDING: &str = "program compounding {
+    arrays a, b;
+    do i {
+        doall A: j { a[i][j] = a[i][j] * 3 + b[i-1][j]; }
+        doall B: j { b[i][j] = a[i][j] + a[i-1][j+1]; }
+    }
+}";
+
 /// A `kernel.chunk.mid` panic fires after the chunk has written, so the
 /// retry needs the supervisor's restore: its base image, then a replay of
 /// the barriers after it. Fire one inside every barrier of every suite
-/// program, on two shapes, with each kernel armed where the verifier
-/// licenses it, as `mdfused` arms it. (A suite chunk re-run over its own
-/// writes happens to write the same values, so this proves the replay;
-/// the non-idempotent toy steps of `mdf_sim::recover`'s unit tests prove
-/// the restore.)
+/// program and of [`COMPOUNDING`], on two shapes, run as `mdfused` runs
+/// them. A suite chunk re-run over its own writes happens to write the
+/// same values, so the suite proves the replay; `COMPOUNDING`'s chunks
+/// compound, so only a restored retry matches the uninterrupted run.
 #[test]
 fn supervisor_replays_past_mid_chunk_panics_at_every_barrier() {
     let policy = RetryPolicy::deterministic();
-    for entry in executable_suite() {
-        let p = entry.program.expect("executable suite has programs");
+    let compounding = mdfusion::ir::parse_program(COMPOUNDING).expect("COMPOUNDING parses");
+    let programs = executable_suite()
+        .into_iter()
+        .map(|e| (e.id, e.program.expect("executable suite has programs")))
+        .chain([("compounding", compounding)]);
+    for (id, p) in programs {
         let Some((spec, _, planned, _)) = artifacts(&p) else {
+            assert_ne!(id, "compounding", "COMPOUNDING plans a fused schedule");
             continue;
         };
+        if id == "compounding" {
+            assert_eq!(planned, ExecMode::RowsCertified);
+        }
         for (n, m) in [(12, 10), (40, 33)] {
-            let compiled = CompiledKernel::compile(&spec, n, m).expect("suite specs compile");
+            let kernel = CompiledKernel::compile(&spec, n, m).expect("planned specs compile");
             for (mode, threads) in [(planned, 1), (planned, 4), (ExecMode::RowsSerial, 1)] {
-                let mut kernel = compiled.clone();
-                // A rejection leaves the kernel on the bounds-checked path.
-                let _ = kernel.arm(mode);
                 let (want_mem, want_stats) = kernel.run_with_threads(mode, threads);
                 for b in 1..=kernel.barrier_count(mode) {
                     let guard =
@@ -280,7 +295,7 @@ fn supervisor_replays_past_mid_chunk_panics_at_every_barrier() {
                     let out = kernel
                         .run_supervised(mode, threads, &policy, &mut meter)
                         .expect("supervised run does not surface recoverable faults");
-                    assert_eq!(guard.injected(), 1, "{}", entry.id);
+                    assert_eq!(guard.injected(), 1, "{id}");
                     drop(guard);
                     let SupervisedOutcome::Complete {
                         mem,
@@ -288,15 +303,9 @@ fn supervisor_replays_past_mid_chunk_panics_at_every_barrier() {
                         recovery,
                     } = out
                     else {
-                        panic!(
-                            "{}: one mid-chunk panic (barrier {b}) must not end partial",
-                            entry.id
-                        );
+                        panic!("{id}: one mid-chunk panic (barrier {b}) must not end partial");
                     };
-                    let at = format!(
-                        "{} {n}x{m} {mode:?} {threads} workers, barrier {b}",
-                        entry.id
-                    );
+                    let at = format!("{id} {n}x{m} {mode:?} {threads} workers, barrier {b}");
                     assert_eq!(mem.fingerprint(), want_mem.fingerprint(), "{at}");
                     assert_eq!(stats, want_stats, "{at}");
                     assert_eq!(recovery.retries, 1, "{at}");
@@ -318,8 +327,7 @@ fn resumed_supervision_replays_from_its_presented_image() {
         let Some((spec, _, planned, _)) = artifacts(&p) else {
             continue;
         };
-        let mut kernel = CompiledKernel::compile(&spec, 40, 33).expect("suite specs compile");
-        let _ = kernel.arm(planned);
+        let kernel = CompiledKernel::compile(&spec, 40, 33).expect("suite specs compile");
         let total = kernel.barrier_count(planned);
         let stop = total / 2;
         for threads in [1, 4] {
