@@ -70,7 +70,8 @@ use mdf_graph::{Budget, BudgetMeter, MdfError};
 use mdf_ir::retgen::FusedSpec;
 use mdf_kernel::CompiledKernel;
 use mdf_sim::{
-    align_plan_to_program, run_original_budgeted, run_traversal_budgeted, ExecStats, Traversal,
+    align_plan_to_program, run_original_budgeted, run_traversal_supervised, ExecStats, RetryPolicy,
+    Traversal,
 };
 use mdf_trace::json::{object, round, Field, Json, Presence, Schema, Type as T};
 use mdf_trace::Span;
@@ -368,11 +369,12 @@ fn bench_entry(
             EngineSamples {
                 engine: "interp",
                 body: Box::new(|meter| {
-                    // Timed rows must be whole runs: a deadline-truncated
-                    // partial outcome converts back to its typed cause
-                    // here.
+                    // Timed rows must be whole runs: a partial outcome
+                    // converts back to its typed cause here.
+                    let traversal = Traversal::of(&plan);
+                    let once = RetryPolicy::once();
                     let (mem, stats) =
-                        run_traversal_budgeted(&spec, Traversal::of(&plan), n, m, meter, None)?
+                        run_traversal_supervised(&spec, traversal, n, m, meter, &once, None)?
                             .into_complete()?;
                     Ok((mem.fingerprint(), stats))
                 }),

@@ -71,8 +71,8 @@ use mdf_service::proto::{ErrCode, Response, Submit};
 use mdf_service::transport::Endpoint;
 use mdf_service::{Client, Engine, Server, ServiceConfig};
 use mdf_sim::{
-    run_original, run_traversal, run_traversal_supervised, ExecStats, RecoveryStats, RetryPolicy,
-    SupervisedOutcome, Traversal,
+    run_original, run_traversal, run_traversal_supervised, Checkpoint, ExecStats, RecoveryStats,
+    RetryPolicy, Snapshot, SupervisedOutcome, Traversal,
 };
 use mdf_trace::json::{object, Field, Json, Schema, Type as T};
 use mdf_trace::Span;
@@ -359,70 +359,51 @@ fn classify(
         (false, true) => run_traversal(&spec, traversal, SWEEP_N, SWEEP_M).1,
         (false, false) => kernel.run_with_threads(mode, 1).1,
     };
-    let supervised = |meter: &mut BudgetMeter, resume| {
-        run_traversal_supervised(&spec, traversal, SWEEP_N, SWEEP_M, meter, policy, resume)
-    };
     if interp {
-        let run = catch_unwind(AssertUnwindSafe(|| supervised(&mut chaos.meter(), None)));
-        match run {
-            Err(p) => Class::UnhandledPanic(crate::panic_message(p)),
-            Ok(Err(_)) => Class::Detected,
-            Ok(Ok(SupervisedOutcome::Complete {
-                mem,
-                stats,
-                recovery: r,
-            })) => {
-                fold_recovery(recovery, &r);
-                complete_class(b, mem.fingerprint(), stats, want)
-            }
-            Ok(Ok(SupervisedOutcome::Partial {
-                mem,
-                checkpoint,
-                recovery: r,
-                ..
-            })) => {
-                fold_recovery(recovery, &r);
-                // Resume under a clean meter: the partial report's promise
-                // is that the checkpoint completes bit-identically.
-                let mut meter = Budget::unlimited().meter();
-                let resumed = supervised(&mut meter, Some((mem, checkpoint)));
-                partial_class(b, resumed, want, recovery, |m| m.fingerprint())
-            }
-        }
+        classify_drive(b, chaos, want, recovery, |meter, resume| {
+            run_traversal_supervised(&spec, traversal, SWEEP_N, SWEEP_M, meter, policy, resume)
+        })
     } else {
-        let run = catch_unwind(AssertUnwindSafe(|| {
-            let mut meter = chaos.meter();
-            kernel.run_supervised(mode, SWEEP_THREADS, policy, &mut meter)
-        }));
-        match run {
-            Err(p) => Class::UnhandledPanic(crate::panic_message(p)),
-            Ok(Err(_)) => Class::Detected,
-            Ok(Ok(SupervisedOutcome::Complete {
-                mem,
-                stats,
-                recovery: r,
-            })) => {
-                fold_recovery(recovery, &r);
-                complete_class(b, mem.fingerprint(), stats, want)
-            }
-            Ok(Ok(SupervisedOutcome::Partial {
-                mem,
-                checkpoint,
-                recovery: r,
-                ..
-            })) => {
-                fold_recovery(recovery, &r);
-                let mut meter = Budget::unlimited().meter();
-                let resumed = kernel.resume_supervised(
-                    mode,
-                    SWEEP_THREADS,
-                    policy,
-                    &mut meter,
-                    mem,
-                    checkpoint,
-                );
-                partial_class(b, resumed, want, recovery, |m| m.fingerprint())
-            }
+        classify_drive(b, chaos, want, recovery, |meter, resume| {
+            kernel.drive(mode, SWEEP_THREADS, policy, meter, resume)
+        })
+    }
+}
+
+/// Classifies one engine's drive under the armed fault: a completed run
+/// against the baseline, a partial one by its resume under a clean meter.
+/// `drive` runs the engine from a meter and an optional resume point;
+/// [`Snapshot::digest`] is each engine's fingerprint.
+fn classify_drive<M: Snapshot>(
+    b: &Baseline,
+    chaos: &Budget,
+    want: ExecStats,
+    recovery: &mut RecoveryStats,
+    drive: impl Fn(&mut BudgetMeter, Option<(M, Checkpoint)>) -> Result<SupervisedOutcome<M>, MdfError>,
+) -> Class {
+    let run = catch_unwind(AssertUnwindSafe(|| drive(&mut chaos.meter(), None)));
+    match run {
+        Err(p) => Class::UnhandledPanic(crate::panic_message(p)),
+        Ok(Err(_)) => Class::Detected,
+        Ok(Ok(SupervisedOutcome::Complete {
+            mem,
+            stats,
+            recovery: r,
+        })) => {
+            fold_recovery(recovery, &r);
+            complete_class(b, mem.digest(), stats, want)
+        }
+        Ok(Ok(SupervisedOutcome::Partial {
+            mem,
+            checkpoint,
+            recovery: r,
+            ..
+        })) => {
+            fold_recovery(recovery, &r);
+            // Resume under a clean meter: the partial report's promise is
+            // that the checkpoint completes bit-identically.
+            let resumed = drive(&mut Budget::unlimited().meter(), Some((mem, checkpoint)));
+            partial_class(b, resumed, want, recovery)
         }
     }
 }
@@ -445,12 +426,11 @@ fn complete_class(b: &Baseline, fp: u64, stats: ExecStats, want: ExecStats) -> C
 }
 
 /// Classifies a partial outcome by the result of its clean resume.
-fn partial_class<M>(
+fn partial_class<M: Snapshot>(
     b: &Baseline,
     resumed: Result<SupervisedOutcome<M>, MdfError>,
     want: ExecStats,
     recovery: &mut RecoveryStats,
-    fp: impl Fn(&M) -> u64,
 ) -> Class {
     match resumed {
         Ok(SupervisedOutcome::Complete {
@@ -459,7 +439,7 @@ fn partial_class<M>(
             recovery: r,
         }) => {
             fold_recovery(recovery, &r);
-            match complete_class(b, fp(&mem), stats, want) {
+            match complete_class(b, mem.digest(), stats, want) {
                 Class::Recovered => Class::Partial,
                 wrong => wrong,
             }

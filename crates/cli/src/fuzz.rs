@@ -62,7 +62,7 @@ use mdf_kernel::{plan_mode as kernel_plan_mode, CompiledKernel, ExecMode};
 use mdf_retime::Retiming;
 use mdf_sim::{
     align_partial_to_program, align_plan_to_program, check_hyperplanes_doall, check_plan_budgeted,
-    check_rows_doall, RetryPolicy, RunOutcome, SupervisedOutcome,
+    check_rows_doall, RetryPolicy, SupervisedOutcome,
 };
 
 use crate::CliError;
@@ -301,7 +301,7 @@ fn check_kernel_oracle(p: &Program, plan: &FusionPlan, budget: &Budget) -> Resul
     let mut meter = budget.meter();
     let (kmem, kstats) = kernel
         .run_budgeted(mode, &mut meter)
-        .and_then(mdf_sim::RunOutcome::into_complete)
+        .and_then(SupervisedOutcome::into_complete)
         .map_err(|e| stage_error("kernel run", e))?;
     let (imem, istats) = mdf_sim::run_original(p, SIM_N, SIM_M);
     if kmem.fingerprint() != imem.fingerprint() {
@@ -479,11 +479,13 @@ fn check_bytecode_oracle(p: &Program, plan: &FusionPlan, seed: u64) -> Result<()
                 })
             }));
             match ran {
-                Ok(Ok(RunOutcome::Complete { .. })) => Ok(()),
-                Ok(Ok(RunOutcome::Partial { cause, .. }) | Err(cause)) => Err(fail(format!(
-                    "bytecode oracle: verifier accepted a mutant ({what}) whose \
-                     drive in mode {mode:?} did not complete: {cause}"
-                ))),
+                Ok(Ok(SupervisedOutcome::Complete { .. })) => Ok(()),
+                Ok(Ok(SupervisedOutcome::Partial { cause, .. }) | Err(cause)) => {
+                    Err(fail(format!(
+                        "bytecode oracle: verifier accepted a mutant ({what}) whose \
+                         drive in mode {mode:?} did not complete: {cause}"
+                    )))
+                }
                 Err(_) => Err(fail(format!(
                     "bytecode oracle: verifier accepted a mutant ({what}) \
                      whose run panics in mode {mode:?}"

@@ -413,10 +413,12 @@ fn cmd_run(
         "interp" => {
             let exec = span.child("execute");
             let traversal = mdf_sim::Traversal::of(&plan);
-            let out = mdf_sim::run_traversal_budgeted(&spec, traversal, n, m, &mut meter, None)?;
+            let once = mdf_sim::RetryPolicy::once();
+            let out =
+                mdf_sim::run_traversal_supervised(&spec, traversal, n, m, &mut meter, &once, None)?;
             mdf_sim::traced::report(&exec, &out.stats());
-            // `run` wants a full answer: a deadline-truncated partial
-            // outcome converts back to its typed cause (exit 5).
+            // `run` wants a full answer: a partial outcome converts back
+            // to its typed cause (a deadline exits 5, a caught panic 1).
             let (mem, stats) = out.into_complete()?;
             exec.finish();
             (mem.fingerprint(), stats, "interp".to_string())

@@ -34,11 +34,12 @@
 //! allocates, every drive proves that each lowered loop's accesses stay
 //! inside the image (one check per loop, from the corners of the box the
 //! loop runs and its extreme deltas), so each step kind has one body,
-//! whose per-access checks are debug assertions. Every run
-//! walks that plan through `mdf-sim`'s barrier drivers
-//! (`mdf_sim::drive_budgeted`, `mdf_sim::supervise_run`), the same ones
-//! the interpreter uses, which own the barrier-top gate and the
-//! per-barrier iteration charge. Counters
+//! whose per-access checks are debug assertions. Every run, plain,
+//! budgeted or supervised, walks that plan through one entry,
+//! [`CompiledKernel::drive`], over `mdf-sim`'s barrier driver
+//! (`mdf_sim::supervise_run`), the one the interpreter uses, which owns
+//! the barrier-top gate and the per-barrier iteration charge; a plain or
+//! budgeted run is a one-attempt drive (`RetryPolicy::once`). Counters
 //! ([`ExecStats`]) count one barrier per fused row or tile wave and one
 //! statement instance per executed assignment, so BENCH reports are
 //! directly comparable across engines.
@@ -51,10 +52,7 @@ use mdf_analyze::bytecode::{
 use mdf_analyze::Diagnostic;
 use mdf_graph::{Budget, BudgetMeter, IVec2, MdfError};
 use mdf_ir::retgen::{FusedSpec, IRange};
-use mdf_sim::{
-    drive_budgeted, supervise_run, Checkpoint, ExecStats, RetryPolicy, RunOutcome, Snapshot,
-    SupervisedOutcome,
-};
+use mdf_sim::{supervise_run, Checkpoint, ExecStats, RetryPolicy, Snapshot, SupervisedOutcome};
 use mdf_trace::Span;
 use rayon::prelude::*;
 
@@ -491,67 +489,35 @@ impl CompiledKernel {
     /// `loops_mut` past the image, which the bounds proof refuses.
     pub fn run_with_threads(&self, mode: ExecMode, threads: usize) -> (KernelMemory, ExecStats) {
         // Lowering keeps every loop in bounds and an unlimited meter
-        // cannot trip, so the budgeted driver is total.
+        // cannot trip, so the one-attempt drive is total.
         #[allow(clippy::expect_used)]
-        self.run_metered(mode, threads, &mut Budget::unlimited().meter(), None)
-            .and_then(RunOutcome::into_complete)
-            .expect("an unbudgeted drive of lowered loops cannot fail")
+        self.drive(
+            mode,
+            threads,
+            &RetryPolicy::once(),
+            &mut Budget::unlimited().meter(),
+            None,
+        )
+        .and_then(SupervisedOutcome::into_complete)
+        .expect("an unbudgeted drive of lowered loops cannot fail")
     }
 
-    /// Runs under a resource budget: cells charged before allocation, the
-    /// deadline re-checked and statement instances charged at every
-    /// barrier (fused row or tile wave), through the same budgeted driver
-    /// as the interpreter (`mdf_sim::drive_budgeted`). Deadline expiry at
-    /// a barrier top does not discard completed work: it returns
-    /// [`RunOutcome::Partial`] with the live image and a resumable
-    /// [`Checkpoint`]; every other budget trip stays a typed error.
+    /// Runs under a resource budget with the host's thread count: a
+    /// one-attempt [`CompiledKernel::drive`] ([`RetryPolicy::once`]).
+    /// Cells are charged before allocation, and the deadline re-checked
+    /// and statement instances charged at every barrier (fused row or tile
+    /// wave). A deadline at a barrier top, or a panic inside a step, does
+    /// not discard completed work: it returns a
+    /// [`SupervisedOutcome::Partial`] with the failed barrier's clean top
+    /// and a resumable [`Checkpoint`]; every other budget trip stays a
+    /// typed error.
     pub fn run_budgeted(
         &self,
         mode: ExecMode,
         meter: &mut BudgetMeter,
-    ) -> Result<RunOutcome<KernelMemory>, MdfError> {
-        self.run_metered(mode, rayon::current_num_threads(), meter, None)
-    }
-
-    /// Continues a budgeted run from a [`Checkpoint`] produced by an
-    /// earlier partial outcome, against the memory image that outcome
-    /// carried (digest-verified, and refused typed unless it is laid out
-    /// as this kernel's own). Memory cells are *not* re-charged: the
-    /// image is presented, not allocated.
-    pub fn resume_budgeted(
-        &self,
-        mode: ExecMode,
-        mem: KernelMemory,
-        checkpoint: Checkpoint,
-        meter: &mut BudgetMeter,
-    ) -> Result<RunOutcome<KernelMemory>, MdfError> {
-        self.run_metered(
-            mode,
-            rayon::current_num_threads(),
-            meter,
-            Some((mem, checkpoint)),
-        )
-    }
-
-    /// The budgeted drive of `mode` under `threads` workers, from fresh
-    /// memory or from `resume`, once its bounds are proved.
-    fn run_metered(
-        &self,
-        mode: ExecMode,
-        threads: usize,
-        meter: &mut BudgetMeter,
-        resume: Option<(KernelMemory, Checkpoint)>,
-    ) -> Result<RunOutcome<KernelMemory>, MdfError> {
-        self.prove_bounds(resume.as_ref().map(|(mem, _)| mem))?;
-        let steps = self.steps(mode);
-        drive_budgeted(
-            self.barriers(&steps),
-            "kernel.barrier",
-            meter,
-            resume,
-            |meter| self.alloc(meter, threads),
-            |mem, barrier, meter| self.chunk(&steps, mem, barrier, threads, meter),
-        )
+    ) -> Result<SupervisedOutcome<KernelMemory>, MdfError> {
+        let threads = rayon::current_num_threads();
+        self.drive(mode, threads, &RetryPolicy::once(), meter, None)
     }
 
     /// Proves, before a drive allocates, that every load and store it can
@@ -629,7 +595,7 @@ impl CompiledKernel {
         Ok(KernelMemory::with_threads(self.layout, threads))
     }
 
-    /// One barrier of a metered drive: [`Self::step`], then the
+    /// One barrier of a drive: [`Self::step`], then the
     /// `kernel.chunk.mid` fault site. The site fires *after* the chunk's
     /// writes, so only a panic is sound there (the supervisor restores
     /// its base image and replays the barriers after it).
@@ -662,15 +628,8 @@ impl CompiledKernel {
         }
     }
 
-    /// Runs the kernel under the supervising executor
-    /// (`mdf_sim::supervise_run`): one chunk per barrier, recoverable
-    /// failures (caught worker panics, deadline reports) retried per
-    /// `policy` with multi-thread → serial degradation. A failure inside
-    /// a chunk is undone by restoring the supervisor's base image and
-    /// replaying the barriers after it on a quiet meter; the base is
-    /// copied (into a reused buffer) only once the work since its last
-    /// copy reaches the image's cell count. A completed supervised run
-    /// is bit-identical to an uninterrupted one.
+    /// A supervised run from fresh memory: [`CompiledKernel::drive`]
+    /// without a resume point.
     pub fn run_supervised(
         &self,
         mode: ExecMode,
@@ -678,25 +637,23 @@ impl CompiledKernel {
         policy: &RetryPolicy,
         meter: &mut BudgetMeter,
     ) -> Result<SupervisedOutcome<KernelMemory>, MdfError> {
-        self.supervise(mode, threads, policy, meter, None)
+        self.drive(mode, threads, policy, meter, None)
     }
 
-    /// As [`CompiledKernel::run_supervised`], continuing from a prior
-    /// checkpoint (digest-verified, and refused typed unless its image is
-    /// laid out as this kernel's own) instead of fresh memory.
-    pub fn resume_supervised(
-        &self,
-        mode: ExecMode,
-        threads: usize,
-        policy: &RetryPolicy,
-        meter: &mut BudgetMeter,
-        mem: KernelMemory,
-        checkpoint: Checkpoint,
-    ) -> Result<SupervisedOutcome<KernelMemory>, MdfError> {
-        self.supervise(mode, threads, policy, meter, Some((mem, checkpoint)))
-    }
-
-    fn supervise(
+    /// The one drive of every run: `mode` under `threads` workers, once
+    /// the bounds are proved, through the barrier driver
+    /// `mdf_sim::supervise_run`, one chunk per barrier, from fresh memory
+    /// or from `resume` (its digest verified, its layout required to be
+    /// this kernel's own, its cells not re-charged). Recoverable failures
+    /// (caught worker panics, deadline reports) are retried per `policy`
+    /// with multi-thread → serial degradation; a failure inside a chunk is
+    /// undone by restoring the driver's base image and replaying the
+    /// barriers after it on a quiet meter, and the base is copied (into a
+    /// reused buffer) only once the work since its last copy reaches the
+    /// image's cell count. A completed run is bit-identical to an
+    /// uninterrupted one; a [`SupervisedOutcome::Partial`] carries the
+    /// failed barrier's clean top and a resumable [`Checkpoint`].
+    pub fn drive(
         &self,
         mode: ExecMode,
         threads: usize,
@@ -745,7 +702,7 @@ impl CompiledKernel {
         mode: ExecMode,
         meter: &mut BudgetMeter,
         span: &Span,
-    ) -> Result<RunOutcome<KernelMemory>, MdfError> {
+    ) -> Result<SupervisedOutcome<KernelMemory>, MdfError> {
         let out = self.run_budgeted(mode, meter)?;
         self.report_exec(mode, rayon::current_num_threads(), &out.stats(), span);
         Ok(out)
@@ -1177,15 +1134,18 @@ mod tests {
 
         // Expire the deadline at every barrier index in turn; each stop
         // must be resumable to the exact uninterrupted image and counters.
+        let once = RetryPolicy::once();
+        let threads = rayon::current_num_threads();
         for b in 1..=total {
             let guard = FaultPlan::single("kernel.barrier", FaultKind::DeadlineExpiry, b).arm();
             let mut meter = Budget::unlimited().with_chaos().meter();
             let out = k.run_budgeted(mode, &mut meter).unwrap();
             drop(guard);
-            let RunOutcome::Partial {
+            let SupervisedOutcome::Partial {
                 mem,
                 checkpoint,
                 cause,
+                ..
             } = out
             else {
                 panic!("expected a partial outcome at barrier {b}");
@@ -1196,7 +1156,7 @@ mod tests {
 
             let mut meter = Budget::unlimited().meter();
             let (rmem, rstats) = k
-                .resume_budgeted(mode, mem, checkpoint, &mut meter)
+                .drive(mode, threads, &once, &mut meter, Some((mem, checkpoint)))
                 .unwrap()
                 .into_complete()
                 .unwrap();
@@ -1215,7 +1175,7 @@ mod tests {
         let k = CompiledKernel::compile(&spec, 6, 6).unwrap();
         let guard = FaultPlan::single("kernel.barrier", FaultKind::DeadlineExpiry, 2).arm();
         let mut meter = Budget::unlimited().with_chaos().meter();
-        let RunOutcome::Partial {
+        let SupervisedOutcome::Partial {
             mut mem,
             checkpoint,
             ..
@@ -1226,8 +1186,9 @@ mod tests {
         drop(guard);
         mem.data_mut()[0] ^= 1;
         let mut meter = Budget::unlimited().meter();
+        let resume = Some((mem, checkpoint));
         assert!(k
-            .resume_budgeted(mode, mem, checkpoint, &mut meter)
+            .drive(mode, 1, &RetryPolicy::once(), &mut meter, resume)
             .is_err());
     }
 

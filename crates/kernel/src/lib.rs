@@ -18,7 +18,8 @@
 //! * [`memory`] — [`KernelMemory`], the dense buffer, laid out exactly
 //!   like `mdf_sim::Memory` so fingerprints are directly comparable;
 //! * [`exec`] — the step drivers: tiled row-DOALL and tiled hyperplane
-//!   wavefront, writing **in place**.
+//!   wavefront, writing **in place**, every run through one drive
+//!   ([`CompiledKernel::drive`]) over `mdf-sim`'s barrier driver.
 //!
 //! ## In-place safety argument
 //!

@@ -2,7 +2,8 @@
 //! that would reach past either end of the image is refused with a typed
 //! error in every step kind, a loop widened past the swept space runs
 //! only the box the proof covers, a resume image laid out for another
-//! kernel is refused by both resume entry points, and every honest drive
+//! kernel is refused by the drive under a one-attempt and a retrying
+//! policy alike, and every honest drive
 //! executes exactly the statement instances of that box.
 //!
 //! `scripts/check.sh` runs these tests in release too, where the kernel's
@@ -22,7 +23,7 @@ use mdf_ir::extract::extract_mldg;
 use mdf_ir::retgen::FusedSpec;
 use mdf_ir::samples::figure2_program;
 use mdf_kernel::{plan_mode, CompiledKernel, ExecMode, Instr, KernelMemory};
-use mdf_sim::{align_plan_to_program, run_original, Checkpoint, RetryPolicy, RunOutcome};
+use mdf_sim::{align_plan_to_program, run_original, Checkpoint, RetryPolicy, SupervisedOutcome};
 
 /// Width of the kernel's column tiles: a certified row at least twice
 /// this wide splits across the workers.
@@ -308,7 +309,7 @@ fn partial(k: &CompiledKernel, mode: ExecMode) -> (KernelMemory, Checkpoint) {
         .run_budgeted(mode, &mut meter)
         .expect("a deadline is partial");
     drop(guard);
-    let RunOutcome::Partial {
+    let SupervisedOutcome::Partial {
         mem, checkpoint, ..
     } = out
     else {
@@ -329,18 +330,10 @@ fn resuming_from_an_image_of_other_bounds_is_refused() {
             }
             other => panic!("a foreign image must be refused, got {other:?}"),
         };
-        let (mem, checkpoint) = partial(foreign, mode);
-        let mut meter = Budget::unlimited().meter();
-        refused(
-            k.resume_budgeted(mode, mem, checkpoint, &mut meter)
-                .map(|_| ()),
-        );
-        let (mem, checkpoint) = partial(foreign, mode);
-        let mut meter = Budget::unlimited().meter();
-        let policy = RetryPolicy::deterministic();
-        refused(
-            k.resume_supervised(mode, 1, &policy, &mut meter, mem, checkpoint)
-                .map(|_| ()),
-        );
+        for policy in [RetryPolicy::once(), RetryPolicy::deterministic()] {
+            let resume = Some(partial(foreign, mode));
+            let mut meter = Budget::unlimited().meter();
+            refused(k.drive(mode, 1, &policy, &mut meter, resume).map(|_| ()));
+        }
     }
 }

@@ -17,9 +17,9 @@
 //!   partial-fusion plans.
 //!
 //! [`Traversal::of`] picks the order a fully fused plan runs in. Every
-//! traversal runs through the same three entry points: [`run_traversal`]
-//! (plain), [`run_traversal_budgeted`] and [`run_traversal_supervised`],
-//! the last two over the shared barrier drivers in [`crate::recover`].
+//! traversal runs through one drive, [`run_traversal_supervised`], over
+//! the barrier driver in [`crate::recover`]; [`run_traversal`] is that
+//! drive under [`RetryPolicy::once`] on an unlimited meter.
 //! [`check_plan`] runs the full pipeline for a plan and compares every
 //! memory image against the original program's.
 
@@ -31,9 +31,7 @@ use mdf_ir::retgen::{FusedSpec, IRange};
 use mdf_retime::{Retiming, Wavefront};
 
 use crate::interp::{eval_expr, run_original_budgeted, ExecStats, Memory};
-use crate::recover::{
-    drive_budgeted, supervise_run, Checkpoint, RetryPolicy, RunOutcome, SupervisedOutcome,
-};
+use crate::recover::{supervise_run, Checkpoint, RetryPolicy, SupervisedOutcome};
 
 /// Inner-loop traversal order for fused row execution.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -238,38 +236,8 @@ fn wavefront_buckets(spec: &FusedSpec, s: IVec2, n: i64, m: i64) -> Vec<Vec<(i64
     buckets.into_values().collect()
 }
 
-/// Runs `spec` over `(n, m)` in `traversal` order under a resource
-/// budget, through [`drive_budgeted`]: typed error for non-executable
-/// specs, cells charged at allocation (never on resume), the deadline
-/// re-checked and the `sim.barrier` fault site consulted at every barrier
-/// top, and statement instances charged per barrier. Deadline expiry at a
-/// barrier top returns [`RunOutcome::Partial`] with the completed
-/// barriers and a resumable [`Checkpoint`]; passing that image and
-/// checkpoint back as `resume` continues the run (digest-verified), and a
-/// completed resume is bit-identical to an uninterrupted run. Guards keep
-/// every access within `max_offset` of `[0,n]x[0,m]`, so the fused run
-/// uses the same allocation as the reference interpreter and the final
-/// memory images are directly comparable.
-pub fn run_traversal_budgeted(
-    spec: &FusedSpec,
-    traversal: Traversal<'_>,
-    n: i64,
-    m: i64,
-    meter: &mut BudgetMeter,
-    resume: Option<(Memory, Checkpoint)>,
-) -> Result<RunOutcome<Memory>, MdfError> {
-    let walk = Walk::new(spec, traversal, n, m)?;
-    drive_budgeted(
-        walk.barriers(),
-        "sim.barrier",
-        meter,
-        resume,
-        |meter| alloc_budgeted(spec, n, m, meter),
-        |mem, b, _| Ok(walk.step(mem, b)),
-    )
-}
-
-/// [`run_traversal_budgeted`] on an unlimited meter: the whole run.
+/// [`run_traversal_supervised`] under [`RetryPolicy::once`] on an
+/// unlimited meter: the whole run.
 ///
 /// One barrier is charged per step — the synchronization saving the
 /// paper reports (Section 4.2's `7n` vs `n - 2` arithmetic comes from the
@@ -283,15 +251,16 @@ pub fn run_traversal(
     // Executability of `spec` is a documented precondition of this API,
     // and an unlimited meter cannot trip.
     #[allow(clippy::expect_used)]
-    run_traversal_budgeted(
+    run_traversal_supervised(
         spec,
         traversal,
         n,
         m,
         &mut Budget::unlimited().meter(),
+        &RetryPolicy::once(),
         None,
     )
-    .and_then(RunOutcome::into_complete)
+    .and_then(SupervisedOutcome::into_complete)
     .expect("fused spec has a (0,0)-dependence cycle: input was not executable")
 }
 
@@ -310,14 +279,24 @@ pub fn run_wavefront(
     run_traversal(spec, Traversal::Wavefront(wavefront), n, m)
 }
 
-/// Supervised fused execution: `traversal` driven barrier by barrier
-/// through [`supervise_run`] — a resumable checkpoint at every barrier,
-/// kept as one base image plus a deterministic replay of the barriers
-/// after it, retry with deterministic backoff on recoverable failures,
-/// typed partial report once the ladder is exhausted. `resume` continues
-/// from a prior checkpoint (digest-verified). The interpreter is
-/// single-threaded, so the degradation ladder's thread step is a no-op
-/// here (the kernel supervisor exercises it for real).
+/// Runs `spec` over `(n, m)` in `traversal` order under a resource
+/// budget, driven barrier by barrier through [`supervise_run`]: typed
+/// error for non-executable specs, cells charged at allocation (never on
+/// resume), the deadline re-checked and the `sim.barrier` fault site
+/// consulted at every barrier top, and statement instances charged per
+/// barrier. Every barrier top is a resumable checkpoint, kept as one base
+/// image plus a deterministic replay of the barriers after it; a
+/// recoverable failure is retried per `policy`, and once its attempts are
+/// spent (at the first failure under [`RetryPolicy::once`]) the run ends
+/// as a [`SupervisedOutcome::Partial`] with the completed barriers and a
+/// resumable [`Checkpoint`]. Passing that image and checkpoint back as
+/// `resume` continues the run (digest-verified), and a completed resume
+/// is bit-identical to an uninterrupted run. Guards keep every access
+/// within `max_offset` of `[0,n]x[0,m]`, so the fused run uses the same
+/// allocation as the reference interpreter and the final memory images
+/// are directly comparable. The interpreter is single-threaded, so the
+/// degradation ladder's thread step is a no-op here (the kernel
+/// exercises it for real).
 pub fn run_traversal_supervised(
     spec: &FusedSpec,
     traversal: Traversal<'_>,
@@ -520,8 +499,10 @@ pub fn check_plan_budgeted(
     let spec = FusedSpec::new(program.clone(), plan.retiming().offsets().to_vec());
     // A partial run cannot support a differential verdict, so the typed
     // cause propagates as abnormal termination here (`into_complete`).
-    let mut run =
-        |traversal| run_traversal_budgeted(&spec, traversal, n, m, meter, None)?.into_complete();
+    let once = RetryPolicy::once();
+    let mut run = |traversal| {
+        run_traversal_supervised(&spec, traversal, n, m, meter, &once, None)?.into_complete()
+    };
 
     let (fused_mem, fused_stats) = run(Traversal::Rows(RowOrder::Ascending))?;
     if fused_mem != reference {
@@ -565,12 +546,13 @@ pub fn check_partial_budgeted(
 ) -> Result<Result<SimReport, SimError>, MdfError> {
     let (reference, ref_stats) = run_original_budgeted(program, n, m, meter)?;
     let spec = FusedSpec::new(program.clone(), plan.retiming.offsets().to_vec());
-    let (part_mem, part_stats) = run_traversal_budgeted(
+    let (part_mem, part_stats) = run_traversal_supervised(
         &spec,
         Traversal::Clusters(&plan.clusters),
         n,
         m,
         meter,
+        &RetryPolicy::once(),
         None,
     )?
     .into_complete()?;
@@ -808,7 +790,8 @@ mod budgeted_tests {
         let mut meter = Budget::unlimited().meter();
         let (reference, _) = run_original(&p, 8, 8);
         let ascending = Traversal::Rows(RowOrder::Ascending);
-        let (fused, _) = run_traversal_budgeted(&spec, ascending, 8, 8, &mut meter, None)
+        let once = RetryPolicy::once();
+        let (fused, _) = run_traversal_supervised(&spec, ascending, 8, 8, &mut meter, &once, None)
             .unwrap()
             .into_complete()
             .unwrap();

@@ -2,7 +2,7 @@
 //! semantics — outer loop sequential, each innermost DOALL loop running to
 //! completion (one barrier) before the next loop starts.
 
-use mdf_graph::{BudgetMeter, MdfError};
+use mdf_graph::{Budget, BudgetMeter, MdfError};
 use mdf_ir::ast::{ArrayRef, Expr, Program};
 
 use crate::array2::Array2;
@@ -118,27 +118,17 @@ pub struct ExecStats {
 }
 
 /// Runs the program with the original (unfused) semantics over
-/// `i in 0..=n`, `j in 0..=m`. Returns final memory and counters.
+/// `i in 0..=n`, `j in 0..=m`. Returns final memory and counters:
+/// [`run_original_budgeted`] on an unlimited meter.
 ///
 /// Per the program model the innermost loops are DOALL, so executing `j`
 /// ascending is a valid serialization; dependence analysis rejects
 /// programs for which it would not be.
 pub fn run_original(p: &Program, n: i64, m: i64) -> (Memory, ExecStats) {
-    let mut mem = Memory::for_program(p, n, m, 0);
-    let mut stats = ExecStats::default();
-    for i in 0..=n {
-        for l in &p.loops {
-            for j in 0..=m {
-                for s in &l.stmts {
-                    let v = eval_expr(&mem, &s.rhs, i, j);
-                    mem.write(&s.lhs, i, j, v);
-                    stats.stmt_instances += 1;
-                }
-            }
-            stats.barriers += 1; // the DOALL loop completes: one barrier
-        }
-    }
-    (mem, stats)
+    // An unlimited meter cannot trip.
+    #[allow(clippy::expect_used)]
+    run_original_budgeted(p, n, m, &mut Budget::unlimited().meter())
+        .expect("an unlimited meter cannot trip")
 }
 
 /// [`run_original`] under a resource budget: memory cells are charged at

@@ -17,10 +17,11 @@
 //!   behind the Section 5 comparisons;
 //! * [`cache`] — set-associative LRU cache simulation measuring the
 //!   data-locality benefit of fusion (the paper's Section 2 motivation);
-//! * [`recover`] — checkpoint/resume substrate and the two barrier
-//!   drivers both engines run on: budgeted (typed partial reports on a
-//!   deadline) and supervised (barrier-granular recovery from one base
-//!   image plus a deterministic replay, retry with backoff);
+//! * [`recover`] — checkpoint/resume substrate and the one barrier
+//!   driver both engines run on, `supervise_run`: barrier-granular
+//!   recovery from one base image plus a deterministic replay, and a
+//!   typed partial report once a [`RetryPolicy`]'s attempts are spent
+//!   (one attempt, [`RetryPolicy::once`], for a plain or budgeted run);
 //! * [`traced`] — the `sim.*` counters a traced run reports.
 
 #![warn(missing_docs)]
@@ -41,9 +42,8 @@ pub use cache::{cache_fused, cache_original, Cache, CacheConfig, CacheStats};
 pub use doall_check::{check_hyperplanes_doall, check_rows_doall, DoallViolation};
 pub use exec_plan::{
     align_partial_to_program, align_plan_to_program, check_partial_budgeted, check_plan,
-    check_plan_budgeted, run_fused, run_fused_supervised, run_traversal, run_traversal_budgeted,
-    run_traversal_supervised, run_wavefront, run_wavefront_supervised, RowOrder, SimError,
-    SimReport, Traversal,
+    check_plan_budgeted, run_fused, run_fused_supervised, run_traversal, run_traversal_supervised,
+    run_wavefront, run_wavefront_supervised, RowOrder, SimError, SimReport, Traversal,
 };
 pub use interp::{eval_expr, run_original, run_original_budgeted, ExecStats, Memory};
 pub use machine::{
@@ -51,7 +51,7 @@ pub use machine::{
     MachineParams, Makespan,
 };
 pub use recover::{
-    check_resume, deadline_expired, drive_budgeted, supervise_run, Checkpoint, RecoveryStats,
-    RetryPolicy, RunOutcome, Snapshot, SupervisedOutcome,
+    deadline_expired, supervise_run, Checkpoint, RecoveryStats, RetryPolicy, Snapshot,
+    SupervisedOutcome,
 };
 pub use spaceviz::{render_row_space, render_wavefront_space};

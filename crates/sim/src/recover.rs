@@ -1,32 +1,30 @@
-//! Checkpoint/resume substrate and the supervising executor.
+//! Checkpoint/resume substrate and the one barrier driver.
 //!
 //! Fused execution synchronizes at barriers (fused rows, wavefront
 //! groups, cluster steps), and the planner's legality proof makes each
 //! barrier a *sound resume point*: the memory image after `k` completed
 //! barriers is exactly the image any uninterrupted run has at that point.
-//! This module exploits that twice:
+//! [`supervise_run`] exploits that twice. It drives an execution barrier
+//! by barrier, and a *recoverable* failure (a caught worker panic, a
+//! deadline report) is either retried, with bounded exponential backoff
+//! and multi-thread → serial degradation, or, once the policy's attempts
+//! are spent, ends the run as a [`SupervisedOutcome::Partial`] carrying
+//! the failed barrier's clean memory image, a [`Checkpoint`]
+//! (completed-barrier count, counters, snapshot hash) and the typed
+//! cause, so a caller can report progress or resume later with a fresh
+//! budget. It keeps one older *base* image instead of a copy per barrier:
+//! steps are deterministic, so the base plus a replay of the barriers
+//! after it reproduces any barrier top bit for bit, and a recovered run
+//! is bit-identical to an uninterrupted one.
 //!
-//! * **Partial results.** [`drive_budgeted`] does not discard completed
-//!   work on deadline expiry — it returns [`RunOutcome::Partial`]
-//!   carrying the live memory image, a [`Checkpoint`] (completed-barrier
-//!   count, counters, snapshot hash) and the typed cause, so a caller can
-//!   report progress or resume later with a fresh budget.
-//! * **Supervision.** [`supervise_run`] drives an execution barrier by
-//!   barrier and retries a *recoverable* failure (a caught worker panic,
-//!   a deadline report) with bounded exponential backoff, degrading
-//!   multi-thread → serial per the planning ladder's spirit; once
-//!   attempts are exhausted it returns a typed partial report. It keeps
-//!   one older *base* image instead of a copy per barrier: steps are
-//!   deterministic, so the base plus a replay of the barriers after it
-//!   reproduces any barrier top bit for bit, and a recovered run is
-//!   bit-identical to an uninterrupted one.
-//!
-//! These two drivers are the only barrier loops of both engines (the
+//! This driver is the only barrier loop of both engines (the
 //! interpreter's traversals in [`crate::exec_plan`] and `mdf-kernel`'s
-//! step plans). Each engine supplies an allocation, a barrier count and a
-//! step; the drivers own the rest: the barrier-top gate (deadline, then
-//! the engine's `*.barrier` fault site), the per-barrier iteration charge
-//! after the step, and the resume check.
+//! step plans), and a [`RetryPolicy`] is all that tells a plain or
+//! budgeted run ([`RetryPolicy::once`]: one attempt, no retry) from a
+//! supervised one. Each engine supplies an allocation, a barrier count
+//! and a step; the driver owns the rest: the barrier-top gate (deadline,
+//! then the engine's `*.barrier` fault site), the per-barrier iteration
+//! charge after the step, and the resume check.
 //!
 //! Backoff is deterministic (a fixed doubling schedule); tests and the
 //! chaos sweep run it in *virtual time* ([`RetryPolicy::virtual_time`]),
@@ -75,73 +73,6 @@ pub struct Checkpoint {
     pub snapshot_hash: u64,
 }
 
-/// How a budgeted run ended: fully, or at a barrier boundary with a
-/// resumable checkpoint (deadline expiry — the one budget trip for which
-/// completed work is still sound and worth keeping).
-#[derive(Clone, Debug)]
-pub enum RunOutcome<M> {
-    /// The run executed every barrier.
-    Complete {
-        /// Final memory image.
-        mem: M,
-        /// Execution counters.
-        stats: ExecStats,
-    },
-    /// The run stopped at a barrier boundary.
-    Partial {
-        /// Memory image after the last completed barrier (clean: partial
-        /// runs stop only at barrier tops, never mid-chunk).
-        mem: M,
-        /// Where to resume.
-        checkpoint: Checkpoint,
-        /// The typed reason the run stopped.
-        cause: MdfError,
-    },
-}
-
-impl<M: Snapshot> RunOutcome<M> {
-    /// Builds a partial outcome at a barrier boundary, stamping the
-    /// checkpoint with the image's digest. For drivers (here and in
-    /// `mdf-kernel`) whose memory is clean at the stop point.
-    pub fn partial(mem: M, completed_barriers: u64, stats: ExecStats, cause: MdfError) -> Self {
-        let snapshot_hash = mem.digest();
-        RunOutcome::Partial {
-            mem,
-            checkpoint: Checkpoint {
-                completed_barriers,
-                stats,
-                snapshot_hash,
-            },
-            cause,
-        }
-    }
-}
-
-impl<M> RunOutcome<M> {
-    /// `true` for [`RunOutcome::Complete`].
-    pub fn is_complete(&self) -> bool {
-        matches!(self, RunOutcome::Complete { .. })
-    }
-
-    /// Extracts a complete result, converting a partial one back into its
-    /// typed cause — for callers (differential checks, benchmarks) whose
-    /// verdict is meaningless on partial work.
-    pub fn into_complete(self) -> Result<(M, ExecStats), MdfError> {
-        match self {
-            RunOutcome::Complete { mem, stats } => Ok((mem, stats)),
-            RunOutcome::Partial { cause, .. } => Err(cause),
-        }
-    }
-
-    /// The execution counters accumulated so far (final on complete runs).
-    pub fn stats(&self) -> ExecStats {
-        match self {
-            RunOutcome::Complete { stats, .. } => *stats,
-            RunOutcome::Partial { checkpoint, .. } => checkpoint.stats,
-        }
-    }
-}
-
 /// Whether `e` is a deadline report — the budget trip that converts to a
 /// partial result instead of an error (every other resource trip means
 /// retrying or resuming cannot help).
@@ -157,7 +88,7 @@ pub fn deadline_expired(e: &MdfError) -> bool {
 
 /// Validates a resume request: the checkpoint's digest must match the
 /// presented image.
-pub fn check_resume<M: Snapshot>(mem: &M, checkpoint: &Checkpoint) -> Result<(), MdfError> {
+fn check_resume<M: Snapshot>(mem: &M, checkpoint: &Checkpoint) -> Result<(), MdfError> {
     if mem.digest() != checkpoint.snapshot_hash {
         return Err(MdfError::invalid(
             "resume checkpoint does not match the presented memory image",
@@ -206,6 +137,16 @@ impl RetryPolicy {
         }
     }
 
+    /// One attempt per barrier: the first recoverable failure ends the
+    /// run as a [`SupervisedOutcome::Partial`], so the run never retries
+    /// and never waits. What every plain and budgeted run uses.
+    pub fn once() -> Self {
+        RetryPolicy {
+            max_attempts: 1,
+            ..RetryPolicy::default()
+        }
+    }
+
     /// The worker count of an attempt after `failures` failures of the
     /// same barrier.
     fn threads_after(&self, failures: u32, threads: usize) -> usize {
@@ -249,9 +190,9 @@ pub struct RecoveryStats {
     pub snapshots: u64,
 }
 
-/// How a supervised run ended. Like [`RunOutcome`] plus the recovery
-/// record; `Partial` here means the retry/degradation ladder was fully
-/// exhausted on one chunk.
+/// How a supervised run ended: fully, or at a barrier top with a
+/// resumable checkpoint once the policy's attempts at one barrier were
+/// spent; both with the recovery record.
 #[derive(Clone, Debug)]
 pub enum SupervisedOutcome<M> {
     /// Every barrier completed (possibly after retries); the result is
@@ -264,10 +205,12 @@ pub enum SupervisedOutcome<M> {
         /// What recovery did.
         recovery: RecoveryStats,
     },
-    /// A chunk kept failing after every retry and degradation: typed
-    /// partial report with the work completed so far.
+    /// A barrier failed recoverably on every attempt the policy allows
+    /// (under [`RetryPolicy::once`], on its first): typed partial report
+    /// with the work completed so far.
     Partial {
-        /// Memory image at the last checkpoint.
+        /// Memory image at the last checkpoint (clean: the failed
+        /// barrier's top, never a chunk's partial writes).
         mem: M,
         /// Where a later run may resume.
         checkpoint: Checkpoint,
@@ -299,6 +242,16 @@ impl<M> SupervisedOutcome<M> {
             SupervisedOutcome::Partial { checkpoint, .. } => checkpoint.stats,
         }
     }
+
+    /// Extracts a complete result, converting a partial one back into its
+    /// typed cause — for callers (differential checks, benchmarks, the
+    /// CLI's `run`) whose verdict is meaningless on partial work.
+    pub fn into_complete(self) -> Result<(M, ExecStats), MdfError> {
+        match self {
+            SupervisedOutcome::Complete { mem, stats, .. } => Ok((mem, stats)),
+            SupervisedOutcome::Partial { cause, .. } => Err(cause),
+        }
+    }
 }
 
 /// Whether a chunk failure is worth retrying: caught panics (arriving
@@ -320,64 +273,16 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// The barrier-top gate of both drivers: the deadline, then the engine's
-/// barrier fault site `site`. Memory is clean here, so a deadline report
-/// is a sound place to stop or retry.
+/// The barrier-top gate: the deadline, then the engine's barrier fault
+/// site `site`. Memory is clean here, so a deadline report is a sound
+/// place to stop or retry.
 fn check_barrier_top(meter: &mut BudgetMeter, site: &'static str) -> Result<(), MdfError> {
     meter.check_deadline()?;
     meter.chaos_site(site)
 }
 
-/// The budgeted executor: drives barriers `0..total` (or, with `resume`,
-/// from a digest-verified [`Checkpoint`] on) through `step`, without
-/// supervision.
-///
-/// * `alloc` produces a fresh image; it is not called on resume, so a
-///   presented image is never re-charged.
-/// * Each barrier passes the gate (deadline, then the fault site `site`),
-///   runs `step(mem, barrier, meter)` for its statement-instance count,
-///   and charges those instances as iterations.
-/// * A deadline report at the gate ends the run as
-///   [`RunOutcome::Partial`], moving the live image into the outcome;
-///   every other failure is a typed error.
-pub fn drive_budgeted<M, A, S>(
-    total: u64,
-    site: &'static str,
-    meter: &mut BudgetMeter,
-    resume: Option<(M, Checkpoint)>,
-    alloc: A,
-    mut step: S,
-) -> Result<RunOutcome<M>, MdfError>
-where
-    M: Snapshot,
-    A: FnOnce(&mut BudgetMeter) -> Result<M, MdfError>,
-    S: FnMut(&mut M, u64, &mut BudgetMeter) -> Result<u64, MdfError>,
-{
-    let (mut mem, start, mut stats) = match resume {
-        Some((mem, checkpoint)) => {
-            check_resume(&mem, &checkpoint)?;
-            (mem, checkpoint.completed_barriers, checkpoint.stats)
-        }
-        None => (alloc(meter)?, 0, ExecStats::default()),
-    };
-    for barrier in start..total {
-        match check_barrier_top(meter, site) {
-            Ok(()) => {}
-            Err(cause) if deadline_expired(&cause) => {
-                return Ok(RunOutcome::partial(mem, barrier, stats, cause));
-            }
-            Err(e) => return Err(e),
-        }
-        let instances = step(&mut mem, barrier, meter)?;
-        stats.barriers += 1;
-        stats.stmt_instances += instances;
-        meter.charge_iterations(instances)?;
-    }
-    Ok(RunOutcome::Complete { mem, stats })
-}
-
-/// The supervising executor: drives `total` barriers through `step`,
-/// recovering per `policy`.
+/// The barrier driver of both engines: drives `total` barriers through
+/// `step`, recovering per `policy`.
 ///
 /// * `alloc` produces the initial memory image; refusals
 ///   ([`BudgetResource::MemoryCells`]) retry under the same policy.
@@ -385,11 +290,14 @@ where
 ///   site `site`), runs `step(mem, barrier, threads, meter)` for its
 ///   statement-instance count, and charges those instances as
 ///   iterations.
-/// * A failure at the gate leaves memory clean, so the barrier is retried
-///   on the live image. A failure once the step has started (a caught
-///   panic, an `Exec` error, a deadline the charge reports) may leave
-///   partial writes: the supervisor restores its *base* image and
-///   replays the barriers after it, then retries.
+/// * A recoverable failure (a caught panic, an `Exec` error, a deadline
+///   report) at the gate leaves memory clean, so the barrier's top is the
+///   live image. A failure once the step has started may leave partial
+///   writes: the supervisor restores its *base* image and replays the
+///   barriers after it. Then it retries the barrier, or, once
+///   `policy.max_attempts` attempts have failed, returns that clean top
+///   as a [`SupervisedOutcome::Partial`]. Every other failure is a typed
+///   error.
 /// * The base is one image, not one per barrier. A fresh run's base is
 ///   the allocator's image at barrier 0, rebuilt when needed by calling
 ///   `alloc` on a quiet `Budget::unlimited()` meter; a resumed run copies
@@ -934,13 +842,15 @@ mod tests {
         let mut meter = Budget::unlimited()
             .with_deadline(Duration::from_millis(200))
             .meter();
-        let out = drive_budgeted(
+        let out = supervise_run(
             4,
+            1,
             "toy.barrier",
+            &RetryPolicy::once(),
             &mut meter,
             None,
             |_| Ok(Toy(vec![0; 4])),
-            |mem, b, _| {
+            |mem, b, _, _| {
                 if b == 1 {
                     std::thread::sleep(Duration::from_millis(300));
                 }
@@ -948,10 +858,11 @@ mod tests {
             },
         )
         .unwrap();
-        let RunOutcome::Partial {
+        let SupervisedOutcome::Partial {
             mem,
             checkpoint,
             cause,
+            ..
         } = out
         else {
             panic!("expected a partial outcome");
@@ -964,13 +875,15 @@ mod tests {
 
         // A resume presents its image: nothing is allocated.
         let mut meter = Budget::unlimited().meter();
-        let (mem, stats) = drive_budgeted(
+        let (mem, stats) = supervise_run(
             4,
+            1,
             "toy.barrier",
+            &RetryPolicy::once(),
             &mut meter,
             Some((mem, checkpoint)),
             |_| -> Result<Toy, MdfError> { panic!("a resume must not allocate") },
-            |mem, b, _| Ok(toy_step(mem, b)),
+            |mem, b, _, _| Ok(toy_step(mem, b)),
         )
         .unwrap()
         .into_complete()
@@ -978,6 +891,60 @@ mod tests {
         assert_eq!(mem.0, vec![1, 2, 3, 4]);
         assert_eq!(stats.barriers, 4);
         assert_eq!(stats.stmt_instances, 10);
+    }
+
+    #[test]
+    fn a_one_attempt_run_ends_partial_at_its_first_failure_without_retrying() {
+        // A panic inside barrier 2, after a partial write, and an `Exec`
+        // error at barrier 2's start: each is the first recoverable
+        // failure, so the run attempts barrier 2 once, never backs off (the
+        // policy's clock is real), and reports the barrier's clean top.
+        for panics in [true, false] {
+            let mut calls = Vec::new();
+            let mut meter = Budget::unlimited().meter();
+            let out = supervise_run(
+                4,
+                1,
+                "toy.barrier",
+                &RetryPolicy::once(),
+                &mut meter,
+                None,
+                |_| Ok(Toy(vec![0; 4])),
+                |mem, b, _, _| {
+                    calls.push(b);
+                    if b == 2 {
+                        if panics {
+                            mem.0[2] += 99;
+                            panic!("injected after a partial write");
+                        }
+                        return Err(MdfError::exec(0, 0, "flaky"));
+                    }
+                    Ok(toy_step(mem, b))
+                },
+            )
+            .unwrap();
+            let SupervisedOutcome::Partial {
+                mem,
+                checkpoint,
+                cause,
+                recovery,
+            } = out
+            else {
+                panic!("the first failure must end the run (panics: {panics})");
+            };
+            // Barrier 2 once; barriers 0 and 1 replayed onto a fresh image
+            // to rebuild barrier 2's top.
+            assert_eq!(calls, vec![0, 1, 2, 0, 1], "panics: {panics}");
+            assert_eq!(mem.0, vec![1, 2, 0, 0], "the failed barrier's clean top");
+            assert_eq!(checkpoint.completed_barriers, 2);
+            assert_eq!(checkpoint.stats.stmt_instances, 3);
+            assert_eq!(checkpoint.snapshot_hash, mem.digest());
+            assert!(matches!(cause, MdfError::Exec { .. }));
+            assert_eq!(recovery.retries, 0);
+            assert_eq!(recovery.backoff_ms, 0);
+            assert_eq!(recovery.resumes, 0);
+            assert!(!recovery.degraded_to_serial);
+        }
     }
 
     #[test]

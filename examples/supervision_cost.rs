@@ -1,24 +1,27 @@
-//! What supervision costs: figure2's supervised run against its budgeted
-//! run, on both engines, at 24², 64², 256² and 512², on one worker.
+//! What supervision costs: figure2 run through the one barrier driver
+//! under a retrying policy (`RetryPolicy::deterministic`, what `mdfused`
+//! runs) and under the one-attempt policy every plain and budgeted run
+//! uses (`RetryPolicy::once`), on both engines, at 24², 64², 256² and
+//! 512², on one worker.
 //!
 //! ```text
 //! cargo run --release --example supervision_cost
 //! ```
 //!
-//! Each repetition times one budgeted and one supervised run back to back,
+//! Each repetition times one run under each policy back to back,
 //! alternating which goes first; the table prints the median of each and
-//! their ratio (at least 9 repetitions per row, more on small grids). The
-//! kernel runs as `mdfused` runs it. `snapshots` is the number of images
-//! the supervisor copied into its base, and `instances / cells` bounds it
-//! from above (plus one).
+//! their ratio (at least 9 repetitions per row, more on small grids).
+//! `snapshots` is the number of images the driver copied into its base
+//! (the same under both policies: the copy rule depends only on the plan
+//! and the shape), and `instances / cells` bounds it from above (plus
+//! one).
 
 use std::time::Instant;
 
 use mdfusion::kernel::{plan_mode, CompiledKernel};
 use mdfusion::prelude::*;
 use mdfusion::sim::{
-    run_traversal_budgeted, run_traversal_supervised, ExecStats, RecoveryStats, RetryPolicy,
-    RunOutcome, Snapshot, SupervisedOutcome, Traversal,
+    run_traversal_supervised, RetryPolicy, Snapshot, SupervisedOutcome, Traversal,
 };
 
 const GRIDS: [i64; 4] = [24, 64, 256, 512];
@@ -43,55 +46,51 @@ fn ms(since: Instant) -> f64 {
     since.elapsed().as_secs_f64() * 1e3
 }
 
-/// A complete supervised run's digest and recovery record.
-fn complete<M: Snapshot>(out: SupervisedOutcome<M>) -> (u64, RecoveryStats) {
-    match out {
-        SupervisedOutcome::Complete { mem, recovery, .. } => (mem.digest(), recovery),
-        SupervisedOutcome::Partial { cause, .. } => panic!("fault-free run ended partial: {cause}"),
-    }
-}
-
-/// Times [`repetitions`] alternating pairs and prints one table row. Both
-/// closures return the final image's fingerprint, which must agree.
-fn row(
+/// Times [`repetitions`] alternating pairs of `drive` under the
+/// one-attempt and the retrying policy and prints one table row. Both
+/// runs must complete with the same image.
+fn row<M: Snapshot>(
     engine: &str,
     n: i64,
     cells: u64,
-    mut budgeted: impl FnMut() -> (u64, ExecStats),
-    mut supervised: impl FnMut() -> (u64, RecoveryStats),
+    mut drive: impl FnMut(&RetryPolicy) -> SupervisedOutcome<M>,
 ) {
-    let (want, stats) = budgeted();
-    let (got, recovery) = supervised();
-    assert_eq!(got, want, "{engine} {n}²: supervised run diverged");
-    let (mut b, mut s) = (Vec::new(), Vec::new());
+    let (once, retrying) = (RetryPolicy::once(), RetryPolicy::deterministic());
+    let mut complete = |policy: &RetryPolicy| match drive(policy) {
+        SupervisedOutcome::Complete {
+            mem,
+            stats,
+            recovery,
+        } => (mem.digest(), stats, recovery),
+        SupervisedOutcome::Partial { cause, .. } => panic!("fault-free run ended partial: {cause}"),
+    };
+    let (want, stats, recovery) = complete(&once);
+    let (got, _, _) = complete(&retrying);
+    assert_eq!(got, want, "{engine} {n}²: the two policies' runs diverged");
+    let (mut o, mut r) = (Vec::new(), Vec::new());
     for rep in 0..repetitions(n) {
-        let mut time_budgeted = || {
+        let mut time = |policy: &RetryPolicy, samples: &mut Vec<f64>| {
             let t = Instant::now();
-            budgeted();
-            b.push(ms(t));
-        };
-        let mut time_supervised = || {
-            let t = Instant::now();
-            supervised();
-            s.push(ms(t));
+            complete(policy);
+            samples.push(ms(t));
         };
         if rep % 2 == 0 {
-            time_budgeted();
-            time_supervised();
+            time(&once, &mut o);
+            time(&retrying, &mut r);
         } else {
-            time_supervised();
-            time_budgeted();
+            time(&retrying, &mut r);
+            time(&once, &mut o);
         }
     }
-    let (b, s) = (median(b), median(s));
+    let (o, r) = (median(o), median(r));
     println!(
         "| {n}² | {engine} | {} | {} | {:.2} | {:.3} | {:.3} | {:.2}× |",
         stats.barriers,
         recovery.snapshots,
         stats.stmt_instances as f64 / cells as f64,
-        b,
-        s,
-        s / b
+        o,
+        r,
+        r / o
     );
 }
 
@@ -104,48 +103,22 @@ fn main() {
     let spec = FusedSpec::new(program.clone(), plan.retiming().offsets().to_vec());
     let mode = plan_mode(&spec, &plan);
     let traversal = Traversal::of(&plan);
-    let policy = RetryPolicy::deterministic();
 
-    println!("| grid | engine | barriers | snapshots | instances / cells | budgeted ms | supervised ms | ratio |");
+    println!("| grid | engine | barriers | snapshots | instances / cells | once ms | retrying ms | ratio |");
     println!("|---|---|---|---|---|---|---|---|");
     for n in GRIDS {
         let kernel = CompiledKernel::compile(&spec, n, n).expect("figure2 compiles");
         let cells = kernel.layout().cells() as u64;
-        row(
-            "kernel",
-            n,
-            cells,
-            || {
-                let (mem, stats) = kernel.run_with_threads(mode, 1);
-                (mem.fingerprint(), stats)
-            },
-            || {
-                let mut meter = Budget::unlimited().meter();
-                complete(
-                    kernel
-                        .run_supervised(mode, 1, &policy, &mut meter)
-                        .expect("an unlimited meter cannot trip"),
-                )
-            },
-        );
-        row(
-            "interp",
-            n,
-            cells,
-            || {
-                let mut meter = Budget::unlimited().meter();
-                let out = run_traversal_budgeted(&spec, traversal, n, n, &mut meter, None)
-                    .and_then(RunOutcome::into_complete)
-                    .expect("an unlimited meter cannot trip");
-                (out.0.fingerprint(), out.1)
-            },
-            || {
-                let mut meter = Budget::unlimited().meter();
-                complete(
-                    run_traversal_supervised(&spec, traversal, n, n, &mut meter, &policy, None)
-                        .expect("an unlimited meter cannot trip"),
-                )
-            },
-        );
+        row("kernel", n, cells, |policy| {
+            let mut meter = Budget::unlimited().meter();
+            kernel
+                .drive(mode, 1, policy, &mut meter, None)
+                .expect("an unlimited meter cannot trip")
+        });
+        row("interp", n, cells, |policy| {
+            let mut meter = Budget::unlimited().meter();
+            run_traversal_supervised(&spec, traversal, n, n, &mut meter, policy, None)
+                .expect("an unlimited meter cannot trip")
+        });
     }
 }

@@ -23,11 +23,13 @@ cargo test -q --workspace
 # release: there, each drive's bounds proof and the unsafe reads and
 # writes it licenses are all that keep the kernel inside its image, so
 # run the crate's tests (the proof's own among them) in the build the
-# benchmark and the CLI ship. The chaos recovery tests drive the
-# supervisor's restores and replays through those kernels, so they run
-# in that build too.
-echo "==> cargo test --release -p mdf-kernel, --test chaos_recovery"
-cargo test --release -q -p mdf-kernel
+# benchmark and the CLI ship. Every plain, budgeted and supervised run of
+# both engines goes through mdf-sim's one barrier driver, whose restores
+# and replays its unit tests check with non-idempotent steps, and the
+# chaos recovery tests drive those restores through the kernels, so both
+# run in that build too.
+echo "==> cargo test --release -p mdf-kernel -p mdf-sim, --test chaos_recovery"
+cargo test --release -q -p mdf-kernel -p mdf-sim
 cargo test --release -q --test chaos_recovery
 
 # perfbench is its own package outside the workspace, so only this step

@@ -15,12 +15,13 @@
 use mdfusion::chaos::{FaultKind, FaultPlan};
 use mdfusion::core::{fuse_partial, plan_fusion, Budget, FusionPlan};
 use mdfusion::gen::{executable_suite, random_program, ProgramGenConfig};
+use mdfusion::graph::MdfError;
 use mdfusion::ir::extract::extract_mldg;
 use mdfusion::ir::{FusedSpec, Program};
-use mdfusion::kernel::{plan_mode, CompiledKernel, ExecMode};
+use mdfusion::kernel::{plan_mode, CompiledKernel, ExecMode, KernelMemory};
 use mdfusion::sim::{
-    align_partial_to_program, run_original, run_traversal, run_traversal_budgeted,
-    run_traversal_supervised, RetryPolicy, RowOrder, RunOutcome, SupervisedOutcome, Traversal,
+    align_partial_to_program, run_original, run_traversal, run_traversal_supervised, Checkpoint,
+    ExecStats, RetryPolicy, RowOrder, SupervisedOutcome, Traversal,
 };
 use proptest::prelude::*;
 
@@ -40,37 +41,84 @@ fn artifacts(p: &Program) -> Option<(FusedSpec, FusionPlan, ExecMode, CompiledKe
     Some((spec, plan, mode, kernel))
 }
 
-/// Interrupt the kernel with an injected deadline at barrier `b`, resume
-/// from the partial result's checkpoint, and demand bit-identity.
-fn kernel_interrupt_resume(kernel: &CompiledKernel, mode: ExecMode, b: u64, name: &str) {
-    let (want_mem, want_stats) = kernel.run_with_threads(mode, 1);
-    let guard = FaultPlan::single("kernel.barrier", FaultKind::DeadlineExpiry, b).arm();
+/// A one-attempt kernel run (`run_budgeted`) stopped by `kind` fired at
+/// `site`'s `b`-th hit, inside barrier `b`: the partial result's image,
+/// checkpoint and cause.
+fn kernel_partial(
+    kernel: &CompiledKernel,
+    mode: ExecMode,
+    (site, kind): (&'static str, FaultKind),
+    b: u64,
+    name: &str,
+) -> (KernelMemory, Checkpoint, MdfError) {
+    let guard = FaultPlan::single(site, kind, b).arm();
     let mut meter = Budget::unlimited().with_chaos().meter();
     let out = kernel
         .run_budgeted(mode, &mut meter)
-        .expect("injected deadline is a partial result, not an error");
-    let RunOutcome::Partial {
-        mem, checkpoint, ..
+        .expect("an injected fault is a partial result, not an error");
+    assert_eq!(guard.injected(), 1, "{name}");
+    drop(guard);
+    let SupervisedOutcome::Partial {
+        mem,
+        checkpoint,
+        cause,
+        recovery,
     } = out
     else {
-        panic!("{name}: deadline at barrier {b} must stop the run");
+        panic!("{name}: {site} at barrier {b} must stop the run");
     };
-    assert_eq!(guard.injected(), 1, "{name}");
     assert_eq!(checkpoint.completed_barriers, b - 1, "{name}");
-    drop(guard);
+    assert_eq!(
+        recovery.retries, 0,
+        "{name}: a one-attempt run never retries"
+    );
+    (mem, checkpoint, cause)
+}
 
+/// Resumes a partial kernel run from its checkpoint under a clean meter,
+/// with the worker count `run_budgeted` drives with, and demands the
+/// uninterrupted run's image and counters.
+fn kernel_resume(
+    kernel: &CompiledKernel,
+    mode: ExecMode,
+    partial: (KernelMemory, Checkpoint),
+    (want_mem, want_stats): &(KernelMemory, ExecStats),
+    at: &str,
+) {
+    let threads = std::thread::available_parallelism().map_or(1, usize::from);
     let mut clean = Budget::unlimited().meter();
     let (rmem, rstats) = kernel
-        .resume_budgeted(mode, mem, checkpoint, &mut clean)
+        .drive(
+            mode,
+            threads,
+            &RetryPolicy::once(),
+            &mut clean,
+            Some(partial),
+        )
         .expect("resume plans within budget")
         .into_complete()
         .expect("clean resume runs to completion");
     assert_eq!(
         rmem.fingerprint(),
         want_mem.fingerprint(),
-        "{name}: resumed fingerprint diverged (barrier {b})"
+        "{at}: resumed fingerprint diverged"
     );
-    assert_eq!(rstats, want_stats, "{name}: resumed counters (barrier {b})");
+    assert_eq!(rstats, *want_stats, "{at}: resumed counters");
+}
+
+/// Interrupt the kernel with an injected deadline at barrier `b`, resume
+/// from the partial result's checkpoint, and demand bit-identity.
+fn kernel_interrupt_resume(kernel: &CompiledKernel, mode: ExecMode, b: u64, name: &str) {
+    let want = kernel.run_with_threads(mode, 1);
+    let deadline = ("kernel.barrier", FaultKind::DeadlineExpiry);
+    let (mem, checkpoint, _) = kernel_partial(kernel, mode, deadline, b, name);
+    kernel_resume(
+        kernel,
+        mode,
+        (mem, checkpoint),
+        &want,
+        &format!("{name} barrier {b}"),
+    );
 }
 
 #[test]
@@ -110,9 +158,10 @@ fn interpreter_interrupt_resume_everywhere(spec: &FusedSpec, traversal: Traversa
     for b in 1..=want_stats.barriers {
         let guard = FaultPlan::single("sim.barrier", FaultKind::DeadlineExpiry, b).arm();
         let mut meter = Budget::unlimited().with_chaos().meter();
-        let out = run_traversal_budgeted(spec, traversal, N, M, &mut meter, None)
+        let once = RetryPolicy::once();
+        let out = run_traversal_supervised(spec, traversal, N, M, &mut meter, &once, None)
             .expect("injected deadline is a partial result, not an error");
-        let RunOutcome::Partial {
+        let SupervisedOutcome::Partial {
             mem, checkpoint, ..
         } = out
         else {
@@ -124,10 +173,11 @@ fn interpreter_interrupt_resume_everywhere(spec: &FusedSpec, traversal: Traversa
 
         let mut clean = Budget::unlimited().meter();
         let resume = Some((mem, checkpoint));
-        let (rmem, rstats) = run_traversal_budgeted(spec, traversal, N, M, &mut clean, resume)
-            .expect("resume runs within budget")
-            .into_complete()
-            .expect("clean resume runs to completion");
+        let (rmem, rstats) =
+            run_traversal_supervised(spec, traversal, N, M, &mut clean, &once, resume)
+                .expect("resume runs within budget")
+                .into_complete()
+                .expect("clean resume runs to completion");
         assert_eq!(
             rmem.fingerprint(),
             want_mem.fingerprint(),
@@ -315,6 +365,46 @@ fn supervisor_replays_past_mid_chunk_panics_at_every_barrier() {
     }
 }
 
+/// A one-attempt run (`run_budgeted`) has no retry to spend on a
+/// `kernel.chunk.mid` panic, which fires after the chunk has written: the
+/// panic ends the run as a typed `Exec` partial whose image is the failed
+/// barrier's clean top (the image a deadline at that barrier's top stops
+/// with), rebuilt from the base and a replay, and the partial resumes
+/// bit-identically. Fire one inside every barrier of every suite program
+/// and of [`COMPOUNDING`], in the planned mode and the serial fallback.
+#[test]
+fn budgeted_runs_end_mid_chunk_panics_as_resumable_partials() {
+    let compounding = mdfusion::ir::parse_program(COMPOUNDING).expect("COMPOUNDING parses");
+    let programs = executable_suite()
+        .into_iter()
+        .map(|e| (e.id, e.program.expect("executable suite has programs")))
+        .chain([("compounding", compounding)]);
+    for (id, p) in programs {
+        let Some((_, _, planned, kernel)) = artifacts(&p) else {
+            assert_ne!(id, "compounding", "COMPOUNDING plans a fused schedule");
+            continue;
+        };
+        for mode in [planned, ExecMode::RowsSerial] {
+            let want = kernel.run_with_threads(mode, 1);
+            for b in 1..=kernel.barrier_count(mode) {
+                let at = format!("{id} {mode:?} barrier {b}");
+                let deadline = ("kernel.barrier", FaultKind::DeadlineExpiry);
+                let (top, _, _) = kernel_partial(&kernel, mode, deadline, b, &at);
+                let panic = ("kernel.chunk.mid", FaultKind::WorkerPanic);
+                let (mem, checkpoint, cause) = kernel_partial(&kernel, mode, panic, b, &at);
+                assert!(matches!(cause, MdfError::Exec { .. }), "{at}: {cause}");
+                assert_eq!(
+                    mem.fingerprint(),
+                    top.fingerprint(),
+                    "{at}: the failed barrier's clean top"
+                );
+                assert_eq!(checkpoint.snapshot_hash, mem.fingerprint(), "{at}");
+                kernel_resume(&kernel, mode, (mem, checkpoint), &want, &at);
+            }
+        }
+    }
+}
+
 /// A resumed supervised run copies its presented image into its base, so
 /// a mid-chunk panic after the resume restores that copy and replays the
 /// barriers run since: stop every suite program's planned kernel halfway
@@ -336,7 +426,7 @@ fn resumed_supervision_replays_from_its_presented_image() {
                 let guard =
                     FaultPlan::single("kernel.barrier", FaultKind::DeadlineExpiry, stop + 1).arm();
                 let mut meter = Budget::unlimited().with_chaos().meter();
-                let Ok(RunOutcome::Partial {
+                let Ok(SupervisedOutcome::Partial {
                     mem, checkpoint, ..
                 }) = kernel.run_budgeted(planned, &mut meter)
                 else {
@@ -348,8 +438,9 @@ fn resumed_supervision_replays_from_its_presented_image() {
                 drop(guard);
                 let guard = FaultPlan::single("kernel.chunk.mid", FaultKind::WorkerPanic, b).arm();
                 let mut meter = Budget::unlimited().with_chaos().meter();
+                let resume = Some((mem, checkpoint));
                 let out = kernel
-                    .resume_supervised(planned, threads, &policy, &mut meter, mem, checkpoint)
+                    .drive(planned, threads, &policy, &mut meter, resume)
                     .expect("a resumed supervised run does not surface recoverable faults");
                 assert_eq!(guard.injected(), 1, "{}", entry.id);
                 drop(guard);
@@ -414,6 +505,57 @@ fn fault_free_supervision_copies_no_more_than_it_executes() {
                 recovery.snapshots,
                 stats.stmt_instances
             );
+        }
+    }
+}
+
+/// Every plain and budgeted run is a one-attempt drive through the
+/// supervisor's driver, which copies its base only once the statement
+/// instances since the last copy reach the image's cells. The benchmarked
+/// runs stay below that: the suite kernels at exec-large's 1024² and the
+/// `examples/dsl` programs at the service's 24², on both engines, copy
+/// nothing.
+#[test]
+fn one_attempt_runs_of_the_benchmarked_shapes_copy_nothing() {
+    let once = RetryPolicy::once();
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("examples/dsl");
+    let mut examples: Vec<_> = std::fs::read_dir(dir)
+        .expect("examples/dsl exists")
+        .map(|e| e.expect("readable entry").path())
+        .filter(|p| p.extension().is_some_and(|x| x == "mdf"))
+        .collect();
+    examples.sort();
+    assert_eq!(examples.len(), 5, "the service's five example programs");
+    let suite = executable_suite().into_iter().map(|e| {
+        (
+            e.id.to_string(),
+            e.program.expect("executable suite has programs"),
+            1024,
+        )
+    });
+    let examples = examples.iter().map(|path| {
+        let source = std::fs::read_to_string(path).expect("example reads");
+        let p = mdfusion::ir::parse_program(&source).expect("example parses");
+        (path.display().to_string(), p, 24)
+    });
+    for (name, p, n) in suite.chain(examples) {
+        let Some((spec, plan, mode, _)) = artifacts(&p) else {
+            panic!("{name}: every benchmarked program plans a fused schedule");
+        };
+        let kernel = CompiledKernel::compile(&spec, n, n).expect("planned specs compile");
+        let mut meter = Budget::unlimited().meter();
+        let out = kernel
+            .drive(mode, 1, &once, &mut meter, None)
+            .expect("an unlimited meter cannot trip");
+        assert!(out.is_complete(), "{name} {n}²");
+        assert_eq!(out.recovery().snapshots, 0, "{name} {n}² kernel");
+        if n == 24 {
+            let mut meter = Budget::unlimited().meter();
+            let traversal = Traversal::of(&plan);
+            let out = run_traversal_supervised(&spec, traversal, n, n, &mut meter, &once, None)
+                .expect("an unlimited meter cannot trip");
+            assert!(out.is_complete(), "{name} {n}²");
+            assert_eq!(out.recovery().snapshots, 0, "{name} {n}² interpreter");
         }
     }
 }

@@ -23,7 +23,7 @@ use mdfusion::ir::{FusedSpec, Program};
 use mdfusion::kernel::{plan_mode, plan_mode_traced, CompiledKernel, ExecMode};
 use mdfusion::sim::{
     align_plan_to_program, run_original, run_original_budgeted, run_traversal,
-    run_traversal_budgeted, traced::report, Traversal,
+    run_traversal_supervised, traced::report, RetryPolicy, Traversal,
 };
 use mdfusion::trace::{MemorySink, Profile, Span, Tracer};
 use proptest::prelude::*;
@@ -164,8 +164,10 @@ fn assert_tracing_is_invisible(p: &Program, n: i64, m: i64) -> bool {
     let traversal = Traversal::of(&plan);
     let (imem, istats) = run_traversal(&spec, traversal, n, m);
     let ((tmem, tstats), profile) = traced(|s| {
-        let out = run_traversal_budgeted(&spec, traversal, n, m, &mut budget.meter(), None)
-            .expect("unbudgeted");
+        let once = RetryPolicy::once();
+        let out =
+            run_traversal_supervised(&spec, traversal, n, m, &mut budget.meter(), &once, None)
+                .expect("unbudgeted");
         report(s, &out.stats());
         out.into_complete()
             .expect("unlimited budget cannot stop early")

@@ -30,7 +30,7 @@ use mdfusion::ir::extract::extract_mldg;
 use mdfusion::ir::{FusedSpec, Program};
 use mdfusion::kernel::{plan_mode, CompiledKernel, ExecMode, TilePlan};
 use mdfusion::sim::{
-    align_plan_to_program, run_original, run_wavefront, RetryPolicy, RunOutcome, SupervisedOutcome,
+    align_plan_to_program, run_original, run_wavefront, RetryPolicy, SupervisedOutcome,
 };
 use proptest::prelude::*;
 
@@ -359,7 +359,7 @@ fn tiled_runs_interrupted_at_every_wave_resume_bit_identically() {
         let out = kernel
             .run_budgeted(mode, &mut meter)
             .expect("injected deadline is a partial result, not an error");
-        let RunOutcome::Partial {
+        let SupervisedOutcome::Partial {
             mem, checkpoint, ..
         } = out
         else {
@@ -370,8 +370,11 @@ fn tiled_runs_interrupted_at_every_wave_resume_bit_identically() {
         drop(guard);
 
         let mut clean = Budget::unlimited().meter();
+        // The worker count `run_budgeted` drives with.
+        let threads = std::thread::available_parallelism().map_or(1, usize::from);
+        let resume = Some((mem, checkpoint));
         let (rmem, rstats) = kernel
-            .resume_budgeted(mode, mem, checkpoint, &mut clean)
+            .drive(mode, threads, &RetryPolicy::once(), &mut clean, resume)
             .expect("resume plans within budget")
             .into_complete()
             .expect("clean resume runs to completion");
