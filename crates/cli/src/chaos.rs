@@ -279,7 +279,6 @@ fn fold_recovery(acc: &mut RecoveryStats, r: &RecoveryStats) {
     acc.checkpoints_taken += r.checkpoints_taken;
     acc.resumes += r.resumes;
     acc.degraded_to_serial |= r.degraded_to_serial;
-    acc.backoff_ms += r.backoff_ms;
 }
 
 /// Runs one case: arm the single fault, re-plan under chaos, execute

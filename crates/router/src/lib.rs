@@ -14,10 +14,11 @@
 //! - [`fair`] — identity-aware fair-share admission in front of the
 //!   per-shard `Budget` meters: a hot client past its entitlement gets a
 //!   typed `Overloaded`, not the whole fleet.
-//! - [`router`] — the process itself: front-door acceptor (unix or TCP
-//!   via `mdf-service`'s transport), per-request routing with typed
-//!   reroute on shard death, and a health loop that detects deaths and
-//!   respawns with deterministic backoff.
+//! - [`router`] — the process itself: clients served through
+//!   `mdf-service`'s front door (unix or TCP; the daemon's own connection
+//!   lifecycle), per-request routing with typed reroute on shard death,
+//!   and a health loop that detects deaths and respawns with
+//!   deterministic backoff.
 //!
 //! [`Server`]: mdf_service::Server
 

@@ -29,21 +29,21 @@
 //! detected. All three fire on the request path, never on a timer, so a
 //! seeded sweep injects the same faults in the same places every run.
 //!
-//! On drain, a connection is closed after the answer it is being given,
-//! as in the daemon: a client that never goes idle cannot hold the drain
-//! open.
+//! The router serves clients through `mdf-service`'s front door
+//! ([`mdf_service::door`]), the daemon's own connection lifecycle: this
+//! module supplies only the router's answers. It counts nothing on the
+//! door and consults none of the `service.*` chaos sites.
 
-use std::io::Write as _;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use mdf_service::door::{lock_unpoisoned, Door, Service};
 use mdf_service::proto::{
     ErrCode, FleetStats, Outcome, Request, Response, ServiceError, ServiceStats, ShardRow, Submit,
 };
-use mdf_service::transport::{read_frame_polled, Endpoint, Listener, Stream, READ_TICK};
+use mdf_service::transport::{Endpoint, Listener};
 use mdf_service::{submit_fingerprint, Client, DEFAULT_DEADLINE_MS};
 
 use crate::backend::Backend;
@@ -173,7 +173,28 @@ struct Shared {
     /// function of the source, so byte-identical resubmissions skip the
     /// parse + canonicalization on the routing path.
     fp_memo: Mutex<std::collections::BTreeMap<String, u64>>,
-    handlers: Mutex<Vec<JoinHandle<()>>>,
+}
+
+impl Service for Shared {
+    fn draining(&self) -> &AtomicBool {
+        &self.draining
+    }
+
+    fn answer(&self, req: Request) -> Response {
+        match req {
+            Request::Ping => Response::Pong,
+            Request::Stats => Response::Stats(fleet_stats(self).shard_totals()),
+            Request::Fleet => Response::Fleet(fleet_stats(self)),
+            Request::Shutdown => {
+                self.draining.store(true, Ordering::SeqCst);
+                Response::ShutdownAck
+            }
+            Request::Submit(submit) => match process_submit(self, &submit) {
+                Ok(done) => Response::Done(done),
+                Err(err) => Response::Err(err),
+            },
+        }
+    }
 }
 
 /// Bound on memoized distinct sources; the table is cleared when full
@@ -194,20 +215,16 @@ fn routing_fingerprint(shared: &Shared, source: &str) -> Result<u64, ServiceErro
     Ok(fp)
 }
 
-fn lock_unpoisoned<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
-}
-
 /// A running fleet router. Always [`Router::drain`] before dropping.
 pub struct Router {
     shared: Arc<Shared>,
-    acceptor: Option<JoinHandle<()>>,
-    health: Option<JoinHandle<()>>,
+    door: Door,
+    health: JoinHandle<()>,
 }
 
 impl Router {
-    /// Starts every shard through `backend`, binds the front door, and
-    /// spawns the acceptor and health loops.
+    /// Starts every shard through `backend`, binds and opens the front
+    /// door, and spawns the health loop.
     pub fn start(config: RouterConfig, backend: Box<dyn Backend>) -> std::io::Result<Router> {
         let mut shards = Vec::with_capacity(config.shards as usize);
         for shard in 0..config.shards {
@@ -243,16 +260,14 @@ impl Router {
             gate: Gate::new(config.shards as u64),
             fair,
             fp_memo: Mutex::new(std::collections::BTreeMap::new()),
-            handlers: Mutex::new(Vec::new()),
         });
-        let accept_shared = Arc::clone(&shared);
-        let acceptor = std::thread::spawn(move || accept_loop(accept_shared, listener));
+        let door = Door::open(listener, Arc::clone(&shared));
         let health_shared = Arc::clone(&shared);
         let health = std::thread::spawn(move || health_loop(health_shared));
         Ok(Router {
             shared,
-            acceptor: Some(acceptor),
-            health: Some(health),
+            door,
+            health,
         })
     }
 
@@ -271,27 +286,13 @@ impl Router {
         fleet_stats(&self.shared)
     }
 
-    /// Graceful shutdown: stop admitting, join every connection handler
-    /// and the health loop, snapshot the fleet one last time, then stop
-    /// every shard. Returns the final snapshot.
-    pub fn drain(mut self) -> FleetStats {
+    /// Graceful shutdown: stop admitting, join the door's acceptor and
+    /// every connection handler, then the health loop, snapshot the fleet
+    /// one last time, then stop every shard. Returns the final snapshot.
+    pub fn drain(self) -> FleetStats {
         self.shared.draining.store(true, Ordering::SeqCst);
-        if let Some(a) = self.acceptor.take() {
-            let _ = a.join();
-        }
-        if let Some(h) = self.health.take() {
-            let _ = h.join();
-        }
-        loop {
-            let handles: Vec<JoinHandle<()>> =
-                lock_unpoisoned(&self.shared.handlers).drain(..).collect();
-            if handles.is_empty() {
-                break;
-            }
-            for h in handles {
-                let _ = h.join();
-            }
-        }
+        self.door.join();
+        let _ = self.health.join();
         let stats = fleet_stats(&self.shared);
         for shard in 0..self.shared.config.shards {
             // Drop pooled connections first so shard drains don't wait
@@ -302,98 +303,6 @@ impl Router {
             self.shared.backend.stop(shard);
         }
         stats
-    }
-}
-
-fn accept_loop(shared: Arc<Shared>, listener: Listener) {
-    loop {
-        if shared.draining.load(Ordering::SeqCst) {
-            return;
-        }
-        match listener.accept() {
-            Ok(stream) => {
-                let conn_shared = Arc::clone(&shared);
-                let handle = std::thread::spawn(move || {
-                    let _ =
-                        catch_unwind(AssertUnwindSafe(|| handle_connection(&conn_shared, stream)));
-                });
-                lock_unpoisoned(&shared.handlers).push(handle);
-            }
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(5)),
-        }
-    }
-}
-
-fn handle_connection(shared: &Shared, mut stream: Stream) {
-    let _ = stream.set_read_timeout(Some(READ_TICK));
-    loop {
-        let payload = match read_frame_polled(&mut stream, &shared.draining) {
-            Ok(Some(p)) => p,
-            Ok(None) => return,
-            Err(err) => {
-                let _ = stream.write_all(
-                    &Response::Err(ServiceError {
-                        code: ErrCode::Proto,
-                        retry_after_ms: 0,
-                        message: err.to_string(),
-                    })
-                    .encode(),
-                );
-                return;
-            }
-        };
-        let req = match Request::decode(&payload) {
-            Ok(r) => r,
-            Err(err) => {
-                let _ = stream.write_all(
-                    &Response::Err(ServiceError {
-                        code: ErrCode::Proto,
-                        retry_after_ms: 0,
-                        message: err.to_string(),
-                    })
-                    .encode(),
-                );
-                return;
-            }
-        };
-        let resp = match req {
-            Request::Ping => Response::Pong,
-            Request::Stats => Response::Stats(fleet_stats(shared).shard_totals()),
-            Request::Fleet => Response::Fleet(fleet_stats(shared)),
-            Request::Shutdown => {
-                shared.draining.store(true, Ordering::SeqCst);
-                let _ = stream.write_all(&Response::ShutdownAck.encode());
-                return;
-            }
-            Request::Submit(submit) => {
-                // Per-message panic isolation, same contract as the
-                // daemon: a routing bug costs one typed Internal error.
-                let outcome = catch_unwind(AssertUnwindSafe(|| process_submit(shared, &submit)));
-                match outcome {
-                    Ok(Ok(done)) => Response::Done(done),
-                    Ok(Err(err)) => Response::Err(err),
-                    Err(_) => Response::Err(ServiceError {
-                        code: ErrCode::Internal,
-                        retry_after_ms: 25,
-                        message: "router worker panicked; the fault was isolated".into(),
-                    }),
-                }
-            }
-        };
-        if stream.write_all(&resp.encode()).is_err() {
-            return; // client went away
-        }
-        // Drain is noticed only on an idle READ_TICK; a client sending
-        // faster than that would hold it open. Close after answering.
-        if shared.draining.load(Ordering::SeqCst) {
-            return;
-        }
     }
 }
 

@@ -7,17 +7,22 @@
 //! * [`proto`] — the hand-rolled length-prefixed frame protocol, total
 //!   decoders, and typed [`proto::ServiceError`] taxonomy;
 //! * [`transport`] — the [`transport::Endpoint`]/[`transport::Stream`]
-//!   abstraction over unix and TCP byte streams, plus the shared polled
+//!   abstraction over unix and TCP byte streams, plus the polled
 //!   stall-bounded frame reader;
+//! * [`door`] — the front door the daemon and `mdf-router` both serve
+//!   through: the acceptor, one handler thread per connection (finished
+//!   ones joined as new ones arrive, every one at drain), typed protocol
+//!   errors, panic isolation and the drain-close rule. Each process
+//!   supplies a [`door::Service`]: its answers and what it counts;
 //! * [`cache`] — the LRU plan cache keyed by
 //!   [`mdf_graph::canonical_fingerprint`], with mandatory revalidation
 //!   on every hit (collisions and poisoned entries cost a replan, never
 //!   a wrong answer);
-//! * [`server`] — the daemon: admission control with a bounded queue and
-//!   typed overload rejection, per-request deadlines on the shared
-//!   [`mdf_graph::Budget`] meter, one supervised execution per request
-//!   (the supervisor retries a faulted barrier from its checkpoint),
-//!   panic isolation, and graceful drain;
+//! * [`server`] — the daemon behind the door: admission control with a
+//!   bounded queue and typed overload rejection, per-request deadlines
+//!   on the shared [`mdf_graph::Budget`] meter, one supervised execution
+//!   per request (the supervisor retries a faulted barrier from its
+//!   checkpoint), and graceful drain;
 //! * [`client`] — a blocking client with timeouts on its side of the
 //!   contract too.
 //!
@@ -39,6 +44,7 @@
 
 pub mod cache;
 pub mod client;
+pub mod door;
 pub mod proto;
 pub mod server;
 pub mod store;

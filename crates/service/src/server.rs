@@ -1,8 +1,9 @@
 //! The `mdfused` daemon: a fusion service over a unix socket or TCP.
 //!
-//! One acceptor thread hands each connection to its own handler thread.
-//! Handlers read [`crate::proto`] frames with a polled, stall-bounded
-//! loop, decode requests, and answer them. The robustness contract:
+//! The daemon serves through the front door ([`crate::door`]), which owns
+//! the acceptor, one handler thread per connection, the polled frame
+//! reads, panic isolation and the drain-close rule. This module supplies
+//! the daemon's answers and what it counts. The robustness contract:
 //!
 //! * **Admission control** — at most `workers` submissions execute at
 //!   once; up to `queue_depth` more wait on a condvar. Beyond that a
@@ -19,24 +20,20 @@
 //!   from its checkpoint. It is the only recovery loop: a run it gives
 //!   up on is answered `Deadline` when its deadline expired, and with the
 //!   failure's own typed code otherwise.
-//! * **Panic isolation** — each message is handled inside
+//! * **Panic isolation** — the door answers each message inside
 //!   `catch_unwind`; a worker panic (including the injected
-//!   `service.accept` / `service.read` / `service.write` chaos faults)
-//!   costs one typed `Internal` error or one dropped connection, never
-//!   the daemon.
+//!   `service.accept` / `service.read` / `service.write` chaos faults,
+//!   which only the daemon's door consults) costs one typed `Internal`
+//!   error or one dropped connection, never the daemon.
 //! * **Graceful drain** — [`Server::drain`] stops admission, lets
 //!   in-flight requests finish (bounded by their deadlines), gives
-//!   queued waiters a typed `Draining` rejection, joins every thread,
-//!   removes the socket and flushes the final stats snapshot. A
-//!   connection answered while draining is closed after the answer, so
-//!   a client that never goes idle cannot hold the drain open.
+//!   queued waiters a typed `Draining` rejection, joins the door's
+//!   acceptor and every handler, removes the socket and flushes the final
+//!   stats snapshot.
 
-use std::io::Write as _;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
-use std::thread::JoinHandle;
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use mdf_core::{plan_fusion_budgeted, DegradedPlan, FullParallelMethod, FusionPlan};
@@ -51,11 +48,12 @@ use mdf_sim::{
 use mdf_trace::Tracer;
 
 use crate::cache::{CacheLookup, CachedPlan, PlanCache};
+use crate::door::{chaos_panic, lock_unpoisoned, Door, DoorEvent, Service};
 use crate::proto::{
     Engine, ErrCode, Outcome, Request, Response, ServiceError, ServiceStats, Submit,
 };
 use crate::store::{CacheStore, CacheSync};
-use crate::transport::{read_frame_polled, Endpoint, Listener, Stream, READ_TICK};
+use crate::transport::{Endpoint, Listener, READ_TICK};
 
 /// The largest memory image, in cells, a submission may execute on:
 /// 128 MiB of `i64`. A request asking for more is refused with a typed
@@ -137,21 +135,59 @@ struct Shared {
     store: Mutex<Option<CacheStore>>,
     adm: Mutex<AdmState>,
     adm_cv: Condvar,
-    handlers: Mutex<Vec<JoinHandle<()>>>,
 }
 
-/// A panic while holding one of our mutexes poisons it; the data it
-/// guards (counters, cache entries) stays structurally valid, so every
-/// lock site recovers the guard instead of cascading the panic.
-fn lock_unpoisoned<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
+impl Shared {
+    /// Stops admission; queued waiters wake and get a typed `Draining`.
+    fn start_drain(&self) {
+        self.draining.store(true, Ordering::SeqCst);
+        self.adm_cv.notify_all();
+    }
 }
 
-/// Fires a `WorkerPanic` chaos fault at `site`, if one is armed. Called
-/// only inside `catch_unwind` scopes and never while holding a lock.
-fn chaos_panic(enabled: bool, site: &'static str) {
-    if enabled && mdf_chaos::hit(site) == Some(mdf_chaos::FaultKind::WorkerPanic) {
-        panic!("chaos: injected worker panic at {site}");
+impl Service for Shared {
+    fn draining(&self) -> &AtomicBool {
+        &self.draining
+    }
+
+    fn answer(&self, req: Request) -> Response {
+        match req {
+            Request::Ping => Response::Pong,
+            Request::Stats => Response::Stats(*lock_unpoisoned(&self.stats)),
+            Request::Fleet => Response::Err(ServiceError {
+                code: ErrCode::Malformed,
+                retry_after_ms: 0,
+                message: "fleet stats are only available from a router".into(),
+            }),
+            Request::Shutdown => {
+                self.start_drain();
+                Response::ShutdownAck
+            }
+            Request::Submit(submit) => {
+                chaos_panic(self.config.chaos, "service.read");
+                match process_submit(self, &submit) {
+                    Ok(done) => {
+                        lock_unpoisoned(&self.stats).completed += 1;
+                        Response::Done(done)
+                    }
+                    Err(err) => Response::Err(err),
+                }
+            }
+        }
+    }
+
+    fn count(&self, event: DoorEvent) {
+        let mut stats = lock_unpoisoned(&self.stats);
+        match event {
+            DoorEvent::Connection => stats.connections += 1,
+            DoorEvent::Request => stats.requests += 1,
+            DoorEvent::ProtoError => stats.proto_errors += 1,
+            DoorEvent::PanicIsolated => stats.panics_isolated += 1,
+        }
+    }
+
+    fn chaos(&self) -> bool {
+        self.config.chaos
     }
 }
 
@@ -223,11 +259,11 @@ fn acquire_permit(shared: &Shared) -> Result<Permit<'_>, ServiceError> {
 /// the threads until process exit; callers should always drain.
 pub struct Server {
     shared: Arc<Shared>,
-    acceptor: Option<JoinHandle<()>>,
+    door: Door,
 }
 
 impl Server {
-    /// Binds the endpoint and starts the acceptor.
+    /// Binds the endpoint and opens the door.
     pub fn start(mut config: ServiceConfig) -> std::io::Result<Server> {
         let (listener, actual) = Listener::bind(&config.endpoint)?;
         // Record the resolved endpoint (TCP port 0 → the ephemeral port
@@ -257,14 +293,9 @@ impl Server {
             stats: Mutex::new(stats),
             adm: Mutex::new(AdmState::default()),
             adm_cv: Condvar::new(),
-            handlers: Mutex::new(Vec::new()),
         });
-        let accept_shared = Arc::clone(&shared);
-        let acceptor = std::thread::spawn(move || accept_loop(accept_shared, listener));
-        Ok(Server {
-            shared,
-            acceptor: Some(acceptor),
-        })
+        let door = Door::open(listener, Arc::clone(&shared));
+        Ok(Server { shared, door })
     }
 
     /// The endpoint the daemon is serving on (resolved: for TCP port 0
@@ -285,24 +316,11 @@ impl Server {
     }
 
     /// Graceful shutdown: stop admitting, finish (or typed-reject)
-    /// everything in flight, join all threads, remove the socket, and
-    /// return the final stats snapshot.
-    pub fn drain(mut self) -> ServiceStats {
-        self.shared.draining.store(true, Ordering::SeqCst);
-        self.shared.adm_cv.notify_all();
-        if let Some(a) = self.acceptor.take() {
-            let _ = a.join();
-        }
-        loop {
-            let handles: Vec<JoinHandle<()>> =
-                lock_unpoisoned(&self.shared.handlers).drain(..).collect();
-            if handles.is_empty() {
-                break;
-            }
-            for h in handles {
-                let _ = h.join();
-            }
-        }
+    /// everything in flight, join the door's threads, remove the socket,
+    /// and return the final stats snapshot.
+    pub fn drain(self) -> ServiceStats {
+        self.shared.start_drain();
+        self.door.join();
         if let Endpoint::Unix(path) = &self.shared.config.endpoint {
             let _ = std::fs::remove_file(path);
         }
@@ -324,154 +342,6 @@ impl Server {
         span.add("recoveries", stats.recoveries);
         span.finish();
         stats
-    }
-}
-
-fn accept_loop(shared: Arc<Shared>, listener: Listener) {
-    loop {
-        if shared.draining.load(Ordering::SeqCst) {
-            return;
-        }
-        match listener.accept() {
-            Ok(stream) => {
-                lock_unpoisoned(&shared.stats).connections += 1;
-                spawn_handler(Arc::clone(&shared), stream);
-            }
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(5)),
-        }
-    }
-}
-
-fn spawn_handler(shared: Arc<Shared>, stream: Stream) {
-    let registry = Arc::clone(&shared);
-    let handle = std::thread::spawn(move || {
-        let result = catch_unwind(AssertUnwindSafe(|| handle_connection(&shared, stream)));
-        if result.is_err() {
-            // A panic that escaped the per-message isolation (e.g. the
-            // service.accept site, which fires before any framing): the
-            // connection drops, the daemon survives.
-            lock_unpoisoned(&shared.stats).panics_isolated += 1;
-        }
-    });
-    lock_unpoisoned(&registry.handlers).push(handle);
-}
-
-fn write_response(stream: &mut Stream, resp: &Response) -> std::io::Result<()> {
-    stream.write_all(&resp.encode())
-}
-
-fn handle_connection(shared: &Shared, mut stream: Stream) {
-    let _ = stream.set_read_timeout(Some(READ_TICK));
-    // The service.accept site models a fault in connection setup: the
-    // panic unwinds to spawn_handler's catch, the client sees EOF, and a
-    // reconnect succeeds (faults are one-shot).
-    chaos_panic(shared.config.chaos, "service.accept");
-    loop {
-        let payload = match read_frame_polled(&mut stream, &shared.draining) {
-            Ok(Some(p)) => p,
-            Ok(None) => return,
-            Err(err) => {
-                lock_unpoisoned(&shared.stats).proto_errors += 1;
-                let _ = write_response(
-                    &mut stream,
-                    &Response::Err(ServiceError {
-                        code: ErrCode::Proto,
-                        retry_after_ms: 0,
-                        message: err.to_string(),
-                    }),
-                );
-                return; // protocol errors close the connection
-            }
-        };
-        let req = match Request::decode(&payload) {
-            Ok(r) => r,
-            Err(err) => {
-                lock_unpoisoned(&shared.stats).proto_errors += 1;
-                let _ = write_response(
-                    &mut stream,
-                    &Response::Err(ServiceError {
-                        code: ErrCode::Proto,
-                        retry_after_ms: 0,
-                        message: err.to_string(),
-                    }),
-                );
-                return;
-            }
-        };
-        lock_unpoisoned(&shared.stats).requests += 1;
-        let resp = match req {
-            Request::Ping => Response::Pong,
-            Request::Stats => Response::Stats(*lock_unpoisoned(&shared.stats)),
-            Request::Fleet => Response::Err(ServiceError {
-                code: ErrCode::Malformed,
-                retry_after_ms: 0,
-                message: "fleet stats are only available from a router".into(),
-            }),
-            Request::Shutdown => {
-                shared.draining.store(true, Ordering::SeqCst);
-                shared.adm_cv.notify_all();
-                let _ = write_response(&mut stream, &Response::ShutdownAck);
-                return;
-            }
-            Request::Submit(submit) => {
-                // Per-message panic isolation: a worker panic (organic or
-                // the service.read/service.write chaos sites) becomes one
-                // typed Internal error on this connection.
-                let outcome = catch_unwind(AssertUnwindSafe(|| {
-                    chaos_panic(shared.config.chaos, "service.read");
-                    process_submit(shared, &submit)
-                }));
-                match outcome {
-                    Ok(Ok(done)) => {
-                        lock_unpoisoned(&shared.stats).completed += 1;
-                        Response::Done(done)
-                    }
-                    Ok(Err(err)) => Response::Err(err),
-                    Err(_) => {
-                        lock_unpoisoned(&shared.stats).panics_isolated += 1;
-                        Response::Err(ServiceError {
-                            code: ErrCode::Internal,
-                            retry_after_ms: 25,
-                            message: "worker panicked; the fault was isolated".into(),
-                        })
-                    }
-                }
-            }
-        };
-        // The write itself runs under the same isolation: a fault here
-        // (service.write) downgrades to a best-effort Internal error —
-        // the chaos fault is spent, so the fallback write cannot re-fire.
-        let wrote = catch_unwind(AssertUnwindSafe(|| {
-            chaos_panic(shared.config.chaos, "service.write");
-            write_response(&mut stream, &resp)
-        }));
-        match wrote {
-            Ok(Ok(())) => {}
-            Ok(Err(_)) => return, // client went away
-            Err(_) => {
-                lock_unpoisoned(&shared.stats).panics_isolated += 1;
-                let _ = write_response(
-                    &mut stream,
-                    &Response::Err(ServiceError {
-                        code: ErrCode::Internal,
-                        retry_after_ms: 25,
-                        message: "response writer panicked; the fault was isolated".into(),
-                    }),
-                );
-            }
-        }
-        // The read loop notices a drain only between frames, on an idle
-        // READ_TICK; a client sending faster than that would hold the
-        // drain open forever. Close after answering instead.
-        if shared.draining.load(Ordering::SeqCst) {
-            return;
-        }
     }
 }
 

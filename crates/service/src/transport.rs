@@ -2,8 +2,8 @@
 //!
 //! The frame codec in [`crate::proto`] is transport-agnostic — it only
 //! needs a byte stream. This module provides the two concrete streams the
-//! fleet uses and one polled, stall-bounded frame reader shared by every
-//! server-side loop:
+//! fleet uses and the polled, stall-bounded frame reader of the front
+//! door ([`crate::door`]):
 //!
 //! * [`Endpoint`] — where a daemon listens or a client connects: a unix
 //!   socket path (single-host, default) or a TCP address (`tcp:HOST:PORT`,
@@ -11,7 +11,7 @@
 //! * [`Listener`] / [`Stream`] — thin enums over the std unix and TCP
 //!   types, so the daemon and the router are generic over both without a
 //!   trait object per connection;
-//! * [`read_frame_polled`] — the incremental reader behind every daemon:
+//! * [`read_frame_polled`] — the incremental reader behind the door:
 //!   idle between frames is unbounded (sessions stay open) unless the
 //!   owner is draining, but a *partial* frame that stops making progress
 //!   for longer than the stall grace is a typed [`ProtoError::Stalled`].
@@ -213,11 +213,11 @@ impl Write for Stream {
     }
 }
 
-/// Reads one frame with the polled, stall-bounded loop shared by the
-/// daemon and the router. The stream must carry a read timeout of
-/// [`READ_TICK`] so the loop notices `draining` promptly. `Ok(None)`
-/// means the connection should close quietly: client EOF at a frame
-/// boundary, or drain while idle between frames.
+/// Reads one frame with a polled, stall-bounded loop: the front door's
+/// reader, for the daemon and the router alike. The stream must carry a
+/// read timeout of [`READ_TICK`] so the loop notices `draining`
+/// promptly. `Ok(None)` means the connection should close quietly:
+/// client EOF at a frame boundary, or drain while idle between frames.
 pub fn read_frame_polled(
     stream: &mut Stream,
     draining: &AtomicBool,

@@ -6,9 +6,9 @@
 //! barriers is exactly the image any uninterrupted run has at that point.
 //! [`supervise_run`] exploits that twice. It drives an execution barrier
 //! by barrier, and a *recoverable* failure (a caught worker panic, a
-//! deadline report) is either retried, with bounded exponential backoff
-//! and multi-thread → serial degradation, or, once the policy's attempts
-//! are spent, ends the run as a [`SupervisedOutcome::Partial`] carrying
+//! deadline report) is either retried at once, degrading multi-thread →
+//! serial after two failures, or, once the policy's attempts are spent,
+//! ends the run as a [`SupervisedOutcome::Partial`] carrying
 //! the failed barrier's clean memory image, a [`Checkpoint`]
 //! (completed-barrier count, counters, snapshot hash) and the typed
 //! cause, so a caller can report progress or resume later with a fresh
@@ -25,10 +25,6 @@
 //! and a step; the driver owns the rest: the barrier-top gate (deadline,
 //! then the engine's `*.barrier` fault site), the per-barrier iteration
 //! charge after the step, and the resume check.
-//!
-//! Backoff is deterministic (a fixed doubling schedule); tests and the
-//! chaos sweep run it in *virtual time* ([`RetryPolicy::virtual_time`]),
-//! accounting the waits without sleeping.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -97,72 +93,41 @@ fn check_resume<M: Snapshot>(mem: &M, checkpoint: &Checkpoint) -> Result<(), Mdf
     Ok(())
 }
 
-/// Retry/degradation policy for [`supervise_run`]. Deterministic by
-/// construction: attempts, thread degradation and backoff depend only on
-/// the failure count, never on time or randomness.
+/// Failures of one barrier after which its retries run on one worker.
+const SERIAL_AFTER: u32 = 2;
+
+/// Retry policy for [`supervise_run`]: how many attempts one barrier (or
+/// the allocation) gets. Deterministic by construction: attempts and
+/// thread degradation depend only on the failure count, and a retry
+/// follows its failure at once, never after a wait.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RetryPolicy {
-    /// Total attempts per chunk (1 = no retries).
-    pub max_attempts: u32,
-    /// Attempts allowed at the caller's thread count before degrading the
-    /// chunk to serial execution.
-    pub serial_after: u32,
-    /// First retry backoff in milliseconds; doubles per attempt.
-    pub base_backoff_ms: u64,
-    /// Backoff ceiling in milliseconds.
-    pub max_backoff_ms: u64,
-    /// Account backoff without sleeping (tests, chaos sweeps).
-    pub virtual_time: bool,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            max_attempts: 4,
-            serial_after: 2,
-            base_backoff_ms: 1,
-            max_backoff_ms: 8,
-            virtual_time: false,
-        }
-    }
+    /// Total attempts per barrier (1 = no retries).
+    max_attempts: u32,
 }
 
 impl RetryPolicy {
-    /// The default policy with virtual-time backoff — what tests and the
-    /// chaos sweep use.
+    /// Four attempts per barrier, the last two serial: what `mdfused`,
+    /// the chaos sweep and the recovery tests use.
     pub fn deterministic() -> Self {
-        RetryPolicy {
-            virtual_time: true,
-            ..RetryPolicy::default()
-        }
+        RetryPolicy { max_attempts: 4 }
     }
 
     /// One attempt per barrier: the first recoverable failure ends the
-    /// run as a [`SupervisedOutcome::Partial`], so the run never retries
-    /// and never waits. What every plain and budgeted run uses.
+    /// run as a [`SupervisedOutcome::Partial`], so the run never retries.
+    /// What every plain and budgeted run uses.
     pub fn once() -> Self {
-        RetryPolicy {
-            max_attempts: 1,
-            ..RetryPolicy::default()
-        }
+        RetryPolicy { max_attempts: 1 }
     }
 
     /// The worker count of an attempt after `failures` failures of the
     /// same barrier.
     fn threads_after(&self, failures: u32, threads: usize) -> usize {
-        if failures >= self.serial_after {
+        if failures >= SERIAL_AFTER {
             1
         } else {
             threads
         }
-    }
-
-    fn backoff_ms(&self, failures: u32) -> u64 {
-        let shift = failures.saturating_sub(1).min(16);
-        self.base_backoff_ms
-            .checked_shl(shift)
-            .unwrap_or(u64::MAX)
-            .min(self.max_backoff_ms)
     }
 }
 
@@ -181,8 +146,6 @@ pub struct RecoveryStats {
     pub resumes: u64,
     /// Whether any chunk degraded to serial execution.
     pub degraded_to_serial: bool,
-    /// Total backoff accounted, in milliseconds (virtual or slept).
-    pub backoff_ms: u64,
     /// Memory images copied into the base: a resumed run's presented
     /// image, then one copy each time the statement instances committed
     /// since the last copy reach the image's cell count. A fault-free
@@ -420,11 +383,6 @@ where
             }
             recovery.retries += 1;
             recovery.resumes += 1;
-            let wait = policy.backoff_ms(failures);
-            recovery.backoff_ms += wait;
-            if !policy.virtual_time && wait > 0 {
-                std::thread::sleep(std::time::Duration::from_millis(wait));
-            }
         }
     }
     Ok(SupervisedOutcome::Complete {
@@ -456,11 +414,6 @@ fn alloc_with_retries<M>(
             {
                 failures += 1;
                 recovery.retries += 1;
-                let wait = policy.backoff_ms(failures);
-                recovery.backoff_ms += wait;
-                if !policy.virtual_time && wait > 0 {
-                    std::thread::sleep(std::time::Duration::from_millis(wait));
-                }
             }
             Err(e) => return Err(e),
         }
@@ -563,7 +516,6 @@ mod tests {
                 assert_eq!(stats.barriers, 3, "retried barrier counted once");
                 assert_eq!(recovery.retries, 1);
                 assert_eq!(recovery.resumes, 1);
-                assert!(recovery.backoff_ms > 0);
             }
             other => panic!("unexpected: {other:?}"),
         }
@@ -665,7 +617,7 @@ mod tests {
                 assert_eq!(checkpoint.snapshot_hash, mem.digest());
                 assert!(matches!(cause, MdfError::Exec { .. }));
                 assert!(recovery.degraded_to_serial);
-                // serial_after = 2: first two attempts threaded, rest serial.
+                // SERIAL_AFTER = 2: first two attempts threaded, rest serial.
                 assert_eq!(seen_threads, vec![8, 8, 1, 1]);
                 assert_eq!(recovery.retries, 3);
             }
@@ -897,8 +849,8 @@ mod tests {
     fn a_one_attempt_run_ends_partial_at_its_first_failure_without_retrying() {
         // A panic inside barrier 2, after a partial write, and an `Exec`
         // error at barrier 2's start: each is the first recoverable
-        // failure, so the run attempts barrier 2 once, never backs off (the
-        // policy's clock is real), and reports the barrier's clean top.
+        // failure, so the run attempts barrier 2 once and reports the
+        // barrier's clean top.
         for panics in [true, false] {
             let mut calls = Vec::new();
             let mut meter = Budget::unlimited().meter();
@@ -941,23 +893,8 @@ mod tests {
             assert_eq!(checkpoint.snapshot_hash, mem.digest());
             assert!(matches!(cause, MdfError::Exec { .. }));
             assert_eq!(recovery.retries, 0);
-            assert_eq!(recovery.backoff_ms, 0);
             assert_eq!(recovery.resumes, 0);
             assert!(!recovery.degraded_to_serial);
         }
-    }
-
-    #[test]
-    fn backoff_schedule_doubles_and_caps() {
-        let p = RetryPolicy {
-            base_backoff_ms: 2,
-            max_backoff_ms: 12,
-            ..RetryPolicy::deterministic()
-        };
-        assert_eq!(p.backoff_ms(1), 2);
-        assert_eq!(p.backoff_ms(2), 4);
-        assert_eq!(p.backoff_ms(3), 8);
-        assert_eq!(p.backoff_ms(4), 12, "capped");
-        assert_eq!(p.backoff_ms(40), 12, "shift saturates safely");
     }
 }

@@ -1,23 +1,25 @@
-//! Transport robustness over a real TCP stream.
+//! Transport robustness over a real TCP stream, at both front doors.
 //!
 //! The frame codec is already fuzzed in isolation (`mdfuse fuzz`'s
 //! protocol oracle); this suite drives the same mutation corpus through
-//! an actual TCP connection against a live daemon, where the failure
-//! modes the codec cannot see live: split writes, partial frames that
-//! pause mid-prefix, mid-frame disconnects, and hostile length claims
-//! arriving from a real socket. The contract for every case:
+//! an actual TCP connection against a live daemon and a live 2-shard
+//! router, where the failure modes the codec cannot see live: split
+//! writes, partial frames that pause mid-prefix, mid-frame disconnects,
+//! and hostile length claims arriving from a real socket. The contract
+//! for every case, at each endpoint:
 //!
 //! * a well-formed frame gets its answer, no matter how the bytes were
 //!   chopped up in transit;
 //! * a hostile frame gets a typed error response or a clean close —
 //!   never a hang (a read timeout fails the test);
-//! * the daemon survives: after every case a fresh client must connect
+//! * the endpoint survives: after every case a fresh client must connect
 //!   and ping successfully.
 
 use std::io::Write;
 use std::net::TcpStream;
 use std::time::Duration;
 
+use mdf_router::{InProcessBackend, Router, RouterConfig};
 use mdf_service::proto::read_frame;
 use mdf_service::transport::Endpoint;
 use mdf_service::{Client, Engine, Request, Response, Server, ServiceConfig, Submit};
@@ -58,10 +60,7 @@ fn ping_frame() -> Vec<u8> {
 }
 
 fn submit_frame() -> Vec<u8> {
-    let path = format!(
-        "{}/../../examples/dsl/figure2.mdf",
-        env!("CARGO_MANIFEST_DIR")
-    );
+    let path = format!("{}/examples/dsl/figure2.mdf", env!("CARGO_MANIFEST_DIR"));
     let source = std::fs::read_to_string(&path).expect("figure2.mdf exists");
     Request::Submit(Submit {
         engine: Engine::Kernel,
@@ -177,21 +176,31 @@ const CASES: &[Case] = &[
     },
 ];
 
-fn boot() -> (Server, Endpoint) {
+/// Runs `cases` against a TCP daemon, then against a 2-shard router's
+/// TCP endpoint, draining each afterwards.
+fn at_each_front_door(mut cases: impl FnMut(&str, &Endpoint)) {
     let mut config = ServiceConfig::at(Endpoint::parse("tcp:127.0.0.1:0"));
     config.workers = 2;
-    let server = Server::start(config).expect("tcp daemon boots");
-    let endpoint = server.endpoint().clone();
-    (server, endpoint)
+    let server = Server::start(config.clone()).expect("tcp daemon boots");
+    cases("daemon", server.endpoint());
+    server.drain();
+
+    let router = Router::start(
+        RouterConfig::new(Endpoint::parse("tcp:127.0.0.1:0"), 2),
+        Box::new(InProcessBackend::new(2, config)),
+    )
+    .expect("tcp router boots");
+    cases("router", router.endpoint());
+    router.drain();
 }
 
 fn raw_connect(endpoint: &Endpoint) -> TcpStream {
     let Endpoint::Tcp(addr) = endpoint else {
-        panic!("test server must resolve to a TCP endpoint, got {endpoint}");
+        panic!("test endpoint must resolve to TCP, got {endpoint}");
     };
     let stream = TcpStream::connect(addr.as_str()).expect("raw connect");
-    // Well past the daemon's 2 s mid-frame stall grace: a case that
-    // trips this timeout means the daemon hung, which is the bug.
+    // Well past the door's 2 s mid-frame stall grace: a case that trips
+    // this timeout means the endpoint hung, which is the bug.
     stream
         .set_read_timeout(Some(Duration::from_secs(20)))
         .unwrap();
@@ -206,12 +215,12 @@ fn alive(endpoint: &Endpoint) -> bool {
 fn read_response(stream: &mut TcpStream) -> Option<Response> {
     match read_frame(stream) {
         Ok(Some(payload)) => {
-            Some(Response::decode(&payload).expect("daemon sent an undecodable frame"))
+            Some(Response::decode(&payload).expect("endpoint sent an undecodable frame"))
         }
         Ok(None) => None,
         // A reset after we sent garbage is a close, not a hang. A read
         // timeout (TimedOut on some platforms, WouldBlock/EAGAIN on
-        // Linux) means the daemon hung, which is the bug this suite
+        // Linux) means the endpoint hung, which is the bug this suite
         // exists to catch.
         Err(e) => {
             let msg = format!("{e}");
@@ -225,7 +234,7 @@ fn read_response(stream: &mut TcpStream) -> Option<Response> {
             .any(|p| msg.contains(p));
             assert!(
                 !timed_out,
-                "read timed out: the daemon hung instead of answering or closing: {msg}"
+                "read timed out: the endpoint hung instead of answering or closing: {msg}"
             );
             None
         }
@@ -234,71 +243,72 @@ fn read_response(stream: &mut TcpStream) -> Option<Response> {
 
 #[test]
 fn hostile_and_fragmented_frames_over_tcp() {
-    let (server, endpoint) = boot();
-    for case in CASES {
-        let bytes = (case.bytes)();
-        let response = match case.wire {
-            Wire::Whole => {
-                let mut s = raw_connect(&endpoint);
-                s.write_all(&bytes).unwrap();
-                read_response(&mut s)
-            }
-            Wire::ByteAtATime => {
-                let mut s = raw_connect(&endpoint);
-                for b in &bytes {
-                    s.write_all(std::slice::from_ref(b)).unwrap();
-                    std::thread::sleep(Duration::from_millis(2));
-                }
-                read_response(&mut s)
-            }
-            Wire::Pause { at, ms } => {
-                let mut s = raw_connect(&endpoint);
-                let at = at.min(bytes.len());
-                s.write_all(&bytes[..at]).unwrap();
-                s.flush().unwrap();
-                std::thread::sleep(Duration::from_millis(ms));
-                s.write_all(&bytes[at..]).unwrap();
-                read_response(&mut s)
-            }
-            Wire::Disconnect { at } => {
-                let mut s = raw_connect(&endpoint);
-                let at = at.min(bytes.len());
-                s.write_all(&bytes[..at]).unwrap();
-                drop(s);
-                None
-            }
-        };
-        match case.expect {
-            Expect::Pong => {
-                assert!(
-                    matches!(response, Some(Response::Pong)),
-                    "{}: expected Pong, got {response:?}",
-                    case.name
-                );
-            }
-            Expect::Done => {
-                assert!(
-                    matches!(response, Some(Response::Done(_))),
-                    "{}: expected Done, got {response:?}",
-                    case.name
-                );
-            }
-            Expect::ErrorOrClose => {
-                assert!(
-                    matches!(response, None | Some(Response::Err(_))),
-                    "{}: expected a typed error or a close, got {response:?}",
-                    case.name
-                );
-            }
-            Expect::Nothing => {}
+    at_each_front_door(|front, endpoint| {
+        for case in CASES {
+            run_case(front, endpoint, case);
         }
-        assert!(
-            alive(&endpoint),
-            "{}: the daemon stopped answering after this case",
-            case.name
-        );
+    });
+}
+
+fn run_case(front: &str, endpoint: &Endpoint, case: &Case) {
+    let bytes = (case.bytes)();
+    let response = match case.wire {
+        Wire::Whole => {
+            let mut s = raw_connect(endpoint);
+            s.write_all(&bytes).unwrap();
+            read_response(&mut s)
+        }
+        Wire::ByteAtATime => {
+            let mut s = raw_connect(endpoint);
+            for b in &bytes {
+                s.write_all(std::slice::from_ref(b)).unwrap();
+                std::thread::sleep(Duration::from_millis(2));
+            }
+            read_response(&mut s)
+        }
+        Wire::Pause { at, ms } => {
+            let mut s = raw_connect(endpoint);
+            let at = at.min(bytes.len());
+            s.write_all(&bytes[..at]).unwrap();
+            s.flush().unwrap();
+            std::thread::sleep(Duration::from_millis(ms));
+            s.write_all(&bytes[at..]).unwrap();
+            read_response(&mut s)
+        }
+        Wire::Disconnect { at } => {
+            let mut s = raw_connect(endpoint);
+            let at = at.min(bytes.len());
+            s.write_all(&bytes[..at]).unwrap();
+            drop(s);
+            None
+        }
+    };
+    let name = case.name;
+    match case.expect {
+        Expect::Pong => {
+            assert!(
+                matches!(response, Some(Response::Pong)),
+                "{front} {name}: expected Pong, got {response:?}"
+            );
+        }
+        Expect::Done => {
+            assert!(
+                matches!(response, Some(Response::Done(_))),
+                "{front} {name}: expected Done, got {response:?}"
+            );
+        }
+        Expect::ErrorOrClose => {
+            assert!(
+                matches!(response, None | Some(Response::Err(_))),
+                "{front} {name}: expected a typed error or a close, got {response:?}"
+            );
+        }
+        Expect::Nothing => {}
     }
-    server.drain();
+    assert!(
+        alive(endpoint),
+        "{front} {name}: the endpoint stopped answering after this case"
+    );
 }
 
 /// splitmix64, the workspace-standard seed chain.
@@ -317,53 +327,53 @@ fn mix(state: &mut u64) -> u64 {
 /// real answer; the daemon must survive all of them.
 #[test]
 fn seeded_mutation_corpus_over_tcp() {
-    let (server, endpoint) = boot();
     let frame = submit_frame();
-    let mut state = 0x7463_705f_6d75_7461; // "tcp_muta"
-    for k in 0..32u64 {
-        let mut bytes = frame.clone();
-        match mix(&mut state) % 5 {
-            0 => {
-                let i = (mix(&mut state) as usize) % bytes.len();
-                bytes[i] ^= 1 << (mix(&mut state) % 8);
-            }
-            1 => {
-                let cut = (mix(&mut state) as usize) % bytes.len();
-                bytes.truncate(cut);
-            }
-            2 => {
-                let claim = (mix(&mut state) as u32).to_le_bytes();
-                bytes[..4].copy_from_slice(&claim);
-            }
-            3 => {
-                let extra = (mix(&mut state) % 16) as usize + 1;
-                for _ in 0..extra {
-                    bytes.push(mix(&mut state) as u8);
+    at_each_front_door(|front, endpoint| {
+        let mut state = 0x7463_705f_6d75_7461; // "tcp_muta"
+        for k in 0..32u64 {
+            let mut bytes = frame.clone();
+            match mix(&mut state) % 5 {
+                0 => {
+                    let i = (mix(&mut state) as usize) % bytes.len();
+                    bytes[i] ^= 1 << (mix(&mut state) % 8);
                 }
-            }
-            _ => {
-                if bytes.len() > 5 {
-                    let start = 4 + (mix(&mut state) as usize) % (bytes.len() - 4);
-                    for b in bytes.iter_mut().skip(start) {
-                        *b = mix(&mut state) as u8;
+                1 => {
+                    let cut = (mix(&mut state) as usize) % bytes.len();
+                    bytes.truncate(cut);
+                }
+                2 => {
+                    let claim = (mix(&mut state) as u32).to_le_bytes();
+                    bytes[..4].copy_from_slice(&claim);
+                }
+                3 => {
+                    let extra = (mix(&mut state) % 16) as usize + 1;
+                    for _ in 0..extra {
+                        bytes.push(mix(&mut state) as u8);
+                    }
+                }
+                _ => {
+                    if bytes.len() > 5 {
+                        let start = 4 + (mix(&mut state) as usize) % (bytes.len() - 4);
+                        for b in bytes.iter_mut().skip(start) {
+                            *b = mix(&mut state) as u8;
+                        }
                     }
                 }
             }
+            let mut s = raw_connect(endpoint);
+            s.write_all(&bytes).unwrap();
+            // Truncations leave a partial frame on an open connection;
+            // the door's stall grace closes it. Closing our half right
+            // away keeps the case bounded without waiting out the grace.
+            s.shutdown(std::net::Shutdown::Write).ok();
+            let _ = read_response(&mut s);
+            drop(s);
+            assert!(
+                alive(endpoint),
+                "{front} stopped answering after mutation {k} ({} bytes: {:02x?}...)",
+                bytes.len(),
+                &bytes[..bytes.len().min(12)]
+            );
         }
-        let mut s = raw_connect(&endpoint);
-        s.write_all(&bytes).unwrap();
-        // Truncations leave a partial frame on an open connection; the
-        // daemon's stall grace closes it. Closing our half right away
-        // keeps the case bounded without waiting out the grace.
-        s.shutdown(std::net::Shutdown::Write).ok();
-        let _ = read_response(&mut s);
-        drop(s);
-        assert!(
-            alive(&endpoint),
-            "daemon stopped answering after mutation {k} ({} bytes: {:02x?}...)",
-            bytes.len(),
-            &bytes[..bytes.len().min(12)]
-        );
-    }
-    server.drain();
+    });
 }
